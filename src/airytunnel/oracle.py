@@ -10,16 +10,18 @@ maps left amplitudes to right amplitudes with det M = 1, giving
 
 Piecewise-constant midpoint sampling makes the error second order in the
 slice width, so one slice doubling supports a Richardson extrapolation.
-Under thick barriers the matrix entries grow like exp(kappa * L); the
-running product is renormalized every 64 slices and the final T is
-reassembled in log domain, so the solver never overflows (it underflows
-to 0 once the true T drops below double-precision range).
+Under thick barriers the matrix entries grow like exp(kappa * L). The
+n + 1 interface matrices are built as arrays and multiplied by a pairwise
+tree product in ceil(log2(n + 1)) levels; after each level every partial
+product is rescaled by an exact power of two, whose exponents are summed
+into the log scale. The final T is reassembled in log domain, so the
+solver never overflows (it underflows to 0 once the true T drops below
+double-precision range).
 
 Transfer matrices were chosen over shooting integration because the
-renormalized product is unconditionally stable in the evanescent region.
+rescaled product is unconditionally stable in the evanescent region.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,7 +32,13 @@ from .errors import AsymptoteMismatchError, DomainError
 #: Both domain endpoints must be within this of V = 0.
 ASYMPTOTE_TOLERANCE = 1e-9
 
-_RENORM_EVERY = 64
+#: Slice wavenumbers below this are raised to it. Where E equals V over a
+#: run of slices the exact k = 0 would divide the interface matrices by
+#: zero; at 1e-6 the linear-in-x limit is reproduced to ~1e-10, while a
+#: smaller floor loses more to the cancellation between 1 + q and 1 - q.
+_K_FLOOR = 1e-6
+
+_IDENTITY = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -61,47 +69,87 @@ def square_barrier_closed_form(v0, length, energy):
     return 1.0 / (1.0 + v0 ** 2 * s * s / (4.0 * energy * (v0 - energy)))
 
 
+def _interface_matrices(energy, v_mid, d):
+    """Interface matrices of slices of width d at potentials v_mid.
+
+    Returns the n + 1 matrices of n slices as rows 11, 12, 21, 22. Matrix j
+    carries the amplitudes from region j into region j + 1 after the phase
+    accumulated across region j; regions 0 and n + 1 are the leads, and the
+    left lead contributes no phase. Built apart from the product so that
+    its full-length temporaries are freed before it runs.
+    """
+    k = np.empty(len(v_mid) + 2, dtype=complex)
+    k[0] = k[-1] = math.sqrt(energy)
+    k[1:-1] = energy - v_mid
+    # The principal complex sqrt gives Im k >= 0 for E - V < 0, matching
+    # the sign convention used for the forbidden region.
+    k_slices = np.sqrt(k[1:-1], out=k[1:-1])
+    k_slices[np.abs(k_slices) < _K_FLOOR] = _K_FLOOR
+
+    k_prev, k_next = k[:-1], k[1:]
+    q = k_prev / k_next
+    hp = 0.5 * (1.0 + q)
+    hm = 0.5 * (1.0 - q)
+    m = np.empty((4, len(k) - 1), dtype=complex)
+    np.exp(1j * d * k_prev, out=m[0])
+    m[0, 0] = 1.0
+    np.divide(1.0, m[0], out=m[1])
+    m[2] = m[0]
+    m[3] = m[1]
+    m[0] *= hp
+    m[1] *= hm
+    m[2] *= hm
+    m[3] *= hp
+    return m
+
+
+def _tree_product(m):
+    """Product A_n ... A_1 A_0 of the matrices in ``m`` as (M21, M22, exponent).
+
+    Multiplies neighbours pairwise, later interfaces on the left, padding
+    an odd count with the identity. Each level rescales every product by an
+    exact power of two, so no entry can overflow and the rescaling rounds
+    nothing; the true product is (M21, M22) * 2**exponent.
+    """
+    exponent = 0
+    while m.shape[1] > 1:
+        if m.shape[1] % 2:
+            m = np.concatenate([m, _IDENTITY], axis=1)
+        l11, l12, l21, l22 = m[:, 1::2]
+        r11, r12, r21, r22 = m[:, 0::2]
+        m = np.empty((4, m.shape[1] // 2), dtype=complex)
+        np.multiply(l11, r11, out=m[0])
+        m[0] += l12 * r21
+        np.multiply(l11, r12, out=m[1])
+        m[1] += l12 * r22
+        np.multiply(l21, r11, out=m[2])
+        m[2] += l22 * r21
+        np.multiply(l21, r12, out=m[3])
+        m[3] += l22 * r22
+        # Largest |Re| or |Im| over the four entries of each product.
+        s = np.abs(m.view(float)).max(axis=0)
+        _, e = np.frexp(np.maximum(s[0::2], s[1::2]))
+        m *= np.ldexp(1.0, -e)
+        exponent += int(e.sum())
+    return complex(m[2, 0]), complex(m[3, 0]), exponent
+
+
 def _transfer_once(pot, energy, x_left, x_right, n):
     """One transfer-matrix pass at n slices; returns (T, R)."""
     d = (x_right - x_left) / n
     mids = x_left + (np.arange(n) + 0.5) * d
     v_mid = np.asarray(pot.v(mids), dtype=float)
-
-    k_lead = cmath.sqrt(complex(energy))
-    # cmath.sqrt puts the branch cut so that Im k >= 0 for E - V < 0,
-    # matching the sign convention used for the forbidden region.
-    ks = [cmath.sqrt(complex(energy - v)) for v in v_mid]
-    ks.append(k_lead)
-
-    m11, m12, m21, m22 = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
-    log_scale = 0.0
-    k_prev = k_lead
-    width_prev = 0.0  # the left lead contributes no phase
-    for j, k_next in enumerate(ks):
-        if k_next == 0:
-            k_next = complex(1e-150)  # energy exactly at a slice potential
-        ep = cmath.exp(1j * k_prev * width_prev)
-        q = k_prev / k_next
-        a11 = 0.5 * (1.0 + q) * ep
-        a12 = 0.5 * (1.0 - q) / ep
-        a21 = 0.5 * (1.0 - q) * ep
-        a22 = 0.5 * (1.0 + q) / ep
-        m11, m12, m21, m22 = (
-            a11 * m11 + a12 * m21,
-            a11 * m12 + a12 * m22,
-            a21 * m11 + a22 * m21,
-            a21 * m12 + a22 * m22,
-        )
-        if j % _RENORM_EVERY == _RENORM_EVERY - 1:
-            s = max(abs(m11), abs(m12), abs(m21), abs(m22))
-            if s > 0.0:
-                m11 /= s
-                m12 /= s
-                m21 /= s
-                m22 /= s
-                log_scale += math.log(s)
-        k_prev = k_next
-        width_prev = d
+    # A slice so thick that exp(Im k * d) leaves double range cannot be
+    # represented; report it rather than return NaN.
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            m21, m22, exponent = _tree_product(_interface_matrices(energy, v_mid, d))
+    except FloatingPointError as exc:
+        raise ValueError(
+            "%d slices on [%g, %g] are too coarse for this barrier: %s"
+            % (n, x_left, x_right, exc)
+        ) from exc
+    log_scale = exponent * math.log(2.0)
 
     # det M telescopes to k_lead/k_lead = 1, so t = 1/M22 up to the scale.
     log_t_sq = -2.0 * (log_scale + math.log(abs(m22)))

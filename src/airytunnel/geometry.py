@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DegenerateTurningPointError,
@@ -51,13 +50,65 @@ class BarrierGeometry:
     energy: float
 
 
+def solve_bracketed(f, fprime, lo, hi, xtol):
+    """Root of f between lo and hi by safeguarded Newton-bisection.
+
+    f(lo) and f(hi) must not share a sign (ValueError otherwise). Each step
+    is a Newton step when it lands inside the shrinking bracket and is at
+    most half the previous step, else a bisection. Stops once a step is
+    below xtol + 4 eps |x|; more than 100 steps raise DomainError.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise ValueError("f(%g) = %g, f(%g) = %g: no sign change" % (lo, f_lo, hi, f_hi))
+    if f_lo > 0.0:
+        lo, hi = hi, lo  # from here on f(lo) < 0 < f(hi)
+    x = 0.5 * (lo + hi)
+    step = step_before = abs(hi - lo)
+    for _ in range(100):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        lo, hi = (x, hi) if fx < 0.0 else (lo, x)
+        slope = fprime(x)
+        step_before, step = step, fx / slope if slope else math.inf
+        if not min(lo, hi) < x - step < max(lo, hi) or abs(step) > 0.5 * abs(step_before):
+            step = x - 0.5 * (lo + hi)
+        x -= step
+        if abs(step) <= xtol + 4.0 * np.finfo(float).eps * abs(x):
+            return x
+    raise DomainError("no root to %g found in 100 steps near x=%g" % (xtol, x))
+
+
+def find_crossings(pot, energy, lo, hi, n_scan=DEFAULT_SCAN_POINTS):
+    """Sorted simple zeros of k2 in [lo, hi].
+
+    Scans n_scan uniform samples for sign changes of k2 and polishes each
+    bracket by solve_bracketed on the potential's own derivative.
+    """
+    xs = np.linspace(lo, hi, n_scan)
+    ksq = np.asarray(pot.wavenumber_sq(energy, xs), dtype=float)
+    signs = np.where(ksq > 0.0, 1.0, -1.0)
+    brackets = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
+
+    def k2(x):
+        return energy - float(pot.v(x))
+
+    def k2_prime(x):
+        return -float(pot.v_prime(x))
+
+    return [solve_bracketed(k2, k2_prime, float(xs[i]), float(xs[i + 1]), 1e-14) for i in brackets]
+
+
 def find_turning_points(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
     """Locate the forbidden interval (a, b) with k2(a) = k2(b) = 0.
 
-    Scans the window for sign changes of k2, then polishes each bracket
-    with Brent's method. Raises NoBarrierError when no closed forbidden
-    interval lies inside the window and MultiHumpUnsupported when the
-    window contains more than one.
+    Scans the window for sign changes of k2 (find_crossings; n_scan must
+    be at least 3 to bracket two of them). Raises NoBarrierError when no
+    closed forbidden interval lies inside the window and
+    MultiHumpUnsupported when the window contains more than one.
     """
     energy = float(energy)
     if energy <= 0.0 or not math.isfinite(energy):
@@ -67,35 +118,25 @@ def find_turning_points(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy xmin < xmax, got (%g, %g)" % (lo, hi))
+    if int(n_scan) < 3:
+        raise ValueError("n_scan must be >= 3 to bracket two turning points, got %d" % n_scan)
 
-    xs = np.linspace(lo, hi, int(n_scan))
-    ksq = np.asarray(pot.wavenumber_sq(energy, xs), dtype=float)
-    signs = np.where(ksq > 0.0, 1.0, -1.0)
-    brackets = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-
-    if len(brackets) == 0:
+    roots = find_crossings(pot, energy, lo, hi, int(n_scan))
+    if len(roots) == 0:
         raise NoBarrierError(
             "no barrier at E=%g: k2 does not change sign in (%g, %g)" % (energy, lo, hi)
         )
-    if len(brackets) > 2:
+    if len(roots) > 2:
         raise MultiHumpUnsupported(
             "%d sign changes of k2 in (%g, %g); single-hump barriers only"
-            % (len(brackets), lo, hi)
+            % (len(roots), lo, hi)
         )
-    if len(brackets) == 1:
+    if len(roots) == 1:
         raise NoBarrierError(
             "forbidden region is not closed inside the window (%g, %g)" % (lo, hi)
         )
-
-    def k2(x):
-        return energy - float(pot.v(x))
-
-    roots = [
-        brentq(k2, xs[i], xs[i + 1], xtol=1e-14, rtol=4 * np.finfo(float).eps)
-        for i in brackets
-    ]
-    a, b = sorted(roots)
-    if k2(0.5 * (a + b)) >= 0.0:
+    a, b = roots
+    if energy - float(pot.v(0.5 * (a + b))) >= 0.0:
         raise NoBarrierError(
             "window (%g, %g) does not bracket a forbidden interval at E=%g"
             % (lo, hi, energy)
@@ -134,11 +175,17 @@ def action_integral(pot, energy, x1, x2, rel_tol=1e-12):
 def find_midpoint(pot, energy, a, b):
     """Interior point c with equal half actions, integral a..c == c..b.
 
-    g(c) = action(a, c) - action(c, b) is continuous and strictly
-    increasing, so root bracketing cannot fail. The result satisfies
-    |action(a, c) - action(c, b)| <= 1e-10 * theta.
+    The result satisfies |action(a, c) - action(c, b)| <= 1e-10 * theta.
     """
-    theta = action_integral(pot, energy, a, b)
+    return _balanced_midpoint(pot, energy, a, b, action_integral(pot, energy, a, b))[0]
+
+
+def _balanced_midpoint(pot, energy, a, b, theta):
+    """(c, action(a, c)) for the midpoint of a barrier whose action is theta.
+
+    g(c) = action(a, c) - theta/2 rises from -theta/2 at a to theta/2 at b
+    with the closed-form slope sqrt(V(c) - E), which Newton steps use.
+    """
     if theta <= 0.0:
         raise DegenerateTurningPointError(
             "vanishing barrier action between %g and %g" % (a, b)
@@ -146,16 +193,22 @@ def find_midpoint(pot, energy, a, b):
     half = 0.5 * theta
 
     def imbalance(c):
+        # action(a, a) = 0 and action(a, b) = theta need no quadrature.
+        if c == a or c == b:
+            return half if c == b else -half
         return action_integral(pot, energy, a, c) - half
 
-    c = brentq(imbalance, a, b, xtol=1e-13 * (b - a), rtol=4 * np.finfo(float).eps)
+    def slope(c):
+        return math.sqrt(max(float(pot.v(c)) - energy, 0.0))
+
+    c = solve_bracketed(imbalance, slope, a, b, 1e-13 * (b - a))
     left = action_integral(pot, energy, a, c)
     right = action_integral(pot, energy, c, b)
     if abs(left - right) > 1e-10 * theta:
         raise DomainError(
             "midpoint search failed to balance actions (%g vs %g)" % (left, right)
         )
-    return c
+    return c, left
 
 
 def alpha_limit(pot, energy, x0, side):
@@ -190,8 +243,8 @@ def analyze_barrier(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
         )
     a, b = find_turning_points(pot, energy, window, n_scan)
     theta = action_integral(pot, energy, a, b)
-    c = find_midpoint(pot, energy, a, b)
-    s_half = 1.5 * action_integral(pot, energy, a, c)
+    c, left = _balanced_midpoint(pot, energy, a, b, theta)
+    s_half = 1.5 * left
     alpha_plus = alpha_limit(pot, energy, a, "left")
     alpha_minus = alpha_limit(pot, energy, b, "right")
 

@@ -27,7 +27,6 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import FormatError, NonSmoothError, RangeError
 
@@ -178,6 +177,30 @@ class SquareBarrier(Potential):
         return "SquareBarrier(v0=%g, length=%g)" % (self.v0, self.length)
 
 
+def _natural_spline(x, v):
+    """Horner coefficients (b, c, d) of the natural cubic spline through (x, v).
+
+    On [x[i], x[i+1]] the spline is v[i] + t (b[i] + t (c[i] + t d[i])) with
+    t = x - x[i]. Its second derivatives M, zero at both ends, solve a
+    symmetric diagonally dominant tridiagonal system by one Thomas sweep.
+    """
+    h = np.diff(x)
+    slope = np.diff(v) / h
+    diag = (2.0 * (h[:-1] + h[1:])).tolist()
+    rhs = (6.0 * np.diff(slope)).tolist()
+    off = h[1:].tolist()  # off[i] couples interior unknowns i and i + 1
+    d, r = diag[0], rhs[0]
+    for i in range(1, len(diag)):
+        w = off[i - 1] / d
+        d = diag[i] = diag[i] - w * off[i - 1]
+        r = rhs[i] = rhs[i] - w * r
+    m = [0.0] * (len(diag) + 2)
+    for i in reversed(range(len(diag))):
+        m[i + 1] = (rhs[i] - off[i] * m[i + 2]) / diag[i]
+    m = np.array(m)
+    return slope - h * (2.0 * m[:-1] + m[1:]) / 6.0, 0.5 * m[:-1], np.diff(m) / (6.0 * h)
+
+
 class TabulatedPotential(Potential):
     """Potential defined by (x, V) samples with cubic-spline interpolation.
 
@@ -202,28 +225,28 @@ class TabulatedPotential(Potential):
         self.v_samples = v.copy()
         self.x_samples.flags.writeable = False
         self.v_samples.flags.writeable = False
-        self._spline = CubicSpline(x, v, bc_type="natural")
-        self._spline_d = self._spline.derivative()
+        self._b, self._c, self._d = _natural_spline(x, v)
         self._tol = 1e-12 * (x[-1] - x[0])
 
-    def _check_range(self, x):
+    def _piece(self, x):
+        """Spline interval index i and offset t = x - x_samples[i]."""
         xa = np.asarray(x, dtype=float)
         lo, hi = self.x_samples[0], self.x_samples[-1]
-        if np.any(xa < lo - self._tol) or np.any(xa > hi + self._tol):
-            raise RangeError(
-                "x outside tabulated range [%g, %g]" % (lo, hi)
-            )
-        return xa
+        if xa.min(initial=lo) < lo - self._tol or xa.max(initial=hi) > hi + self._tol:
+            raise RangeError("x outside tabulated range [%g, %g]" % (lo, hi))
+        # Searching the interior knots extends the end pieces over the range tolerance.
+        i = np.searchsorted(self.x_samples[1:-1], xa, side="right")
+        return i, xa - self.x_samples[i]
 
     def v(self, x):
-        xa = self._check_range(x)
-        out = self._spline(xa)
-        return out if np.ndim(x) else float(out)
+        i, t = self._piece(x)
+        out = self.v_samples[i] + t * (self._b[i] + t * (self._c[i] + t * self._d[i]))
+        return out if t.ndim else float(out)
 
     def v_prime(self, x):
-        xa = self._check_range(x)
-        out = self._spline_d(xa)
-        return out if np.ndim(x) else float(out)
+        i, t = self._piece(x)
+        out = self._b[i] + t * (2.0 * self._c[i] + 3.0 * t * self._d[i])
+        return out if t.ndim else float(out)
 
     def suggested_window(self):
         return (float(self.x_samples[0]), float(self.x_samples[-1]))

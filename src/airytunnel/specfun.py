@@ -1,6 +1,6 @@
 """Airy functions Ai, Bi and first derivatives on the real line.
 
-Self-contained double-precision kernel, no calls into scipy.special. Two
+Self-contained double-precision kernel, no external special-function library. Two
 evaluation regimes:
 
 * ``u <= SERIES_ASYMPTOTIC_SWITCH``: Taylor series of the defining ODE

@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateTurningPointError
+from .geometry import find_crossings
 from .quadrature import integrate_endpoint_singular
 from .specfun import AI_ZERO, BI_ZERO, airy
 
@@ -48,31 +48,13 @@ class WavefunctionSample:
     psi_bi: float
 
 
-def _crossings(pot, energy, lo, hi, n_scan=512):
-    """All simple zeros of k2 inside [lo, hi], sorted."""
-    if hi - lo <= 0.0:
-        return []
-    xs = np.linspace(lo, hi, n_scan)
-    ksq = np.asarray(pot.wavenumber_sq(energy, xs), dtype=float)
-    signs = np.where(ksq > 0.0, 1.0, -1.0)
-    idx = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-
-    def k2(x):
-        return energy - float(pot.v(x))
-
-    return sorted(
-        brentq(k2, xs[i], xs[i + 1], xtol=1e-14, rtol=4 * np.finfo(float).eps)
-        for i in idx
-    )
-
-
 def _action_magnitude(pot, energy, x1, x2, crossings=None):
     """Integral of sqrt(|k2|) from x1 to x2, split at sign changes of k2."""
     lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
     if lo == hi:
         return 0.0
     if crossings is None:
-        crossings = _crossings(pot, energy, lo, hi)
+        crossings = find_crossings(pot, energy, lo, hi)
     cuts = [lo] + [c for c in crossings if lo < c < hi] + [hi]
 
     def integrand(x):
@@ -134,7 +116,7 @@ def sample_grid(pot, energy, window, n_points, c_plus, c_minus, anchor):
     anchor = float(anchor)
     scan_lo = min(lo, anchor)
     scan_hi = max(hi, anchor)
-    crossings = _crossings(pot, energy, scan_lo, scan_hi)
+    crossings = find_crossings(pot, energy, scan_lo, scan_hi)
 
     samples = []
     for x in np.linspace(lo, hi, n_points):

@@ -1,10 +1,14 @@
 """CLI contract: CSV shape, exit codes, determinism, formatting."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import airytunnel
 from airytunnel.cli import main
 from conftest import double_hump_samples
 
@@ -220,3 +224,16 @@ def test_output_file_and_error_buffering(capsys, tmp_path):
     )
     assert code == 3
     assert not target2.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, airytunnel.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    src = os.path.dirname(os.path.dirname(airytunnel.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    assert out.strip() == "[]"

@@ -16,12 +16,14 @@ from airytunnel import (
     ParabolicBarrier,
     Sech2Barrier,
     SquareBarrier,
+    TabulatedPotential,
     action_integral,
     alpha_limit,
     analyze_barrier,
     find_midpoint,
     find_turning_points,
 )
+from airytunnel.geometry import solve_bracketed
 
 SQRT_HALF = math.sqrt(0.5)
 ACOSH_SQRT2 = math.log(1.0 + math.sqrt(2.0))  # arccosh(sqrt(2))
@@ -66,9 +68,37 @@ def test_narrow_hump_needs_finer_scan():
     assert a == pytest.approx(-b, abs=1e-9)
 
 
+def test_solve_bracketed_rejects_unbracketed_interval():
+    with pytest.raises(ValueError):
+        solve_bracketed(lambda x: x * x - 2.0, lambda x: 2.0 * x, 2.0, 3.0, 1e-14)
+    root = solve_bracketed(lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 3.0, 1e-14)
+    assert root == pytest.approx(math.sqrt(2.0), rel=4e-16)
+
+
+def test_turning_points_far_from_origin():
+    # Near x = 1000 one ulp (1.1e-13) exceeds the 1e-14 absolute root
+    # tolerance; the searches must still stop, at spline accuracy.
+    v0, w, energy, x0 = 1.0, 1.0, 0.3, 1000.0
+    x = np.linspace(x0 - 10.0, x0 + 10.0, 2001)
+    pot = TabulatedPotential(x, v0 / np.cosh((x - x0) / w) ** 2)
+    a, b = find_turning_points(pot, energy)
+    offset = w * math.acosh(math.sqrt(v0 / energy))
+    assert a - x0 == pytest.approx(-offset, abs=1e-8)
+    assert b - x0 == pytest.approx(offset, abs=1e-8)
+    geom = analyze_barrier(pot, energy)
+    assert geom.c - x0 == pytest.approx(0.0, abs=1e-8)
+    assert geom.theta == pytest.approx(math.pi * w * (math.sqrt(v0) - math.sqrt(energy)), rel=1e-8)
+
+
 def test_energy_must_be_positive():
     with pytest.raises(DomainError):
         find_turning_points(Sech2Barrier(1.0, 1.0), -0.5)
+    # Fewer than 3 scan points can never bracket two turning points.
+    for n_scan in (0, 1, 2):
+        with pytest.raises(ValueError):
+            find_turning_points(Sech2Barrier(1.0, 1.0), 0.5, n_scan=n_scan)
+    _, b = find_turning_points(Sech2Barrier(1.0, 1.0), 0.5, n_scan=3)
+    assert b == pytest.approx(ACOSH_SQRT2, abs=1e-12)
 
 
 def test_action_parabolic_semicircle():

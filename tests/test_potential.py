@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from airytunnel import (
     FormatError,
@@ -131,6 +132,22 @@ def test_tabulated_derivative_from_spline():
     for xi in (-1.3, 0.2, 2.0):
         exact = -2.0 / math.cosh(xi) ** 2 * math.tanh(xi)
         assert pot.v_prime(xi) == pytest.approx(exact, abs=2e-6)
+
+
+@pytest.mark.parametrize("n", [4, 7, 1201])
+def test_tabulated_spline_matches_scipy_natural_spline(n):
+    # Non-uniform knots and O(1) values; SciPy is the oracle, not a dependency.
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.2, 1.8, n)) * (12.0 / n)
+    v = np.exp(-((x - x.mean()) ** 2)) + 0.1 * rng.standard_normal(n)
+    pot = TabulatedPotential(x, v)
+    ref = CubicSpline(x, v, bc_type="natural")
+    grid = np.concatenate([np.linspace(x[0], x[-1], 4001), x])
+    assert np.max(np.abs(pot.v(grid) - ref(grid))) <= 1e-13
+    assert np.max(np.abs(pot.v_prime(grid) - ref(grid, 1))) <= 1e-12
+    # Scalar calls take the same arithmetic path as the vectorised scan.
+    vec = pot.v(grid)
+    assert all(pot.v(float(xi)) == vi for xi, vi in zip(grid[::97], vec[::97]))
 
 
 def test_tabulated_range_is_enforced():

@@ -11,9 +11,11 @@ evaluation regimes:
   Gamma-function values and propagated outward (rightward Bi grows, so Ai
   contamination dies out; leftward both solutions are oscillatory and the
   stepping is neutral). A query is evaluated by one short Taylor step from
-  the nearest precomputed node. This sidesteps the catastrophic
-  cancellation that a single Maclaurin sum from u = 0 suffers for
-  4 < |u| <= 10 in double precision.
+  the nearest node, whose derivatives are computed once at import; an
+  array of queries takes all its steps in one vectorised pass over the
+  gathered nodes. This sidesteps the catastrophic cancellation that a
+  single Maclaurin sum from u = 0 suffers for 4 < |u| <= 10 in double
+  precision.
 
 * ``u > SERIES_ASYMPTOTIC_SWITCH``: standard asymptotic expansions in
   zeta = (2/3) u^(3/2), truncated at the smallest term. At the switch
@@ -26,6 +28,8 @@ tunneling formulas and wavefunction plotting need.
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import AiryOverflowError, DomainError
 
@@ -62,7 +66,7 @@ _AI_CHAIN_START = 12.0  # asymptotic seed for the Ai chain
 
 @dataclass(frozen=True)
 class AiryPair:
-    """Ai, Bi and first derivatives at one argument."""
+    """Ai, Bi and first derivatives at one argument, or arrays of them."""
 
     ai: float
     bi: float
@@ -70,8 +74,8 @@ class AiryPair:
     bi_prime: float
 
 
-def _taylor_advance(x0, y, yp, h, order=30):
-    """Advance (y, y') of y'' = x*y from x0 by h via the local Taylor series.
+def _taylor_derivs(x0, y, yp, order):
+    """y^(n)(x0) for n = 0 .. order + 1, where y'' = x*y and (y, y') = (y, yp) at x0.
 
     Derivatives follow the recurrence y^(n+2)(x0) = x0 y^(n) + n y^(n-1),
     which at x0 = 0 reproduces the two standard Maclaurin auxiliary series.
@@ -81,14 +85,28 @@ def _taylor_advance(x0, y, yp, h, order=30):
     d[1] = yp
     for n in range(order):
         d[n + 2] = x0 * d[n] + (n * d[n - 1] if n >= 1 else 0.0)
+    return d
+
+
+def _taylor_sum(d, h):
+    """(y, y') at x0 + h from the derivatives d = [y(x0), y'(x0), ...].
+
+    Elementwise when h and the d[n] are arrays: every entry then takes the
+    same arithmetic steps as a float would.
+    """
     sy = 0.0
     syp = 0.0
     hk = 1.0  # h^n / n!
-    for n in range(order + 1):
+    for n in range(len(d) - 1):
         sy += d[n] * hk
         syp += d[n + 1] * hk
         hk *= h / (n + 1)
     return sy, syp
+
+
+def _taylor_advance(x0, y, yp, h, order=30):
+    """Advance (y, y') of y'' = x*y from x0 by h via the local Taylor series."""
+    return _taylor_sum(_taylor_derivs(x0, y, yp, order), h)
 
 
 def _asymptotic_sums(zeta, max_terms=60):
@@ -173,16 +191,33 @@ def _build_seed_tables():
 
 _AI_SEEDS, _BI_SEEDS = _build_seed_tables()
 _N_NODES = len(_AI_SEEDS)
+#: Terms in a query's Taylor step from its node.
+_GRID_ORDER = 24
+# Taylor derivatives y^(n), n = 0 .. _GRID_ORDER + 1, of Ai and Bi at every
+# node, computed once: as (Ai list, Bi list) per node for float queries
+# and as one array indexed [n, Ai/Bi, node] for array queries.
+_NODE_DERIVS = [
+    tuple(_taylor_derivs(_GRID_LO + i * _GRID_STEP, y, yp, _GRID_ORDER) for y, yp in pair)
+    for i, pair in enumerate(zip(_AI_SEEDS, _BI_SEEDS))
+]
+_DERIVS = np.ascontiguousarray(np.array(_NODE_DERIVS).transpose(2, 1, 0))
 
 
 def _airy_grid(u):
-    """Grid-regime evaluation: one short Taylor step from the nearest node."""
-    idx = int(round((u - _GRID_LO) / _GRID_STEP))
-    idx = min(max(idx, 0), _N_NODES - 1)
-    x0 = _GRID_LO + idx * _GRID_STEP
-    h = u - x0
-    ai, ai_prime = _taylor_advance(x0, *_AI_SEEDS[idx], h, order=24)
-    bi, bi_prime = _taylor_advance(x0, *_BI_SEEDS[idx], h, order=24)
+    """Grid-regime (Ai, Bi, Ai', Bi'): one short Taylor step from the nearest node.
+
+    u is a float or a 1D float array. An array gathers each entry's node
+    derivatives and runs the same Taylor sum on all entries at once, so
+    each equals the float result bit for bit.
+    """
+    if isinstance(u, float):
+        idx = min(max(int(round((u - _GRID_LO) / _GRID_STEP)), 0), _N_NODES - 1)
+        h = u - (_GRID_LO + idx * _GRID_STEP)
+        (ai, ai_prime), (bi, bi_prime) = (_taylor_sum(d, h) for d in _NODE_DERIVS[idx])
+        return ai, bi, ai_prime, bi_prime
+    idx = np.clip(np.rint((u - _GRID_LO) / _GRID_STEP).astype(int), 0, _N_NODES - 1)
+    h = u - (_GRID_LO + idx * _GRID_STEP)
+    (ai, bi), (ai_prime, bi_prime) = _taylor_sum(_DERIVS[:, :, idx], h)
     return ai, bi, ai_prime, bi_prime
 
 
@@ -194,7 +229,12 @@ def airy(u):
     supported oscillatory range) and AiryOverflowError once exp((2/3)
     u^(3/2)) leaves double-precision range; the exception carries the
     offending exponent so callers can switch to log_bi_over_ai.
+
+    A 1D numpy array u gives an AiryPair of arrays, each entry equal to
+    the scalar result; a DomainError then names the lowest argument.
     """
+    if isinstance(u, np.ndarray) and u.ndim:
+        return _airy_array(u.astype(float, copy=False))
     u = float(u)
     if math.isnan(u) or math.isinf(u):
         raise DomainError("airy argument must be finite, got %r" % u)
@@ -206,6 +246,21 @@ def airy(u):
         vals = _airy_asymptotic(u)
     else:
         vals = _airy_grid(u)
+    return AiryPair(*vals)
+
+
+def _airy_array(u):
+    """airy() on a 1D array: grid entries in one pass, asymptotic ones singly."""
+    if not np.all(np.isfinite(u)):
+        raise DomainError("airy arguments must be finite")
+    if u.size and u.min() < U_MIN_SUPPORTED - 1e-9:
+        raise DomainError(
+            "airy argument %g below supported range u >= %g" % (u.min(), U_MIN_SUPPORTED)
+        )
+    far = u > SERIES_ASYMPTOTIC_SWITCH
+    vals = np.array(_airy_grid(np.where(far, 0.0, u)))
+    for i in np.flatnonzero(far):
+        vals[:, i] = _airy_asymptotic(float(u[i]))
     return AiryPair(*vals)
 
 

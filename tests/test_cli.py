@@ -138,6 +138,13 @@ def test_bad_argument_exit_codes(capsys):
         "--energy", "-0.5",
     )
     assert code == 2
+    # wavefunction window reaching past the Airy range (u near -15.2 at x = -9)
+    code, out, err = run_cli(
+        capsys, "wavefunction", "--potential", "parabolic", "--v0", "1.0",
+        "--energy", "0.5", "--xmin", "-9.0", "--xmax", "1.5", "--n", "41",
+    )
+    assert code == 2 and out == ""
+    assert "airy argument -15.2" in err
 
 
 def test_oracle_failure_exit_code(capsys):

@@ -164,6 +164,29 @@ def test_below_supported_range_raises():
         airy(float("nan"))
 
 
+def test_array_argument_matches_scalar_calls_bit_for_bit():
+    # grid regime over the whole supported range, plus asymptotic entries
+    u = np.concatenate((np.linspace(-10.0, 9.0, 20001), [9.0 + 1e-12, 9.5, 15.0, 60.0]))
+    pair = airy(u)
+    for field in ("ai", "bi", "ai_prime", "bi_prime"):
+        assert getattr(pair, field).shape == u.shape
+    for i, x in enumerate(u.tolist()):
+        one = airy(x)
+        assert (pair.ai[i], pair.bi[i], pair.ai_prime[i], pair.bi_prime[i]) == (
+            one.ai, one.bi, one.ai_prime, one.bi_prime,
+        )
+
+
+def test_array_argument_errors():
+    with pytest.raises(DomainError, match="-15.2"):
+        airy(np.array([0.5, -15.2, -11.0, -3.0]))
+    with pytest.raises(DomainError):
+        airy(np.array([0.0, float("nan")]))
+    with pytest.raises(AiryOverflowError):
+        airy(np.array([1.0, 120.0]))
+    assert airy(np.array([-10.0])).ai.shape == (1,)  # boundary is included
+
+
 def test_log_ratio_at_zero():
     assert log_bi_over_ai(0.0) == pytest.approx(math.log(math.sqrt(3.0)), rel=1e-13)
 

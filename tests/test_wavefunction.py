@@ -2,10 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airytunnel import (
+    DomainError,
+    GaussianBarrier,
     ParabolicBarrier,
     Sech2Barrier,
     airy,
@@ -15,6 +20,7 @@ from airytunnel import (
     sample_grid,
     superpose,
 )
+from airytunnel.geometry import find_crossings
 from airytunnel.specfun import AI_ZERO, BI_ZERO
 from conftest import linear_potential
 
@@ -198,3 +204,124 @@ def test_airy_argument_zero_at_anchor_sample():
     samples = sample_grid(pot, 0.5, (a, b), 3, 1.0, 0.0, a)
     assert samples[0].airy_arg == 0.0
     assert samples[0].psi.real == pytest.approx(0.33510186034608274, rel=1e-9)
+
+
+def test_far_turning_point_is_infinite_not_nan():
+    # E = 0.75 puts the turning points of 1 - x**2 at exactly +-0.5, so the
+    # last sample has k2 == 0.0 with finite action: both basis values are
+    # +inf, and the zero Bi coefficient must not turn psi into 0 * inf
+    samples = sample_grid(ParabolicBarrier(1.0), 0.75, (-0.5, 0.5), 5, 1.0, 0.0, -0.5)
+    far = samples[-1]
+    assert far.ksq == 0.0
+    assert far.psi_ai == math.inf and far.psi_bi == math.inf
+    assert far.psi == complex(math.inf, 0.0)
+    for s in samples:
+        assert type(s.psi) is complex
+        assert all(type(v) is float for v in (s.x, s.ksq, s.airy_arg, s.psi_ai, s.psi_bi))
+    assert superpose(1.0, 0.0, (far.psi_ai, far.psi_bi)) == math.inf
+    assert superpose(0.0, 2.0, (math.inf, 0.5)) == 1.0
+    assert type(psi_basis(ParabolicBarrier(1.0), 0.75, -0.5, 0.5)[0]) is float
+
+
+def test_deep_window_names_the_worst_airy_argument():
+    # (2/3)|u|**1.5 = action from the left turning point out to x = -9,
+    # which puts u near -15.2, past the Airy kernel's range
+    pot = ParabolicBarrier(1.0)
+    a, _ = find_turning_points(pot, 0.5)
+    with pytest.raises(DomainError, match=r"-15\.2"):
+        sample_grid(pot, 0.5, (-9.0, a), 50, 1.0, 0.0, a)
+    with pytest.raises(DomainError, match=r"-15\.2"):
+        psi_basis(pot, 0.5, a, -9.0)
+
+
+def _mp_spline_action(pot, energy, x0, points):
+    """mpmath action integral of |k| from x0 to each point of a tabulated barrier.
+
+    The spline pieces are cubics in mpmath arithmetic, integrated piece by
+    piece between knots and the turning points, and summed outward from x0.
+    """
+    knots = pot.x_samples
+    e = mpmath.mpf(energy)
+
+    def k2(x, i):
+        v, b, c, d = (mpmath.mpf(float(arr[i])) for arr in (pot.v_samples, pot._b, pot._c, pot._d))
+        t = x - mpmath.mpf(float(knots[i]))
+        return e - (v + t * (b + t * (c + t * d)))
+
+    def piece(x):
+        return int(np.searchsorted(knots[1:-1], float(x), side="right"))
+
+    lo, hi = min(min(points), x0), max(max(points), x0)
+    roots = [
+        mpmath.findroot(lambda x: k2(x, piece(r)), mpmath.mpf(r))
+        for r in find_crossings(pot, energy, lo, hi)
+    ]
+    cuts = sorted({mpmath.mpf(x) for x in [x0, *points, *roots]}
+                  | {mpmath.mpf(k) for k in knots if lo < k < hi})
+    start = cuts.index(mpmath.mpf(x0))
+    action = {cuts[start]: mpmath.mpf(0)}
+    for step, stop in ((1, len(cuts)), (-1, -1)):
+        for j in range(start + step, stop, step):
+            p, q = sorted((cuts[j - step], cuts[j]))
+            i = piece((p + q) / 2)
+            seg = mpmath.quad(lambda x: mpmath.sqrt(abs(k2(x, i))), [p, q])
+            action[cuts[j]] = action[cuts[j - step]] + seg
+    return [action[mpmath.mpf(x)] for x in points]
+
+
+def test_action_on_tabulated_barrier_matches_mpmath(tilted_barrier):
+    # the grid action read back from airy_arg, (2/3)|u|**1.5, against a
+    # 30-digit integral of the same spline
+    energy = 0.5
+    a, b = find_turning_points(tilted_barrier, energy)
+    samples = sample_grid(tilted_barrier, energy, (-1.6, 1.6), 161, 1.0, 0.0, a)
+    probes = [s for s in samples[::8] if abs(s.airy_arg) > 0.01]
+    with mpmath.workdps(30):
+        want = _mp_spline_action(tilted_barrier, energy, a, [s.x for s in probes])
+    for s, ref in zip(probes, want):
+        got = (2.0 / 3.0) * abs(s.airy_arg) ** 1.5
+        assert abs(got - float(ref)) <= 1e-12 * float(ref), s.x
+
+
+_FAMILIES = {
+    "sech2": lambda v0, w: Sech2Barrier(v0, w),
+    "gaussian": lambda v0, w: GaussianBarrier(v0, w),
+    "parabolic": lambda v0, w: ParabolicBarrier(v0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_FAMILIES)),
+    v0=st.floats(0.5, 3.0),
+    w=st.floats(0.5, 2.0),
+    fraction=st.floats(0.1, 0.9),
+    side=st.sampled_from([0, 1]),
+    pad=st.floats(0.05, 0.5),
+    n_points=st.integers(5, 90),
+)
+def test_basis_properties(family, v0, w, fraction, side, pad, n_points):
+    pot = _FAMILIES[family](v0, w)
+    energy = fraction * v0
+    turning = find_turning_points(pot, energy)
+    anchor = turning[side]
+    width = turning[1] - turning[0]
+    window = (turning[0] - pad * width, turning[1] + pad * width)
+    samples = sample_grid(pot, energy, window, n_points, 1.0, 0.0, anchor)
+
+    # |airy_arg| = S**(2/3) never decreases away from the anchor. An exact
+    # zero of k2 has airy_arg 0 by construction, so it does not show S.
+    left = [abs(s.airy_arg) for s in samples if s.x <= anchor and s.ksq != 0.0]
+    right = [abs(s.airy_arg) for s in samples if s.x >= anchor and s.ksq != 0.0]
+    assert all(p >= q for p, q in zip(left[:-1], left[1:]))
+    assert all(p <= q for p, q in zip(right[:-1], right[1:]))
+
+    for s in samples:
+        if s.airy_arg != 0.0:
+            assert np.sign(s.airy_arg) == -np.sign(s.ksq)
+
+    # the one-point basis agrees with the grid sample at the same x
+    for s in samples[:: max(1, n_points // 6)]:
+        ai_part, bi_part = psi_basis(pot, energy, anchor, s.x)
+        assert ai_part == pytest.approx(s.psi_ai, rel=1e-9, abs=1e-12)
+        assert bi_part == pytest.approx(s.psi_bi, rel=1e-9, abs=1e-12)

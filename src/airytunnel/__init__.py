@@ -27,6 +27,7 @@ from .geometry import (
     action_integral,
     alpha_limit,
     analyze_barrier,
+    analyze_barriers,
     find_midpoint,
     find_turning_points,
 )
@@ -41,7 +42,7 @@ from .potential import (
     load_tabulated,
     make_potential,
 )
-from .rates import RateReport, rate_report, t_asymptotic, t_uniform, t_wkb
+from .rates import RateReport, rate_report, rate_reports, t_asymptotic, t_uniform, t_wkb
 from .specfun import AiryPair, airy, log_bi_over_ai
 from .wavefunction import (
     WavefunctionSample,
@@ -79,6 +80,7 @@ __all__ = [
     "airy",
     "alpha_limit",
     "analyze_barrier",
+    "analyze_barriers",
     "exact_transmission",
     "find_midpoint",
     "find_turning_points",
@@ -88,6 +90,7 @@ __all__ = [
     "ode_residual",
     "psi_basis",
     "rate_report",
+    "rate_reports",
     "sample_grid",
     "square_barrier_closed_form",
     "superpose",

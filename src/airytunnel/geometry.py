@@ -1,4 +1,4 @@
-"""Per-energy barrier geometry: turning points, actions, midpoint, slopes.
+"""Barrier geometry: turning points, actions, midpoint, slopes.
 
 For a single-hump barrier at energy E the forbidden interval [a, b] is
 bounded by the simple zeros of k2(x) = E - V(x). The quantities computed
@@ -14,6 +14,15 @@ here feed the transmission formulas:
 alpha is taken from the analytic (or spline) derivative of V rather than
 the raw difference quotient, which loses half the significant digits near
 the root.
+
+The geometry of a whole array of energies is one batched pass
+(analyze_barriers), and the one-energy functions are that pass at a
+single energy. V is sampled once on the scan grid and each energy's
+brackets come from comparing E against it; every turning-point bracket
+is polished by one array call of solve_bracketed; theta, every Newton
+step of the midpoint search and the final half actions are one
+quadrature call each. Each energy takes the same arithmetic steps as it
+would alone. An energy that fails a stage takes no part in later ones.
 """
 
 import math
@@ -27,6 +36,7 @@ from .errors import (
     MultiHumpUnsupported,
     NoBarrierError,
     NonSmoothError,
+    TunnelError,
 )
 from .quadrature import integrate_endpoint_singular
 
@@ -34,6 +44,9 @@ from .quadrature import integrate_endpoint_singular
 #: Narrow humps (energy within ~1e-4 of the barrier top for unit-width
 #: barriers) may need a finer scan or a tighter window.
 DEFAULT_SCAN_POINTS = 2048
+
+# Relative part of the root solver's stop test, 4 eps.
+_EPS4 = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -50,56 +63,178 @@ class BarrierGeometry:
     energy: float
 
 
-def solve_bracketed(f, fprime, lo, hi, xtol):
+def solve_bracketed(f, fprime, lo, hi, xtol, rows=None):
     """Root of f between lo and hi by safeguarded Newton-bisection.
 
     f(lo) and f(hi) must not share a sign (ValueError otherwise). Each step
     is a Newton step when it lands inside the shrinking bracket and is at
     most half the previous step, else a bisection. Stops once a step is
     below xtol + 4 eps |x|; more than 100 steps raise DomainError.
+
+    f and fprime take an array of iterates. lo, hi and xtol may be
+    equal-length 1D arrays of brackets, solved together: each call then
+    gets one iterate per bracket still stepping (the first call both ends
+    of every bracket), and ``rows``, if given, is a list the loop keeps
+    equal to the bracket index of each point of the next call. A bracket
+    takes the steps it would take alone and drops out when it stops; the
+    result is then an array of roots.
     """
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0 or f_hi == 0.0:
-        return lo if f_lo == 0.0 else hi
-    if (f_lo < 0.0) == (f_hi < 0.0):
-        raise ValueError("f(%g) = %g, f(%g) = %g: no sign change" % (lo, f_lo, hi, f_hi))
-    if f_lo > 0.0:
-        lo, hi = hi, lo  # from here on f(lo) < 0 < f(hi)
+    scalar = np.ndim(lo) == 0
+    lo = np.array(lo, dtype=float, ndmin=1)
+    hi = np.array(hi, dtype=float, ndmin=1)
+    if lo.ndim > 1 or lo.shape != hi.shape:
+        raise ValueError("bracket ends must be scalars or equal-length 1D arrays")
+    tol = np.broadcast_to(np.asarray(xtol, dtype=float), lo.shape)
+    track = rows if rows is not None else []
+    n = lo.size
+    if not n:
+        return lo
+    track[:] = list(range(n)) * 2
+    ends = f(np.concatenate((lo, hi)))
+    f_lo, f_hi = ends[:n], ends[n:]
+    root = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))
+    live = np.flatnonzero(np.isnan(root))
+    bad = live[(f_lo[live] < 0.0) == (f_hi[live] < 0.0)]
+    if bad.size:
+        j = bad[0]
+        raise ValueError("f(%g) = %g, f(%g) = %g: no sign change" % (lo[j], f_lo[j], hi[j], f_hi[j]))
+    # From here on f(lo) < 0 < f(hi).
+    swap = f_lo[live] > 0.0
+    lo, hi = np.where(swap, hi[live], lo[live]), np.where(swap, lo[live], hi[live])
+    tol = tol[live]
     x = 0.5 * (lo + hi)
-    step = step_before = abs(hi - lo)
-    for _ in range(100):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        lo, hi = (x, hi) if fx < 0.0 else (lo, x)
-        slope = fprime(x)
-        step_before, step = step, fx / slope if slope else math.inf
-        if not min(lo, hi) < x - step < max(lo, hi) or abs(step) > 0.5 * abs(step_before):
-            step = x - 0.5 * (lo + hi)
-        x -= step
-        if abs(step) <= xtol + 4.0 * np.finfo(float).eps * abs(x):
-            return x
-    raise DomainError("no root to %g found in 100 steps near x=%g" % (xtol, x))
+    step = np.abs(hi - lo)
+    track[:] = live.tolist()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(100):
+            if not live.size:
+                break
+            fx = f(x)
+            neg = fx < 0.0
+            lo, hi = np.where(neg, x, lo), np.where(neg, hi, x)
+            # A zero slope gives an infinite (or nan) step, which bisects.
+            step_before, step = step, fx / fprime(x)
+            trial = x - step
+            newton = (np.minimum(lo, hi) < trial) & (trial < np.maximum(lo, hi))
+            newton &= np.abs(step) <= 0.5 * np.abs(step_before)
+            step = np.where(newton, step, x - 0.5 * (lo + hi))
+            x_next = x - step
+            stop = np.abs(step) <= tol + _EPS4 * np.abs(x_next)
+            zero = fx == 0.0
+            if zero.any():  # x is a root already
+                x_next[zero] = x[zero]
+                stop |= zero
+            x = x_next
+            if stop.any():
+                root[live[stop]] = x[stop]
+                go = ~stop
+                live, x, lo, hi, step, tol = live[go], x[go], lo[go], hi[go], step[go], tol[go]
+                track[:] = live.tolist()
+    if live.size:
+        raise DomainError("no root to %g found in 100 steps near x=%g" % (tol[0], x[0]))
+    return float(root[0]) if scalar else root
+
+
+def _sign_changes(v, energies):
+    """(energy index, j) of every scan interval [xs[j], xs[j+1]] on which
+    k2 = E - V changes sign, given v = V(xs); sorted by energy, then j."""
+    allowed = v < energies[:, None]  # k2 > 0, without forming E - V
+    return np.nonzero(allowed[:, 1:] != allowed[:, :-1])
+
+
+def _polish(pot, energies, lo, hi):
+    """Zeros of k2 = E - V in the brackets [lo, hi], each at its own energy."""
+    rows = []
+
+    def k2(x):
+        return energies[rows] - pot.v(x)
+
+    def k2_prime(x):
+        return -pot.v_prime(x)
+
+    return solve_bracketed(k2, k2_prime, lo, hi, 1e-14, rows=rows)
 
 
 def find_crossings(pot, energy, lo, hi, n_scan=DEFAULT_SCAN_POINTS):
     """Sorted simple zeros of k2 in [lo, hi].
 
-    Scans n_scan uniform samples for sign changes of k2 and polishes each
-    bracket by solve_bracketed on the potential's own derivative.
+    Scans n_scan uniform samples for sign changes of k2 and polishes all
+    brackets together by solve_bracketed on the potential's own derivative.
     """
     xs = np.linspace(lo, hi, n_scan)
-    ksq = np.asarray(pot.wavenumber_sq(energy, xs), dtype=float)
-    signs = np.where(ksq > 0.0, 1.0, -1.0)
-    brackets = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
+    _, j = _sign_changes(np.asarray(pot.v(xs), dtype=float), np.array([float(energy)]))
+    return _polish(pot, np.full(j.size, float(energy)), xs[j], xs[j + 1]).tolist()
 
-    def k2(x):
-        return energy - float(pot.v(x))
 
-    def k2_prime(x):
-        return -float(pot.v_prime(x))
+def _settle(out, at, errors):
+    """Record errors, keyed by position in at, as those energies' outcomes.
 
-    return [solve_bracketed(k2, k2_prime, float(xs[i]), float(xs[i + 1]), 1e-14) for i in brackets]
+    Returns the mask of the positions still in play.
+    """
+    keep = np.ones(at.size, dtype=bool)
+    for j, exc in errors.items():
+        out[at[j]] = exc
+        keep[j] = False
+    return keep
+
+
+def _turning_points(pot, energies, window, n_scan, out):
+    """(at, a, b): the indices of the energies with one forbidden interval
+    [a, b] in the window, and its ends. The other energies' errors go to out.
+
+    An error that no energy alone causes (bad window or n_scan, V failing
+    on the scan) is raised, unless every energy has already failed.
+    """
+    at = np.arange(energies.size)
+    errors = {
+        j: DomainError("energy must be positive and finite, got %r" % e)
+        for j, e in enumerate(energies.tolist())
+        if e <= 0.0 or not math.isfinite(e)
+    }
+    at = at[_settle(out, at, errors)]
+    if not at.size:
+        return at, energies[at], energies[at]
+    if window is None:
+        window = pot.suggested_window()
+    lo, hi = float(window[0]), float(window[1])
+    if not lo < hi:
+        raise ValueError("window must satisfy xmin < xmax, got (%g, %g)" % (lo, hi))
+    if int(n_scan) < 3:
+        raise ValueError("n_scan must be >= 3 to bracket two turning points, got %d" % n_scan)
+
+    xs = np.linspace(lo, hi, int(n_scan))
+    e = energies[at]
+    which, j = _sign_changes(np.asarray(pot.v(xs), dtype=float), e)
+    counts = np.bincount(which, minlength=at.size)
+    errors = {}
+    for p, (count, energy) in enumerate(zip(counts.tolist(), e.tolist())):
+        if count == 0:
+            errors[p] = NoBarrierError(
+                "no barrier at E=%g: k2 does not change sign in (%g, %g)" % (energy, lo, hi)
+            )
+        elif count > 2:
+            errors[p] = MultiHumpUnsupported(
+                "%d sign changes of k2 in (%g, %g); single-hump barriers only"
+                % (count, lo, hi)
+            )
+        elif count == 1:
+            errors[p] = NoBarrierError(
+                "forbidden region is not closed inside the window (%g, %g)" % (lo, hi)
+            )
+    keep = _settle(out, at, errors)
+    j = j[keep[which]]  # two brackets per remaining energy: a's, then b's
+    at, e = at[keep], e[keep]
+    roots = _polish(pot, np.repeat(e, 2), xs[j], xs[j + 1])
+    a, b = roots[0::2], roots[1::2]
+    inside = e - np.asarray(pot.v(0.5 * (a + b)), dtype=float) >= 0.0
+    errors = {
+        p: NoBarrierError(
+            "window (%g, %g) does not bracket a forbidden interval at E=%g" % (lo, hi, e[p])
+        )
+        for p in np.flatnonzero(inside).tolist()
+    }
+    keep = _settle(out, at, errors)
+    return at[keep], a[keep], b[keep]
 
 
 def find_turning_points(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
@@ -110,38 +245,34 @@ def find_turning_points(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
     closed forbidden interval lies inside the window and
     MultiHumpUnsupported when the window contains more than one.
     """
-    energy = float(energy)
-    if energy <= 0.0 or not math.isfinite(energy):
-        raise DomainError("energy must be positive and finite, got %r" % energy)
-    if window is None:
-        window = pot.suggested_window()
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError("window must satisfy xmin < xmax, got (%g, %g)" % (lo, hi))
-    if int(n_scan) < 3:
-        raise ValueError("n_scan must be >= 3 to bracket two turning points, got %d" % n_scan)
+    out = [None]
+    _, a, b = _turning_points(pot, np.array([float(energy)]), window, n_scan, out)
+    if out[0] is not None:
+        raise out[0]
+    return float(a[0]), float(b[0])
 
-    roots = find_crossings(pot, energy, lo, hi, int(n_scan))
-    if len(roots) == 0:
-        raise NoBarrierError(
-            "no barrier at E=%g: k2 does not change sign in (%g, %g)" % (energy, lo, hi)
-        )
-    if len(roots) > 2:
-        raise MultiHumpUnsupported(
-            "%d sign changes of k2 in (%g, %g); single-hump barriers only"
-            % (len(roots), lo, hi)
-        )
-    if len(roots) == 1:
-        raise NoBarrierError(
-            "forbidden region is not closed inside the window (%g, %g)" % (lo, hi)
-        )
-    a, b = roots
-    if energy - float(pot.v(0.5 * (a + b))) >= 0.0:
-        raise NoBarrierError(
-            "window (%g, %g) does not bracket a forbidden interval at E=%g"
-            % (lo, hi, energy)
-        )
-    return a, b
+
+def _actions(pot, energies, x1, x2, rel_tol=1e-12):
+    """Action integrals over the segments [x1, x2], each at its own energy.
+
+    Returns (values, errors): errors maps a segment index to the
+    DomainError of a segment with V < E inside, i.e. one not contained in
+    the forbidden region. One quadrature call covers every segment.
+    """
+    neg_tol = 1e-10 * np.maximum(1.0, np.abs(energies))
+    rows, errors = [], {}
+
+    def integrand(x):
+        g = np.asarray(pot.v(x), dtype=float).reshape(len(rows), -1) - energies[rows, None]
+        for j in np.flatnonzero((g < -neg_tol[rows, None]).any(axis=1)).tolist():
+            r = rows[j]
+            errors.setdefault(r, DomainError(
+                "V < E inside [%g, %g]: inconsistent turning points" % (x1[r], x2[r])
+            ))
+        return np.sqrt(np.maximum(g, 0.0, out=g), out=g).ravel()
+
+    values = integrate_endpoint_singular(integrand, x1, x2, rel_tol=rel_tol, rows=rows)
+    return values, errors
 
 
 def action_integral(pot, energy, x1, x2, rel_tol=1e-12):
@@ -156,20 +287,64 @@ def action_integral(pot, energy, x1, x2, rel_tol=1e-12):
     x2 = float(x2)
     if x1 > x2:
         raise ValueError("x1 must be <= x2, got %g > %g" % (x1, x2))
-    if x1 == x2:
-        return 0.0
-    energy = float(energy)
-    neg_tol = 1e-10 * max(1.0, abs(energy))
+    values, errors = _actions(
+        pot, np.array([float(energy)]), np.array([x1]), np.array([x2]), rel_tol
+    )
+    if errors:
+        raise errors[0]
+    return float(values[0])
 
-    def integrand(x):
-        g = np.asarray(pot.v(x), dtype=float) - energy
-        if np.any(g < -neg_tol):
-            raise DomainError(
-                "V < E inside [%g, %g]: inconsistent turning points" % (x1, x2)
+
+def _midpoints(pot, energies, a, b, theta):
+    """(c, left, errors) for barriers [a, b] at energies whose actions are theta.
+
+    c splits each action into equal halves, |left - right| <= 1e-10 theta,
+    and left = action(a, c). errors maps a position to the exception of a
+    barrier without a midpoint; its left is nan.
+
+    g(c) = action(a, c) - theta/2 rises from -theta/2 at a to theta/2 at b
+    with the closed-form slope sqrt(V(c) - E), which Newton steps use. All
+    barriers step together, each step one batched quadrature.
+    """
+    errors = {
+        j: DegenerateTurningPointError("vanishing barrier action between %g and %g" % (a[j], b[j]))
+        for j in np.flatnonzero(theta <= 0.0).tolist()
+    }
+    go = np.flatnonzero(theta > 0.0)
+    half = 0.5 * theta
+    rows = []
+
+    def imbalance(c):
+        j = go[rows]
+        # action(a, a) = 0 and action(a, b) = theta need no quadrature.
+        at_b = c == b[j]
+        left, errs = _actions(pot, energies[j], a[j], np.where(at_b, a[j], c))
+        for r, exc in errs.items():
+            errors.setdefault(int(j[r]), exc)
+        return np.where(at_b, half[j], left - half[j])
+
+    def slope(c):
+        return np.sqrt(np.maximum(pot.v(c) - energies[go[rows]], 0.0))
+
+    c = np.full(theta.size, np.nan)
+    c[go] = solve_bracketed(imbalance, slope, a[go], b[go], 1e-13 * (b[go] - a[go]), rows=rows)
+
+    fine = np.array([j for j in range(theta.size) if j not in errors], dtype=int)
+    m = fine.size
+    halves, errs = _actions(
+        pot, np.tile(energies[fine], 2),
+        np.concatenate((a[fine], c[fine])), np.concatenate((c[fine], b[fine])),
+    )
+    for r in sorted(errs):  # a left half fails before its right half
+        errors.setdefault(int(fine[r % m]), errs[r])
+    left = np.full(theta.size, np.nan)
+    left[fine] = halves[:m]
+    for j, lh, rh in zip(fine.tolist(), halves[:m].tolist(), halves[m:].tolist()):
+        if j not in errors and abs(lh - rh) > 1e-10 * theta[j]:
+            errors[j] = DomainError(
+                "midpoint search failed to balance actions (%g vs %g)" % (lh, rh)
             )
-        return np.sqrt(np.maximum(g, 0.0))
-
-    return integrate_endpoint_singular(integrand, x1, x2, rel_tol=rel_tol)
+    return c, left, errors
 
 
 def find_midpoint(pot, energy, a, b):
@@ -177,38 +352,28 @@ def find_midpoint(pot, energy, a, b):
 
     The result satisfies |action(a, c) - action(c, b)| <= 1e-10 * theta.
     """
-    return _balanced_midpoint(pot, energy, a, b, action_integral(pot, energy, a, b))[0]
+    theta = action_integral(pot, energy, a, b)
+    c, _, errors = _midpoints(
+        pot, np.array([float(energy)]), np.array([float(a)]), np.array([float(b)]),
+        np.array([theta]),
+    )
+    if errors:
+        raise errors[0]
+    return float(c[0])
 
 
-def _balanced_midpoint(pot, energy, a, b, theta):
-    """(c, action(a, c)) for the midpoint of a barrier whose action is theta.
-
-    g(c) = action(a, c) - theta/2 rises from -theta/2 at a to theta/2 at b
-    with the closed-form slope sqrt(V(c) - E), which Newton steps use.
-    """
-    if theta <= 0.0:
-        raise DegenerateTurningPointError(
-            "vanishing barrier action between %g and %g" % (a, b)
+def _alpha_error(alpha, energy, x0, side):
+    """The error alpha_limit raises for slope alpha at turning point x0, or None."""
+    if abs(alpha) < 1e-10 * max(1.0, abs(energy)):
+        return DegenerateTurningPointError(
+            "|dk2/dx| = %g at x=%g: degenerate turning point (barrier top)"
+            % (abs(alpha), x0)
         )
-    half = 0.5 * theta
-
-    def imbalance(c):
-        # action(a, a) = 0 and action(a, b) = theta need no quadrature.
-        if c == a or c == b:
-            return half if c == b else -half
-        return action_integral(pot, energy, a, c) - half
-
-    def slope(c):
-        return math.sqrt(max(float(pot.v(c)) - energy, 0.0))
-
-    c = solve_bracketed(imbalance, slope, a, b, 1e-13 * (b - a))
-    left = action_integral(pot, energy, a, c)
-    right = action_integral(pot, energy, c, b)
-    if abs(left - right) > 1e-10 * theta:
-        raise DomainError(
-            "midpoint search failed to balance actions (%g vs %g)" % (left, right)
-        )
-    return c, left
+    if side == "left" and alpha >= 0.0:
+        return DomainError("left turning point at %g has alpha >= 0; not a barrier entry" % x0)
+    if side == "right" and alpha <= 0.0:
+        return DomainError("right turning point at %g has alpha <= 0; not a barrier exit" % x0)
+    return None
 
 
 def alpha_limit(pot, energy, x0, side):
@@ -222,32 +387,15 @@ def alpha_limit(pot, energy, x0, side):
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right', got %r" % side)
     alpha = -float(pot.v_prime(x0))
-    threshold = 1e-10 * max(1.0, abs(float(energy)))
-    if abs(alpha) < threshold:
-        raise DegenerateTurningPointError(
-            "|dk2/dx| = %g at x=%g: degenerate turning point (barrier top)"
-            % (abs(alpha), x0)
-        )
-    if side == "left" and alpha >= 0.0:
-        raise DomainError("left turning point at %g has alpha >= 0; not a barrier entry" % x0)
-    if side == "right" and alpha <= 0.0:
-        raise DomainError("right turning point at %g has alpha <= 0; not a barrier exit" % x0)
+    exc = _alpha_error(alpha, float(energy), x0, side)
+    if exc is not None:
+        raise exc
     return alpha
 
 
-def analyze_barrier(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
-    """Full per-energy analysis; the one-stop entry point for the rates."""
-    if not pot.smooth:
-        raise NonSmoothError(
-            "potential %r has jumps; turning-point slopes do not exist" % pot
-        )
-    a, b = find_turning_points(pot, energy, window, n_scan)
-    theta = action_integral(pot, energy, a, b)
-    c, left = _balanced_midpoint(pot, energy, a, b, theta)
+def _geometry(a, b, c, theta, left, alpha_plus, alpha_minus, energy):
+    """The BarrierGeometry of one energy, or the DomainError of an inconsistent one."""
     s_half = 1.5 * left
-    alpha_plus = alpha_limit(pot, energy, a, "left")
-    alpha_minus = alpha_limit(pot, energy, b, "right")
-
     geom = BarrierGeometry(
         a=a,
         b=b,
@@ -256,13 +404,67 @@ def analyze_barrier(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
         s_half=s_half,
         alpha_plus=alpha_plus,
         alpha_minus=alpha_minus,
-        energy=float(energy),
+        energy=energy,
     )
     # Internal consistency: c splits theta equally, so s_half = (3/4) theta.
     if not (a < c < b) or theta <= 0.0 or s_half <= 0.0:
-        raise DomainError("inconsistent barrier geometry: %r" % (geom,))
+        return DomainError("inconsistent barrier geometry: %r" % (geom,))
     if abs(s_half - 0.75 * theta) > 1e-9 * theta:
-        raise DomainError(
-            "half action %g inconsistent with theta %g" % (s_half, theta)
-        )
+        return DomainError("half action %g inconsistent with theta %g" % (s_half, theta))
     return geom
+
+
+def _analyze(pot, energies, window, n_scan, out):
+    """Fill out with the geometry or the error of each energy."""
+    if not pot.smooth:
+        raise NonSmoothError(
+            "potential %r has jumps; turning-point slopes do not exist" % pot
+        )
+    at, a, b = _turning_points(pot, energies, window, n_scan, out)
+    if not at.size:
+        return
+    e = energies[at]
+    theta, errors = _actions(pot, e, a, b)
+    keep = _settle(out, at, errors)
+    at, e, a, b, theta = at[keep], e[keep], a[keep], b[keep], theta[keep]
+
+    c, left, errors = _midpoints(pot, e, a, b, theta)
+    keep = _settle(out, at, errors)
+    at, e, a, b, c, theta, left = (arr[keep] for arr in (at, e, a, b, c, theta, left))
+
+    m = at.size
+    alpha = -np.asarray(pot.v_prime(np.concatenate((a, b))), dtype=float)
+    rows = zip(at.tolist(), a.tolist(), b.tolist(), c.tolist(), theta.tolist(),
+               left.tolist(), alpha[:m].tolist(), alpha[m:].tolist(), e.tolist())
+    for i, a_i, b_i, c_i, theta_i, left_i, plus, minus, energy in rows:
+        out[i] = (
+            _alpha_error(plus, energy, a_i, "left")
+            or _alpha_error(minus, energy, b_i, "right")
+            or _geometry(a_i, b_i, c_i, theta_i, left_i, plus, minus, energy)
+        )
+
+
+def analyze_barriers(pot, energies, window=None, n_scan=DEFAULT_SCAN_POINTS):
+    """Geometry of one barrier at each of an array of energies, in one pass.
+
+    Returns one entry per energy: its BarrierGeometry, or the exception
+    that analyze_barrier raises at that energy. An error of a stage as a
+    whole (a bad window, a tabulated range the scan leaves, a root search
+    that does not converge) is the error of every energy that had not
+    failed before it.
+    """
+    energies = np.array(energies, dtype=float).reshape(-1)
+    out = [None] * energies.size
+    try:
+        _analyze(pot, energies, window, n_scan, out)
+    except (TunnelError, ValueError, ArithmeticError) as exc:
+        return [exc if r is None else r for r in out]
+    return out
+
+
+def analyze_barrier(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
+    """Full per-energy analysis; the one-stop entry point for the rates."""
+    (result,) = analyze_barriers(pot, [energy], window, n_scan)
+    if isinstance(result, Exception):
+        raise result
+    return result

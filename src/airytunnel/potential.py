@@ -240,7 +240,12 @@ class TabulatedPotential(Potential):
 
     def v(self, x):
         i, t = self._piece(x)
-        out = self.v_samples[i] + t * (self._b[i] + t * (self._c[i] + t * self._d[i]))
+        # v + t (b + t (c + t d)), built in place: one temporary per term
+        out = self._d[i] * t
+        for coef in (self._c, self._b):
+            out += coef[i]
+            out *= t
+        out += self.v_samples[i]
         return out if t.ndim else float(out)
 
     def v_prime(self, x):

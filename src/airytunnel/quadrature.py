@@ -29,7 +29,7 @@ def _mapped_rule(n):
     return rule
 
 
-def integrate_endpoint_singular(f, x1, x2, rel_tol=1e-12, n_start=64, n_max=2048):
+def integrate_endpoint_singular(f, x1, x2, rel_tol=1e-12, n_start=64, n_max=2048, rows=None):
     """Integrate f over [x1, x2], tolerating sqrt endpoint behavior.
 
     f must accept a 1D numpy array. Node counts double until two
@@ -40,7 +40,10 @@ def integrate_endpoint_singular(f, x1, x2, rel_tol=1e-12, n_start=64, n_max=2048
 
     x1 and x2 may be equal-length 1D arrays of segment ends; the result is
     then an array of per-segment estimates, each equal bit for bit to the
-    scalar call on its segment. Scalar ends return a float.
+    scalar call on its segment. Scalar ends return a float. ``rows``, if
+    given, is a list the loop keeps equal to the indices of the segments
+    whose nodes the next f call gets, n consecutive nodes per segment, so
+    f can look up per-segment data such as each segment's own energy.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -57,10 +60,13 @@ def integrate_endpoint_singular(f, x1, x2, rel_tol=1e-12, n_start=64, n_max=2048
     n = n_start
     while idx:
         s2, s2t, wg = _mapped_rule(n)
+        if rows is not None:
+            rows[:] = idx
         vals = f((lo + width * s2).ravel()).reshape(-1, 1, n) * s2t
         # A stack of (1 x n) @ (n x 1) products: numpy takes each as one BLAS
         # dot, so every segment sums in the same order as a scalar call.
         dots = np.matmul(vals, wg).ravel().tolist()
+        del vals  # not held through the next rule's eigensolve
         going, new, diff = [], [], []
         for j, (i, w, d) in enumerate(zip(idx, spans, dots)):
             est[i] = e = (math.pi / 4.0) * w * d

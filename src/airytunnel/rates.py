@@ -16,15 +16,21 @@ thick enough that Bi(u)**2 alone would overflow (theta beyond ~350).
 These are amplitude-ratio quantities, not flux-normalized transmission
 coefficients; t_uniform is deliberately not clamped to <= 1 so its
 behavior near the barrier top can be studied against the exact solver.
-All functions here are pure; sweeping energies in parallel is safe.
+
+A sweep is one batched pass (rate_reports): the geometry of all its
+energies comes from geometry.analyze_barriers and their Airy ratios from
+one log_bi_over_ai call; only the oracle runs energy by energy.
+rate_report is the one-energy case.
 """
 
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 from .errors import DegenerateTurningPointError
-from .geometry import BarrierGeometry, analyze_barrier
+from .geometry import BarrierGeometry, analyze_barriers
 from .oracle import OracleResult, exact_transmission
 from .specfun import log_bi_over_ai
 
@@ -67,10 +73,52 @@ def t_uniform(geom: BarrierGeometry):
     """
     if geom.s_half <= 0.0:
         raise ValueError("geometry has non-positive half action %r" % geom.s_half)
-    u = geom.s_half ** (2.0 / 3.0)
+    return _uniform_rate(geom, log_bi_over_ai(geom.s_half ** (2.0 / 3.0)))
+
+
+def _uniform_rate(geom, log_ratio):
+    """t_uniform of geom, given log_ratio = ln(Bi(u)/Ai(u)) at its u."""
     ratio = abs(geom.alpha_plus / geom.alpha_minus)
-    log_t = math.log(3.0) - 2.0 * log_bi_over_ai(u) + math.log(ratio) / 3.0
+    log_t = math.log(3.0) - 2.0 * log_ratio + math.log(ratio) / 3.0
     return math.exp(log_t)
+
+
+def rate_reports(pot, energies, window=None, with_oracle=False, oracle_slices=4000):
+    """Assemble all transmission estimates at each of an array of energies.
+
+    The geometry is one batched pass over all energies and t_uniform one
+    log_bi_over_ai call; the exact transfer-matrix value, included when
+    ``with_oracle`` is set, is computed energy by energy over the same
+    window as the geometry scan, so the window must then reach far enough
+    that V has decayed to its zero asymptote.
+
+    Fails as a loop of single-energy reports would: with the error of the
+    lowest energy whose report fails, once the oracle has run at every
+    energy below it.
+    """
+    if window is None:
+        window = pot.suggested_window()
+    results = analyze_barriers(pot, energies, window)
+    failed = next((i for i, r in enumerate(results) if isinstance(r, Exception)), None)
+    geoms = results[:failed]
+    u = [geom.s_half ** (2.0 / 3.0) for geom in geoms]
+    reports = []
+    for geom, u_i, log_ratio in zip(geoms, u, log_bi_over_ai(np.array(u)).tolist()):
+        report = RateReport(
+            energy=geom.energy,
+            geometry=geom,
+            airy_argument=u_i,
+            t_wkb=t_wkb(geom.theta),
+            t_asymptotic=t_asymptotic(geom.theta, geom.alpha_plus, geom.alpha_minus),
+            t_uniform=_uniform_rate(geom, log_ratio),
+        )
+        if with_oracle:
+            result = exact_transmission(pot, geom.energy, window, slices=oracle_slices)
+            report = replace(report, t_exact=result.t_exact, oracle=result)
+        reports.append(report)
+    if failed is not None:
+        raise results[failed]
+    return reports
 
 
 def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000):
@@ -80,19 +128,4 @@ def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000)
     set; it uses the same window as the geometry scan, so the window must
     then reach far enough that V has decayed to its zero asymptote.
     """
-    if window is None:
-        window = pot.suggested_window()
-    geom = analyze_barrier(pot, energy, window)
-    u = geom.s_half ** (2.0 / 3.0)
-    report = RateReport(
-        energy=float(energy),
-        geometry=geom,
-        airy_argument=u,
-        t_wkb=t_wkb(geom.theta),
-        t_asymptotic=t_asymptotic(geom.theta, geom.alpha_plus, geom.alpha_minus),
-        t_uniform=t_uniform(geom),
-    )
-    if with_oracle:
-        result = exact_transmission(pot, energy, window, slices=oracle_slices)
-        report = replace(report, t_exact=result.t_exact, oracle=result)
-    return report
+    return rate_reports(pot, [energy], window, with_oracle, oracle_slices)[0]

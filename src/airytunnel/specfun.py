@@ -271,7 +271,14 @@ def log_bi_over_ai(u):
     computed in log domain from the asymptotic expansions,
     ln 2 + (4/3) u^(3/2) + ln of the correction-series ratio, and never
     overflows.
+
+    A 1D numpy array u gives an array, each entry equal to the scalar
+    result: grid-regime entries take their Airy values in one vectorised
+    pass (the logarithm stays math.log, entry by entry), asymptotic ones
+    run singly.
     """
+    if isinstance(u, np.ndarray) and u.ndim:
+        return _log_bi_over_ai_array(u.astype(float, copy=False))
     u = float(u)
     if math.isnan(u) or u < 0.0:
         raise DomainError("log_bi_over_ai requires u >= 0, got %r" % u)
@@ -281,3 +288,16 @@ def log_bi_over_ai(u):
     zeta = (2.0 / 3.0) * u ** 1.5
     sa, sb, _, _ = _asymptotic_sums(zeta)
     return math.log(2.0) + 2.0 * zeta + math.log(sb / sa)
+
+
+def _log_bi_over_ai_array(u):
+    """log_bi_over_ai() on a 1D array."""
+    bad = np.flatnonzero(~(u >= 0.0))
+    if bad.size:
+        raise DomainError("log_bi_over_ai requires u >= 0, got %r" % float(u[bad[0]]))
+    far = u > SERIES_ASYMPTOTIC_SWITCH
+    ai, bi, _, _ = _airy_grid(np.where(far, 0.0, u))
+    out = [math.log(q) for q in (bi / ai).tolist()]
+    for i in np.flatnonzero(far).tolist():
+        out[i] = log_bi_over_ai(float(u[i]))
+    return np.array(out)

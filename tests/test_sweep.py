@@ -1,0 +1,393 @@
+"""Batched sweeps: equal to the per-energy loop, failing as it failed."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from airytunnel import (
+    DegenerateTurningPointError,
+    DomainError,
+    GaussianBarrier,
+    MultiHumpUnsupported,
+    NoBarrierError,
+    NonSmoothError,
+    ParabolicBarrier,
+    Sech2Barrier,
+    SquareBarrier,
+    TabulatedPotential,
+    analyze_barriers,
+    log_bi_over_ai,
+    rate_report,
+    rate_reports,
+)
+from airytunnel.cli import main
+from airytunnel.geometry import solve_bracketed
+from airytunnel.quadrature import integrate_endpoint_singular
+from airytunnel.specfun import SERIES_ASYMPTOTIC_SWITCH, _airy_grid
+from conftest import double_hump_samples, tilted_gaussian_samples
+
+# The per-energy loop that the batched sweep replaced, kept as its reference:
+# scalar root steps, one quadrature per action, one report per energy.
+
+
+def reference_solve(f, fprime, lo, hi, xtol):
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    assert (f_lo < 0.0) != (f_hi < 0.0)
+    if f_lo > 0.0:
+        lo, hi = hi, lo
+    x = 0.5 * (lo + hi)
+    step = step_before = abs(hi - lo)
+    for _ in range(100):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        lo, hi = (x, hi) if fx < 0.0 else (lo, x)
+        slope = fprime(x)
+        step_before, step = step, fx / slope if slope else math.inf
+        if not min(lo, hi) < x - step < max(lo, hi) or abs(step) > 0.5 * abs(step_before):
+            step = x - 0.5 * (lo + hi)
+        x -= step
+        if abs(step) <= xtol + 4.0 * np.finfo(float).eps * abs(x):
+            return x
+    raise DomainError("no root")
+
+
+def reference_action(pot, energy, x1, x2):
+    if x1 == x2:
+        return 0.0
+    neg_tol = 1e-10 * max(1.0, abs(energy))
+
+    def integrand(x):
+        g = np.asarray(pot.v(x), dtype=float) - energy
+        if np.any(g < -neg_tol):
+            raise DomainError("V < E inside [%g, %g]: inconsistent turning points" % (x1, x2))
+        return np.sqrt(np.maximum(g, 0.0))
+
+    return integrate_endpoint_singular(integrand, x1, x2)
+
+
+def reference_geometry(pot, energy, window):
+    """(a, b, c, theta, s_half, alpha_plus, alpha_minus) by the per-energy loop."""
+    if energy <= 0.0:
+        raise DomainError("energy")
+    lo, hi = window
+    xs = np.linspace(lo, hi, 2048)
+    signs = np.where(pot.wavenumber_sq(energy, xs) > 0.0, 1.0, -1.0)
+    roots = [
+        reference_solve(
+            lambda x: energy - float(pot.v(x)), lambda x: -float(pot.v_prime(x)),
+            float(xs[i]), float(xs[i + 1]), 1e-14,
+        )
+        for i in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
+    ]
+    if len(roots) > 2:
+        raise MultiHumpUnsupported("hump")
+    if len(roots) < 2:
+        raise NoBarrierError("roots")
+    a, b = roots
+    if energy - float(pot.v(0.5 * (a + b))) >= 0.0:
+        raise NoBarrierError("mid")
+    theta = reference_action(pot, energy, a, b)
+    if theta <= 0.0:
+        raise DegenerateTurningPointError("theta")
+    half = 0.5 * theta
+
+    def imbalance(c):
+        if c == a or c == b:
+            return half if c == b else -half
+        return reference_action(pot, energy, a, c) - half
+
+    def slope(c):
+        return math.sqrt(max(float(pot.v(c)) - energy, 0.0))
+
+    c = reference_solve(imbalance, slope, a, b, 1e-13 * (b - a))
+    left = reference_action(pot, energy, a, c)
+    right = reference_action(pot, energy, c, b)
+    if abs(left - right) > 1e-10 * theta:
+        raise DomainError("balance")
+    alphas = (-float(pot.v_prime(a)), -float(pot.v_prime(b)))
+    if min(abs(x) for x in alphas) < 1e-10 * max(1.0, energy):
+        raise DegenerateTurningPointError("alpha")
+    return (a, b, c, theta, 1.5 * left) + alphas
+
+
+def reference_report(pot, energy, window):
+    """(E, a, b, c, theta, s_half, alpha+, alpha-, u, t_wkb, t_asym, t_uniform) by the loop."""
+    geo = reference_geometry(pot, energy, window)
+    theta, s_half, ap, am = geo[3], geo[4], geo[5], geo[6]
+    u = s_half ** (2.0 / 3.0)
+    ratio = abs(ap / am)
+    t_wkb = math.exp(-2.0 * theta)
+    t_asym = 0.75 * ratio ** (1.0 / 3.0) * t_wkb
+    if u <= SERIES_ASYMPTOTIC_SWITCH:
+        ai, bi, _, _ = _airy_grid(u)
+        log_ratio = math.log(bi / ai)
+    else:
+        log_ratio = log_bi_over_ai(u)
+    t_uni = math.exp(math.log(3.0) - 2.0 * log_ratio + math.log(ratio) / 3.0)
+    return (energy,) + geo + (u, t_wkb, t_asym, t_uni)
+
+
+def reference_outcomes(pot, energies, window):
+    """One reference row per energy, or the type of the error the loop raised there."""
+    out = []
+    for energy in energies:
+        try:
+            out.append(reference_report(pot, energy, window))
+        except (DomainError, NoBarrierError, DegenerateTurningPointError) as exc:
+            out.append(type(exc))
+    return out
+
+
+def report_rows(reports):
+    return [
+        (r.energy, r.geometry.a, r.geometry.b, r.geometry.c, r.geometry.theta,
+         r.geometry.s_half, r.geometry.alpha_plus, r.geometry.alpha_minus,
+         r.airy_argument, r.t_wkb, r.t_asymptotic, r.t_uniform)
+        for r in reports
+    ]
+
+
+def tabulated_sech2():
+    x = np.linspace(-8.0, 8.0, 801)
+    return TabulatedPotential(x, 1.5 / np.cosh(x / 1.3) ** 2)
+
+
+# name -> (potential, window, top of the energy range, exact?)
+FAMILIES = {
+    "parabolic": (ParabolicBarrier(2.0), (-2.2, 2.2), 2.0, True),
+    "sech2": (Sech2Barrier(1.0, 1.7), (-34.0, 34.0), 1.0, False),
+    "gaussian": (GaussianBarrier(3.0, 0.6), (-12.0, 12.0), 3.0, False),
+    "tilted": (TabulatedPotential(*tilted_gaussian_samples()), (-4.0, 4.0), 1.0, True),
+    "tabulated": (tabulated_sech2(), (-8.0, 8.0), 1.5, True),
+}
+SYMMETRIC = ("parabolic", "sech2", "gaussian", "tabulated")
+
+
+@pytest.mark.parametrize("name", ["tilted", "tabulated"])
+def test_solver_brackets_take_their_scalar_steps(name):
+    # Every bracket of one array call visits the iterates the scalar loop
+    # visits on it alone, in order, including long bisection tails. (Spline
+    # potentials evaluate identically on floats and arrays; exp-based ones
+    # may differ in the last bit between the two.)
+    pot, window, top, _ = FAMILIES[name]
+    energies = np.linspace(0.02, 0.9, 40) * top
+    xs = np.linspace(window[0], window[1], 2048)
+    e, lo, hi = [], [], []
+    for energy in energies.tolist():
+        signs = np.where(energy - pot.v(xs) > 0.0, 1.0, -1.0)
+        for i in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]:
+            e.append(energy)
+            lo.append(float(xs[i]))
+            hi.append(float(xs[i + 1]))
+    e = np.array(e)
+    rows, seen = [], [[] for _ in e]
+
+    def f(x):
+        for r, xi in zip(rows, x.tolist()):
+            seen[r].append(xi)
+        return e[rows] - pot.v(x)
+
+    roots = solve_bracketed(f, lambda x: -pot.v_prime(x), lo, hi, 1e-14, rows=rows)
+    assert max(len(s) for s in seen) > 30  # some bracket bisects for long
+    for k, energy in enumerate(e.tolist()):
+        steps = []
+
+        def g(x):
+            steps.append(x)
+            return energy - float(pot.v(x))
+
+        assert roots[k] == reference_solve(g, lambda x: -float(pot.v_prime(x)), lo[k], hi[k], 1e-14)
+        assert seen[k] == steps
+
+
+def assert_rows_match(name, got, want):
+    exact, width = FAMILIES[name][3], want[2] - want[1]
+    if exact:
+        assert got == want
+        return
+    for j, (x, y) in enumerate(zip(got, want)):
+        if j == 3 and name in SYMMETRIC:
+            # c of a symmetric barrier is 0 up to its own 1e-13 (b - a) stop test
+            assert abs(x - y) <= 1e-13 * width
+        else:
+            assert abs(x - y) <= 1e-13 * abs(y)
+
+
+def assert_matches_reference(name, energies):
+    """The batched sweep equals the loop at every energy, failures included."""
+    pot, window, _, _ = FAMILIES[name]
+    energies = [float(e) for e in energies]
+    want = reference_outcomes(pot, energies, window)
+    failed = [i for i, w in enumerate(want) if isinstance(w, type)]
+    for i, geom in enumerate(analyze_barriers(pot, energies, window)):
+        if i in failed:
+            assert type(geom) is want[i]
+    if failed:
+        # the sweep raises the lowest failing energy's error ...
+        with pytest.raises(want[failed[0]]):
+            rate_reports(pot, energies, window)
+    # ... and reports every energy below it as the loop did
+    ok = [i for i in range(len(energies)) if i not in failed]
+    got = report_rows(rate_reports(pot, [energies[i] for i in ok], window))
+    assert len(got) == len(ok)
+    for row, i in zip(got, ok):
+        assert_rows_match(name, row, want[i])
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_sweep_matches_per_energy_loop(name):
+    top = FAMILIES[name][2]
+    assert_matches_reference(name, np.linspace(0.03 * top, 0.9 * top, 24))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FAMILIES)),
+    fractions=st.lists(st.floats(0.01, 0.93), min_size=1, max_size=12),
+)
+def test_sweep_matches_per_energy_loop_property(name, fractions):
+    top = FAMILIES[name][2]
+    assert_matches_reference(name, np.array(fractions) * top)
+
+
+def test_single_energy_is_the_batched_pass():
+    pot = Sech2Barrier(1.0, 1.0)
+    energies = np.linspace(0.1, 0.9, 9)
+    batched = rate_reports(pot, energies)
+    for e, rep in zip(energies, batched):
+        assert rate_report(pot, float(e)) == rep
+
+
+def test_analyze_barriers_reports_each_energy_outcome(double_hump_barrier):
+    pot = Sech2Barrier(1.0, 1.0)
+    out = analyze_barriers(pot, [-0.5, 0.5, 1.5, float("nan"), 0.2])
+    assert [type(r).__name__ for r in out] == [
+        "DomainError", "BarrierGeometry", "NoBarrierError", "DomainError", "BarrierGeometry",
+    ]
+    assert out[1].energy == 0.5 and out[4].energy == 0.2
+    # an error of a stage as a whole is that of every energy still in play
+    out = analyze_barriers(pot, [-1.0, 0.5, 0.7], window=(1.0, -1.0))
+    assert isinstance(out[0], DomainError)
+    assert isinstance(out[1], ValueError) and out[1] is out[2]
+    out = analyze_barriers(SquareBarrier(1.0, 2.0), [0.3, 0.6])
+    assert all(isinstance(r, NonSmoothError) for r in out)
+    out = analyze_barriers(double_hump_barrier, [0.5, 1.5], (-6.0, 6.0))
+    assert isinstance(out[0], MultiHumpUnsupported) and isinstance(out[1], NoBarrierError)
+    assert analyze_barriers(pot, []) == []
+
+
+def test_sweep_raises_the_lowest_failing_energy():
+    pot = Sech2Barrier(1.0, 1.0)
+    with pytest.raises(NoBarrierError, match="E=1.2"):
+        rate_reports(pot, [0.2, 0.5, 1.2, 1.5])
+    # energy 1 fails at the first stage, energy 0 in a later one (a window
+    # cutting its hump), and energy 0's error is the one raised
+    with pytest.raises(NoBarrierError, match="not closed"):
+        rate_reports(pot, [0.5, -1.0], window=(-20.0, 0.5))
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def cli_loop(capsys, family_args, energies):
+    """Exit code and stderr of the first failing per-energy report, as the old sweep."""
+    for energy in energies:
+        code, _, err = run_cli(capsys, "report", *family_args, "--energy", repr(float(energy)))
+        if code:
+            return code, err
+    return 0, ""
+
+
+def test_sweep_past_the_barrier_top_exits_3(capsys):
+    family = ("--potential", "sech2", "--v0", "1.0", "--w", "1.0")
+    code, out, err = run_cli(capsys, "sweep", *family, "--emin", "0.5", "--emax", "1.5", "--n", "6")
+    assert code == 3 and out == ""
+    assert "no barrier" in err and "E=1.1" in err
+    assert (code, err) == cli_loop(capsys, family, np.linspace(0.5, 1.5, 6))
+
+
+def test_sweep_failure_in_a_later_stage_wins_by_energy(capsys, tmp_path):
+    # Between the humps of a double barrier, E = 0.5 crosses V twice, so it
+    # passes the scan and fails after the root polish (the midpoint of its
+    # interval is allowed); E = 0.9 is above V everywhere in the window and
+    # fails at the scan. The sweep reports E = 0.5, as the loop did.
+    path = tmp_path / "double.dat"
+    path.write_text("\n".join("%.17g %.17g" % pair for pair in zip(*double_hump_samples())))
+    family = ("--potential-file", str(path), "--xmin", "-1.5", "--xmax", "1.5")
+    code, out, err = run_cli(capsys, "sweep", *family, "--emin", "0.5", "--emax", "0.9", "--n", "5")
+    assert code == 3 and out == ""
+    assert "does not bracket a forbidden interval at E=0.5" in err
+    assert (code, err) == cli_loop(capsys, family, np.linspace(0.5, 0.9, 5))
+
+
+class FlatFarFlanks(GaussianBarrier):
+    """A gaussian whose slope reads 0 beyond |x| = 1.5: low energies get
+    degenerate turning points, found only at the last (slope) stage."""
+
+    def v_prime(self, x):
+        return np.where(np.abs(x) > 1.5, 0.0, super().v_prime(x))
+
+
+def test_lowest_energy_failing_last_is_raised():
+    pot = FlatFarFlanks(1.0, 1.0)
+    out = analyze_barriers(pot, [0.05, 0.5, 2.0])
+    assert isinstance(out[0], DegenerateTurningPointError)
+    assert out[1].energy == 0.5
+    assert isinstance(out[2], NoBarrierError)
+    with pytest.raises(DegenerateTurningPointError):
+        rate_reports(pot, [0.05, 0.5, 2.0])
+    with pytest.raises(NoBarrierError):
+        rate_reports(pot, [0.5, 2.0, 0.05])
+
+
+@pytest.mark.parametrize("potential", ["sech2", "gaussian", "parabolic", "tabulated"])
+def test_sweep_samples_v_a_bounded_number_of_times(capsys, tmp_path, monkeypatch, potential):
+    # The loop made ~1090 calls of V per 32-energy sweep (34 per energy); the
+    # batched pass makes a number that does not grow with the grid size.
+    classes = {"sech2": Sech2Barrier, "gaussian": GaussianBarrier,
+               "parabolic": ParabolicBarrier, "tabulated": TabulatedPotential}
+    cls = classes[potential]
+    calls = []
+    inner = cls.v
+    monkeypatch.setattr(cls, "v", lambda self, x: calls.append(1) or inner(self, x))
+    if potential == "tabulated":
+        path = tmp_path / "tilted.dat"
+        path.write_text("\n".join("%.17g %.17g" % p for p in zip(*tilted_gaussian_samples())))
+        family = ("--potential-file", str(path), "--xmin", "-4", "--xmax", "4")
+        top = 1.0
+    else:
+        family = ("--potential", potential, "--v0", "2.0")
+        family += () if potential == "parabolic" else ("--w", "0.8")
+        top = 2.0
+    counts = []
+    for n in (32, 256):
+        del calls[:]
+        code, _, _ = run_cli(
+            capsys, "sweep", *family, "--emin", repr(0.02 * top), "--emax", repr(0.95 * top),
+            "--n", str(n),
+        )
+        assert code == 0
+        counts.append(len(calls))
+    assert max(counts) <= 100, counts
+
+
+def test_log_ratio_array_matches_scalar_calls_bit_for_bit():
+    # dense below the switch, where np.log would differ from math.log on
+    # about 1 in 6000 arguments
+    u = np.concatenate((np.linspace(0.0, 9.0, 45001), np.linspace(9.0, 60.0, 1001), [8.999999]))
+    got = log_bi_over_ai(u)
+    assert isinstance(got, np.ndarray) and got.shape == u.shape
+    assert got.tolist() == [log_bi_over_ai(float(x)) for x in u]
+    assert log_bi_over_ai(np.array([])).shape == (0,)
+    for bad in ([1.0, -0.5], [np.nan]):
+        with pytest.raises(DomainError):
+            log_bi_over_ai(np.array(bad))

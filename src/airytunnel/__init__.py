@@ -31,7 +31,12 @@ from .geometry import (
     find_midpoint,
     find_turning_points,
 )
-from .oracle import OracleResult, exact_transmission, square_barrier_closed_form
+from .oracle import (
+    OracleResult,
+    exact_transmission,
+    exact_transmissions,
+    square_barrier_closed_form,
+)
 from .potential import (
     GaussianBarrier,
     ParabolicBarrier,
@@ -82,6 +87,7 @@ __all__ = [
     "analyze_barrier",
     "analyze_barriers",
     "exact_transmission",
+    "exact_transmissions",
     "find_midpoint",
     "find_turning_points",
     "load_tabulated",

@@ -143,11 +143,20 @@ def _sign_changes(v, energies):
 
 
 def _polish(pot, energies, lo, hi):
-    """Zeros of k2 = E - V in the brackets [lo, hi], each at its own energy."""
+    """Zeros of k2 = E - V in the brackets [lo, hi], each at its own energy.
+
+    An iterate where |k2| is within 4 eps max(|E|, |V|), the rounding
+    noise of E - V, counts as a root: its computed sign says nothing, and
+    a wrong one would send the solver into a long bisection.
+    """
     rows = []
 
     def k2(x):
-        return energies[rows] - pot.v(x)
+        e = energies[rows]
+        v = pot.v(x)
+        g = e - v
+        g[np.abs(g) <= _EPS4 * np.maximum(np.abs(e), np.abs(v))] = 0.0
+        return g
 
     def k2_prime(x):
         return -pot.v_prime(x)

@@ -79,7 +79,8 @@ class ParabolicBarrier(Potential):
         self.v0 = _check_positive("v0", v0)
 
     def v(self, x):
-        return self.v0 - np.asarray(x, dtype=float) ** 2 if np.ndim(x) else self.v0 - float(x) ** 2
+        x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+        return self.v0 - x * x  # not x**2: a float's pow may differ from numpy's square
 
     def v_prime(self, x):
         return -2.0 * (np.asarray(x, dtype=float) if np.ndim(x) else float(x))
@@ -284,23 +285,42 @@ def load_tabulated(source):
     else:
         raise FormatError("unsupported tabulated-potential source %r" % type(source))
 
-    xs = []
-    vs = []
+    return TabulatedPotential(*_two_columns(text))
+
+
+def _two_columns(text):
+    """(x, V) arrays of the data lines of a two-column text.
+
+    Its string temporaries are freed on return, before the spline is built.
+    """
+    rows = [line for line in text.splitlines() if line.strip()[:1] not in ("", "#")]
+    # One split of the data rows, each closed by a "|" field. With three
+    # tokens per row, a row of other than two fields puts some "|" where a
+    # number is parsed, which fails.
+    tokens = " | ".join(rows + [""]).replace(",", " ").split()
+    try:
+        if len(tokens) != 3 * len(rows):
+            raise ValueError
+        return np.array(tokens[0::3], dtype=float), np.array(tokens[1::3], dtype=float)
+    except ValueError:
+        raise _malformed(text) from None
+
+
+def _malformed(text):
+    """The FormatError naming the first malformed line of a two-column text."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.replace(",", " ").split()
         if len(tokens) != 2:
-            raise FormatError("line %d: expected two fields, got %d" % (lineno, len(tokens)))
+            return FormatError("line %d: expected two fields, got %d" % (lineno, len(tokens)))
         try:
-            x_val = float(tokens[0])
-            v_val = float(tokens[1])
+            float(tokens[0])
+            float(tokens[1])
         except ValueError:
-            raise FormatError("line %d: non-numeric token in %r" % (lineno, line)) from None
-        xs.append(x_val)
-        vs.append(v_val)
-    return TabulatedPotential(np.array(xs), np.array(vs))
+            return FormatError("line %d: non-numeric token in %r" % (lineno, line))
+    return FormatError("malformed two-column text")
 
 
 _FAMILIES = {

@@ -18,9 +18,9 @@ coefficients; t_uniform is deliberately not clamped to <= 1 so its
 behavior near the barrier top can be studied against the exact solver.
 
 A sweep is one batched pass (rate_reports): the geometry of all its
-energies comes from geometry.analyze_barriers and their Airy ratios from
-one log_bi_over_ai call; only the oracle runs energy by energy.
-rate_report is the one-energy case.
+energies comes from geometry.analyze_barriers, their Airy ratios from one
+log_bi_over_ai call and their exact values from one
+oracle.exact_transmissions call. rate_report is the one-energy case.
 """
 
 import math
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateTurningPointError
 from .geometry import BarrierGeometry, analyze_barriers
-from .oracle import OracleResult, exact_transmission
+from .oracle import OracleResult, exact_transmissions
 from .specfun import log_bi_over_ai
 
 
@@ -86,15 +86,14 @@ def _uniform_rate(geom, log_ratio):
 def rate_reports(pot, energies, window=None, with_oracle=False, oracle_slices=4000):
     """Assemble all transmission estimates at each of an array of energies.
 
-    The geometry is one batched pass over all energies and t_uniform one
-    log_bi_over_ai call; the exact transfer-matrix value, included when
-    ``with_oracle`` is set, is computed energy by energy over the same
-    window as the geometry scan, so the window must then reach far enough
-    that V has decayed to its zero asymptote.
+    The geometry is one batched pass over all energies, t_uniform one
+    log_bi_over_ai call and the exact transfer-matrix values, included
+    when ``with_oracle`` is set, one exact_transmissions call over the
+    same window as the geometry scan, so the window must then reach far
+    enough that V has decayed to its zero asymptote.
 
     Fails as a loop of single-energy reports would: with the error of the
-    lowest energy whose report fails, once the oracle has run at every
-    energy below it.
+    lowest energy whose geometry or oracle fails.
     """
     if window is None:
         window = pot.suggested_window()
@@ -102,9 +101,8 @@ def rate_reports(pot, energies, window=None, with_oracle=False, oracle_slices=40
     failed = next((i for i, r in enumerate(results) if isinstance(r, Exception)), None)
     geoms = results[:failed]
     u = [geom.s_half ** (2.0 / 3.0) for geom in geoms]
-    reports = []
-    for geom, u_i, log_ratio in zip(geoms, u, log_bi_over_ai(np.array(u)).tolist()):
-        report = RateReport(
+    reports = [
+        RateReport(
             energy=geom.energy,
             geometry=geom,
             airy_argument=u_i,
@@ -112,10 +110,16 @@ def rate_reports(pot, energies, window=None, with_oracle=False, oracle_slices=40
             t_asymptotic=t_asymptotic(geom.theta, geom.alpha_plus, geom.alpha_minus),
             t_uniform=_uniform_rate(geom, log_ratio),
         )
-        if with_oracle:
-            result = exact_transmission(pot, geom.energy, window, slices=oracle_slices)
-            report = replace(report, t_exact=result.t_exact, oracle=result)
-        reports.append(report)
+        for geom, u_i, log_ratio in zip(geoms, u, log_bi_over_ai(np.array(u)).tolist())
+    ]
+    if with_oracle:
+        oracle = exact_transmissions(
+            pot, [geom.energy for geom in geoms], window, slices=oracle_slices
+        )
+        for i, result in enumerate(oracle):
+            if isinstance(result, Exception):
+                raise result
+            reports[i] = replace(reports[i], t_exact=result.t_exact, oracle=result)
     if failed is not None:
         raise results[failed]
     return reports

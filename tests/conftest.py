@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from airytunnel import TabulatedPotential
+from airytunnel.oracle import _transfer_once
 
 
 def tilted_gaussian_samples(n=1201, span=6.0):
@@ -24,6 +25,20 @@ def linear_potential(span=8.0, n=321):
     """Tabulated V(x) = x; the natural spline reproduces a line exactly."""
     x = np.linspace(-span, span, n)
     return TabulatedPotential(x, x.copy())
+
+
+def midpoint_samples(pot, x_left, x_right, n):
+    """V at the midpoints of n uniform slices, as the oracle samples it."""
+    d = (x_right - x_left) / n
+    return np.asarray(pot.v(x_left + (np.arange(n) + 0.5) * d), dtype=float)
+
+
+def transfer_once(pot, energy, x_left, x_right, n):
+    """(T, R) of one transfer-matrix pass at n slices and one energy."""
+    t, r = _transfer_once(
+        midpoint_samples(pot, x_left, x_right, n), np.array([energy]), x_left, x_right, n
+    )
+    return float(t[0]), float(r[0])
 
 
 @pytest.fixture

@@ -26,8 +26,7 @@ from airytunnel import (
     t_wkb,
 )
 from airytunnel.cli import main
-from airytunnel.oracle import _transfer_once
-from conftest import linear_potential
+from conftest import linear_potential, transfer_once
 
 GAMMA_TWO_THIRDS_20_DIGITS = 1.3541179394264004170
 
@@ -145,7 +144,7 @@ def test_criterion_6_oracle_calibration_flux_and_convergence():
     assert result.flux_defect <= 1e-10
 
     pot = Sech2Barrier(1.0, 1.0)
-    ts = {n: _transfer_once(pot, 0.5, -12.0, 12.0, n)[0] for n in (500, 1000, 2000, 4000)}
+    ts = {n: transfer_once(pot, 0.5, -12.0, 12.0, n)[0] for n in (500, 1000, 2000, 4000)}
     r1 = abs(ts[1000] - ts[500]) / abs(ts[2000] - ts[1000])
     r2 = abs(ts[2000] - ts[1000]) / abs(ts[4000] - ts[2000])
     assert r1 >= 4.0

@@ -1,8 +1,8 @@
 """Transfer-matrix solver: calibration, flux conservation, convergence."""
 
-import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,53 +15,78 @@ from airytunnel import (
     SquareBarrier,
     TabulatedPotential,
     exact_transmission,
+    exact_transmissions,
     square_barrier_closed_form,
 )
-from airytunnel.oracle import _transfer_once
-from conftest import tilted_gaussian_samples
+from airytunnel.oracle import _slice_matrices, _tree_product
+from conftest import midpoint_samples, tilted_gaussian_samples, transfer_once
 
 
 def reference_transfer_loop(pot, energy, x_left, x_right, n):
-    """Slice-by-slice product of the interface matrices, renormalized every
-    64 slices: the scalar form of ``_transfer_once``, kept as its reference."""
+    """Slice-by-slice product of the (psi, psi') slice matrices, renormalized
+    every 64 slices: the scalar form of ``_transfer_once``, kept as its
+    reference. Returns (T, R, ln T)."""
     d = (x_right - x_left) / n
-    mids = x_left + (np.arange(n) + 0.5) * d
-    v_mid = np.asarray(pot.v(mids), dtype=float)
-
-    k_lead = cmath.sqrt(complex(energy))
-    ks = [cmath.sqrt(complex(energy - v)) for v in v_mid]
-    ks.append(k_lead)
-
-    m11, m12, m21, m22 = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
+    p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
     log_scale = 0.0
-    k_prev = k_lead
-    width_prev = 0.0  # the left lead contributes no phase
-    for j, k_next in enumerate(ks):
-        ep = cmath.exp(1j * k_prev * width_prev)
-        q = k_prev / k_next
-        a11 = 0.5 * (1.0 + q) * ep
-        a12 = 0.5 * (1.0 - q) / ep
-        a21 = 0.5 * (1.0 - q) * ep
-        a22 = 0.5 * (1.0 + q) / ep
-        m11, m12, m21, m22 = (
-            a11 * m11 + a12 * m21,
-            a11 * m12 + a12 * m22,
-            a21 * m11 + a22 * m21,
-            a21 * m12 + a22 * m22,
+    for j, v in enumerate(midpoint_samples(pot, x_left, x_right, n).tolist()):
+        q = v - energy
+        k = math.sqrt(abs(q))
+        if q < 0.0:
+            c, s, ks = math.cos(k * d), math.sin(k * d) / k, -k * math.sin(k * d)
+        elif q > 0.0:
+            c, s, ks = math.cosh(k * d), math.sinh(k * d) / k, k * math.sinh(k * d)
+        else:
+            c, s, ks = 1.0, d, 0.0
+        p11, p12, p21, p22 = (
+            c * p11 + s * p21, c * p12 + s * p22, ks * p11 + c * p21, ks * p12 + c * p22,
         )
         if j % 64 == 63:
-            s = max(abs(m11), abs(m12), abs(m21), abs(m22))
-            m11 /= s
-            m12 /= s
-            m21 /= s
-            m22 /= s
-            log_scale += math.log(s)
-        k_prev = k_next
-        width_prev = d
+            scale = max(abs(p11), abs(p12), abs(p21), abs(p22))
+            p11, p12, p21, p22 = p11 / scale, p12 / scale, p21 / scale, p22 / scale
+            log_scale += math.log(scale)
+    k = math.sqrt(energy)
+    m22 = abs(complex(p11 + p22, p21 / k - k * p12)) / 2
+    m21 = abs(complex(p11 - p22, p21 / k + k * p12)) / 2
+    log_t_sq = -2.0 * (log_scale + math.log(m22))
+    return (math.exp(log_t_sq) if log_t_sq > -745.0 else 0.0), (m21 / m22) ** 2, log_t_sq
 
-    log_t_sq = -2.0 * (log_scale + math.log(abs(m22)))
-    t_coeff = math.exp(log_t_sq) if log_t_sq > -745.0 else 0.0
-    return t_coeff, abs(m21 / m22) ** 2
+
+def mpmath_transfer(pot, energy, x_left, x_right, n):
+    """(T, R) of the same slices multiplied in 34-digit arithmetic."""
+    with mpmath.workdps(34):
+        d = mpmath.mpf((x_right - x_left) / n)
+        p11, p12, p21, p22 = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+        for v in midpoint_samples(pot, x_left, x_right, n).tolist():
+            q = mpmath.mpf(v) - mpmath.mpf(energy)
+            k = mpmath.sqrt(abs(q))
+            if q < 0:
+                c, s, ks = mpmath.cos(k * d), mpmath.sin(k * d) / k, -k * mpmath.sin(k * d)
+            elif q > 0:
+                c, s, ks = mpmath.cosh(k * d), mpmath.sinh(k * d) / k, k * mpmath.sinh(k * d)
+            else:
+                c, s, ks = mpmath.mpf(1), d, mpmath.mpf(0)
+            p11, p12, p21, p22 = (
+                c * p11 + s * p21, c * p12 + s * p22, ks * p11 + c * p21, ks * p12 + c * p22,
+            )
+        k = mpmath.sqrt(mpmath.mpf(energy))
+        m22 = mpmath.hypot(p11 + p22, p21 / k - k * p12) / 2
+        m21 = mpmath.hypot(p11 - p22, p21 / k + k * p12) / 2
+        return float(1 / m22 ** 2), float((m21 / m22) ** 2)
+
+
+def product_cases(tilted):
+    """(potential, half width of the domain) of the product checks."""
+    return [
+        (Sech2Barrier(1.0, 1.0), 12.0),
+        (GaussianBarrier(1.0, 3.19), 40.0),
+        (tilted, 6.0),
+        (Sech2Barrier(1.0, 8.0), 120.0),
+    ]
+
+
+#: A barrier thick enough that its partial products are rescaled.
+THICK, THICK_HALF_WIDTH = Sech2Barrier(1.0, 400.0), 4800.0
 
 
 def poschl_teller_transmission(v0, w, energy):
@@ -107,7 +132,7 @@ def test_sech2_converged_run():
 
 def test_second_order_grid_convergence():
     pot = Sech2Barrier(1.0, 1.0)
-    ts = {n: _transfer_once(pot, 0.5, -12.0, 12.0, n)[0] for n in (500, 1000, 2000, 4000)}
+    ts = {n: transfer_once(pot, 0.5, -12.0, 12.0, n)[0] for n in (500, 1000, 2000, 4000)}
     d1 = abs(ts[1000] - ts[500])
     d2 = abs(ts[2000] - ts[1000])
     d3 = abs(ts[4000] - ts[2000])
@@ -165,27 +190,91 @@ def test_input_validation():
 @pytest.mark.parametrize("n", [4000, 4001, 8000])
 @pytest.mark.parametrize("energy", [0.1, 0.5, 0.95])
 def test_tree_product_matches_reference_loop(tilted_barrier, energy, n):
-    # odd and even slice counts pad the tree with the identity at different levels
-    cases = [
-        (Sech2Barrier(1.0, 1.0), 12.0),
-        (GaussianBarrier(1.0, 3.19), 40.0),
-        (tilted_barrier, 6.0),
-        (Sech2Barrier(1.0, 8.0), 120.0),
-    ]
-    for pot, half_width in cases:
-        t_ref, r_ref = reference_transfer_loop(pot, energy, -half_width, half_width, n)
-        t, r = _transfer_once(pot, energy, -half_width, half_width, n)
+    # odd and even slice counts carry a matrix up the tree at different levels
+    for pot, half_width in product_cases(tilted_barrier):
+        t_ref, r_ref, _ = reference_transfer_loop(pot, energy, -half_width, half_width, n)
+        t, r = transfer_once(pot, energy, -half_width, half_width, n)
         assert t > 0.0
         assert t == pytest.approx(t_ref, rel=1e-12, abs=0.0)
         assert r == pytest.approx(r_ref, rel=0.0, abs=1e-12)
+
+
+def test_slice_matrices_take_the_three_forms():
+    d = 0.5
+    m = _slice_matrices(np.array([-4.0, 0.0, 9.0]), d)
+    # E = V: exactly [[1, d], [0, 1]]
+    assert m[..., 1].tolist() == [[1.0, d], [0.0, 1.0]]
+    # E > V with k = 2, and E < V with kappa = 3
+    for j, (c, s, k) in ((0, (math.cos(1.0), math.sin(1.0), -2.0)),
+                         (2, (math.cosh(1.5), math.sinh(1.5), 3.0))):
+        want = [[c, s / abs(k)], [k * s, c]]
+        assert m[..., j].ravel().tolist() == pytest.approx(np.ravel(want), rel=1e-15)
+
+
+@pytest.mark.parametrize("energy", [0.1, 0.5, 0.95])
+def test_rescaled_tree_product_matches_reference_loop(energy):
+    # theta = 860, 368 and 32: entries pass 2**500 at the two lower
+    # energies, and T underflows at the lowest, so compare ln T
+    pot, n = THICK, 4001
+    q = midpoint_samples(pot, -THICK_HALF_WIDTH, THICK_HALF_WIDTH, n)[None, :] - energy
+    m = _slice_matrices(q, 2.0 * THICK_HALF_WIDTH / n)
+    p, exponent = _tree_product(m, float(np.abs(m).max()))
+    (p11, p12), (p21, p22) = p[..., 0]
+    k = math.sqrt(energy)
+    log_t = -2.0 * (math.log(math.hypot(p11 + p22, p21 / k - k * p12) / 2.0)
+                    + int(exponent[0]) * math.log(2.0))
+    _, _, log_t_ref = reference_transfer_loop(pot, energy, -THICK_HALF_WIDTH, THICK_HALF_WIDTH, n)
+    assert log_t == pytest.approx(log_t_ref, rel=1e-13, abs=0.0)
+    assert (exponent[0] > 0) == (energy < 0.9)
+
+
+@pytest.mark.parametrize("n", [999, 1000])
+@pytest.mark.parametrize("energy", [0.1, 0.5, 0.95])
+def test_tree_product_matches_mpmath_product(tilted_barrier, energy, n):
+    for pot, half_width in product_cases(tilted_barrier):
+        t_ref, r_ref = mpmath_transfer(pot, energy, -half_width, half_width, n)
+        t, r = transfer_once(pot, energy, -half_width, half_width, n)
+        assert t == pytest.approx(t_ref, rel=5e-13, abs=0.0)
+        assert r == pytest.approx(r_ref, rel=0.0, abs=5e-13)
 
 
 def test_energy_at_barrier_height_is_finite():
     # E = V0 across the whole barrier: k = 0 on every interior slice, and
     # the wavefunction there is linear in x, giving T = 1 / (1 + V0 L^2 / 4)
     result = exact_transmission(SquareBarrier(1.0, 2.0), 1.0, (-5.0, 5.0), slices=4000)
-    assert result.t_exact == pytest.approx(1.0 / (1.0 + 1.0 * 2.0 ** 2 / 4.0), rel=1e-8)
-    assert result.flux_defect <= 1e-9
+    assert result.t_exact == pytest.approx(1.0 / (1.0 + 1.0 * 2.0 ** 2 / 4.0), rel=1e-13)
+    assert result.flux_defect <= 1e-13
+
+
+def test_energies_equal_single_energy_calls_bit_for_bit(tilted_barrier):
+    # 19 energies fill blocks of 16 and 3 at 1000 slices and of 8, 8 and 3
+    # at 2000; the thick barrier rescales some energies' products and not
+    # others within a block
+    energies = np.linspace(0.05, 1.2, 19)
+    for pot, half_width in product_cases(tilted_barrier) + [(THICK, THICK_HALF_WIDTH)]:
+        domain = (-half_width, half_width)
+        batched = exact_transmissions(pot, energies, domain, slices=1000)
+        assert batched == [exact_transmission(pot, e, domain, slices=1000) for e in energies]
+
+
+def test_failing_energy_fails_alone():
+    pot = SquareBarrier(1.0, 2.0)
+    domain = (-5.0, 5.0)
+    out = exact_transmissions(pot, [0.5, -0.5, 2.0, float("nan")], domain, slices=100)
+    assert out[0] == exact_transmission(pot, 0.5, domain, slices=100)
+    assert out[2] == exact_transmission(pot, 2.0, domain, slices=100)
+    assert isinstance(out[1], DomainError) and isinstance(out[3], DomainError)
+    # exp(kappa d) = exp(1000) per slice leaves double range below the
+    # barrier top only; the energies above it share its block
+    thick = SquareBarrier(1e8, 2.0)
+    out = exact_transmissions(thick, [2e8, 0.5, 3e8], domain, slices=100)
+    assert isinstance(out[1], ValueError) and "too coarse" in str(out[1])
+    assert [out[0], out[2]] == [exact_transmission(thick, e, domain, slices=100) for e in (2e8, 3e8)]
+    # an error of the call as a whole is that of every energy still in play
+    out = exact_transmissions(pot, [-1.0, 0.5, 0.7], domain, slices=50)
+    assert isinstance(out[0], DomainError)
+    assert isinstance(out[1], ValueError) and out[1] is out[2]
+    assert exact_transmissions(pot, [], domain) == []
 
 
 @pytest.mark.parametrize("energy", [0.1, 0.5, 0.95])

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,3 +191,19 @@ def test_load_tabulated_rejects_bad_input():
         load_tabulated("0 1\n1 spam\n2 3\n3 4\n")  # non-numeric
     with pytest.raises(FormatError):
         load_tabulated("0 1 9\n1 2\n2 3\n3 4\n")  # three fields
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n1 spam\n2 3\n3 4\n", "line 2: non-numeric token in '1 spam'"),
+    ("0 1 9\n1 2\n2 3\n3 4\n", "line 1: expected two fields, got 3"),
+    # three fields and one keep the total token count of two rows
+    ("# c\n\n0 1\n1 2 3\n2\n3 4\n", "line 4: expected two fields, got 3"),
+    ("0 1\n1 |\n2 3\n3 4\n", "line 2: non-numeric token in '1 |'"),
+    ("0 1\n1 2 | 5 6\n2 3\n3 4\n", "line 2: expected two fields, got 5"),
+    ("0 1\n1 2 # note\n2 3\n3 4\n", "line 2: expected two fields, got 4"),
+    ("0 1\n,# 2\n2 3\n3 4\n", "line 2: non-numeric token in ',# 2'"),
+    ("0 1\r\n1 2\r\n2\r\n3 4\r\n", "line 3: expected two fields, got 1"),
+])
+def test_load_tabulated_names_the_first_bad_line(text, message):
+    with pytest.raises(FormatError, match="^%s$" % re.escape(message)):
+        load_tabulated(text)

@@ -228,15 +228,36 @@ class TabulatedPotential(Potential):
         self.v_samples.flags.writeable = False
         self._b, self._c, self._d = _natural_spline(x, v)
         self._tol = 1e-12 * (x[-1] - x[0])
+        # Piece i spans [_lower[i], _upper[i]); the end pieces reach past the
+        # end knots, which extends them over the range tolerance.
+        self._lower = np.concatenate(([-np.inf], x[1:-1]))
+        self._upper = np.concatenate((x[1:-1], [np.inf]))
+        self._per_unit = (x.size - 1) / (x[-1] - x[0])
 
     def _piece(self, x):
-        """Spline interval index i and offset t = x - x_samples[i]."""
+        """Spline interval index i and offset t = x - x_samples[i].
+
+        i is searchsorted(x_samples[1:-1], x, side="right"). An array finds
+        it without a search for most points: on an evenly spaced table the
+        piece a uniform grid gives is off by at most one, so one step down
+        and one up against the knots settle it. Only the points still
+        outside their piece, as on unevenly spaced tables, are searched for.
+        """
         xa = np.asarray(x, dtype=float)
         lo, hi = self.x_samples[0], self.x_samples[-1]
         if xa.min(initial=lo) < lo - self._tol or xa.max(initial=hi) > hi + self._tol:
             raise RangeError("x outside tabulated range [%g, %g]" % (lo, hi))
-        # Searching the interior knots extends the end pieces over the range tolerance.
-        i = np.searchsorted(self.x_samples[1:-1], xa, side="right")
+        interior = self.x_samples[1:-1]
+        if xa.ndim:
+            # fmax/fmin send a nan to a valid piece; its offset stays nan.
+            i = np.fmin(np.fmax((xa - lo) * self._per_unit, 0.0), interior.size).astype(np.intp)
+            i -= xa < self._lower[i]
+            i += xa >= self._upper[i]
+            off = (xa < self._lower[i]) | (xa >= self._upper[i])
+            if off.any():
+                i[off] = np.searchsorted(interior, xa[off], side="right")
+        else:
+            i = np.searchsorted(interior, xa, side="right")
         return i, xa - self.x_samples[i]
 
     def v(self, x):

@@ -58,6 +58,10 @@ _ZETA_OVERFLOW = 705.0
 
 _SQRT_PI = math.sqrt(math.pi)
 
+# A quarter ulp of numbers in [0.5, 1). The asymptotic sums stay within
+# 1 +- 0.01, and no term smaller than this changes a sum in [0.5, 2).
+_QUARTER_ULP_OF_ONE_HALF = 2.0 ** -55
+
 _GRID_STEP = 0.25
 _GRID_LO = -10.25  # one node of margin past U_MIN_SUPPORTED
 _GRID_HI = 10.25   # overlap margin past the switch point
@@ -114,7 +118,7 @@ def _asymptotic_sums(zeta, max_terms=60):
 
     Coefficients u_k (values) and v_k (derivatives) by recurrence; the sums
     stop at the smallest term, the standard rule for divergent asymptotic
-    series.
+    series, or earlier once the terms no longer change any sum.
     """
     sa = sb = sc = sd = 1.0
     uk = 1.0
@@ -126,14 +130,17 @@ def _asymptotic_sums(zeta, max_terms=60):
         vk = -uk * (6 * k + 1) / (6 * k - 1.0)
         zk *= zeta
         t = uk / zk
-        if abs(t) >= prev:
+        tv = vk / zk
+        # |u_k| < |v_k|, so once v_k's term rounds away from every sum, all
+        # terms do, and the later ones are smaller still.
+        if abs(t) >= prev or abs(tv) < _QUARTER_ULP_OF_ONE_HALF:
             break
         prev = abs(t)
         sign = -sign
         sa += sign * t
         sb += t
-        sc += sign * vk / zk
-        sd += vk / zk
+        sc += sign * tv
+        sd += tv
     return sa, sb, sc, sd
 
 

@@ -119,11 +119,8 @@ def superpose(c_plus, c_minus, basis):
     return psi
 
 
-def sample_grid(pot, energy, window, n_points, c_plus, c_minus, anchor):
-    """Evaluate the superposed wavefunction on a uniform grid.
-
-    Returns one WavefunctionSample per node; needs n_points >= 2.
-    """
+def _grid_arrays(pot, energy, window, n_points, anchor):
+    """(x, psi_ai, psi_bi, ksq, airy_arg) arrays on a uniform grid; needs n_points >= 2."""
     n_points = int(n_points)
     if n_points < 2:
         raise ValueError("n_points must be >= 2, got %d" % n_points)
@@ -131,7 +128,15 @@ def sample_grid(pot, energy, window, n_points, c_plus, c_minus, anchor):
     if not lo < hi:
         raise ValueError("window must satisfy xmin < xmax")
     xs = np.linspace(lo, hi, n_points)
-    psi_ai, psi_bi, ksq, arg = _basis_arrays(pot, energy, float(anchor), xs)
+    return (xs,) + _basis_arrays(pot, energy, float(anchor), xs)
+
+
+def sample_grid(pot, energy, window, n_points, c_plus, c_minus, anchor):
+    """Evaluate the superposed wavefunction on a uniform grid.
+
+    Returns one WavefunctionSample per node; needs n_points >= 2.
+    """
+    xs, psi_ai, psi_bi, ksq, arg = _grid_arrays(pot, energy, window, n_points, anchor)
     psi = np.broadcast_to(superpose(c_plus, c_minus, (psi_ai, psi_bi)), xs.shape)
     return [
         WavefunctionSample(x=x, psi=complex(p), ksq=k, airy_arg=u, psi_ai=fa, psi_bi=fb)

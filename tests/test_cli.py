@@ -200,6 +200,31 @@ def test_wavefunction_csv(capsys):
             assert arg > 0
 
 
+@pytest.mark.parametrize(
+    "family, params, energy, window, n, side",
+    [
+        ("sech2", {"v0": 1.0, "w": 1.0}, 0.4, (-20.0, 20.0), 401, "left"),
+        # k2 is exactly 0 at the grid points +-0.5: the far one prints inf
+        ("parabolic", {"v0": 1.0}, 0.75, (-1.0, 1.0), 9, "right"),
+    ],
+)
+def test_wavefunction_rows_equal_sample_grid_records(capsys, family, params, energy, window, n, side):
+    argv = ["wavefunction", "--potential", family, "--energy", repr(energy), "--n", str(n),
+            "--xmin", repr(window[0]), "--xmax", repr(window[1]), "--anchor", side]
+    for name, value in params.items():
+        argv += ["--" + name, repr(value)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    pot = airytunnel.make_potential(family, **params)
+    a, b = airytunnel.find_turning_points(pot, energy, window)
+    samples = airytunnel.sample_grid(pot, energy, window, n, 1.0, 0.0, a if side == "left" else b)
+    rows = ["%.12g,%.12g,%.12g,%.12g,%.12g" % (s.x, s.ksq, s.airy_arg, s.psi_ai, s.psi_bi)
+            for s in samples]
+    assert out == "\n".join(["x,ksq,airy_arg,psi_ai,psi_bi"] + rows) + "\n"
+    if family == "parabolic":
+        assert "\n-0.5,0,0,inf,inf\n" in out
+
+
 def test_wavefunction_right_anchor(capsys):
     code, out, _ = run_cli(
         capsys, "wavefunction", "--potential", "parabolic", "--v0", "1.0",
@@ -212,6 +237,27 @@ def test_wavefunction_right_anchor(capsys):
     args = np.array([abs(float(line.split(",")[2])) for line in lines])
     xs = np.array([float(line.split(",")[0]) for line in lines])
     assert abs(xs[args.argmin()] - math.sqrt(0.5)) < 0.1
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys):
+    # main() shares one parser between calls; an argparse error in between
+    # must leave it as a fresh process would find it.
+    calls = [
+        ["sweep", "--potential", "gaussian", "--v0", "1.0", "--w", "0.8",
+         "--emin", "0.1", "--emax", "0.9", "--n", "5"],
+        ["sweep", "--potential", "sech2", "--v0", "1.0", "--w", "1.0", "--emin", "0.1", "--n"],
+        ["wavefunction", "--potential", "parabolic", "--v0", "1.0", "--energy", "0.5",
+         "--xmin", "-2.0", "--xmax", "2.0", "--n", "41", "--anchor", "right"],
+    ]
+    src = os.path.dirname(os.path.dirname(airytunnel.__file__))
+    results = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in results] == [0, 2, 0]
+    for argv, result in zip(calls, results):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "airytunnel"] + argv, capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_output_file_and_error_buffering(capsys, tmp_path):

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from airytunnel import (
@@ -149,6 +151,55 @@ def test_tabulated_spline_matches_scipy_natural_spline(n):
     # Scalar calls take the same arithmetic path as the vectorised scan.
     vec = pot.v(grid)
     assert all(pot.v(float(xi)) == vi for xi, vi in zip(grid[::97], vec[::97]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 400),
+    lo=st.floats(-50.0, 50.0),
+    span=st.floats(1e-3, 1e3),
+    spacing=st.sampled_from(["even", "jittered", "graded"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_spline_piece_equals_searchsorted(n, lo, span, spacing, seed):
+    rng = np.random.default_rng(seed)
+    s = np.linspace(0.0, 1.0, n)
+    if spacing == "jittered":  # knots a few ulps off an even grid
+        s[1:-1] *= 1.0 + 1e-14 * rng.standard_normal(n - 2)
+    elif spacing == "graded":  # pieces from ~n**-3 to ~3/n of the span
+        s = s ** 3
+    x = lo + span * s
+    if not np.all(np.diff(x) > 0):
+        return
+    pot = TabulatedPotential(x, np.cos(x))
+    edge = 0.5 * pot._tol
+    knots = np.concatenate((x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)))
+    pts = np.concatenate((knots, [x[0] - edge, x[-1] + edge], rng.uniform(x[0], x[-1], 200)))
+    pts = np.clip(pts, x[0] - edge, x[-1] + edge)
+    i, t = pot._piece(pts)
+    want = np.searchsorted(x[1:-1], pts, side="right")
+    assert np.array_equal(i, want)
+    assert np.array_equal(t, pts - x[want])
+    assert [int(pot._piece(p)[0]) for p in pts[::7].tolist()] == want[::7].tolist()
+
+
+def test_even_table_pieces_need_no_search(monkeypatch):
+    x = np.linspace(-6.0, 6.0, 1201)
+    pot = TabulatedPotential(x, np.exp(-x * x))
+    searches = []
+    real = np.searchsorted
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    pts = np.concatenate((x, np.nextafter(x, -np.inf)[1:], np.nextafter(x, np.inf)[:-1],
+                          np.linspace(-6.0, 6.0, 10007)))
+    want = np.exp(-x * x)
+    assert np.array_equal(pot.v(x), want)
+    pot.v(pts)
+    assert searches == []
 
 
 def test_tabulated_range_is_enforced():

@@ -11,6 +11,7 @@ from airytunnel.specfun import (
     SERIES_ASYMPTOTIC_SWITCH,
     _airy_asymptotic,
     _airy_grid,
+    _asymptotic_sums,
 )
 
 # Independent oracle constants, written out rather than imported.
@@ -212,3 +213,34 @@ def test_log_ratio_large_argument_leading_term():
 def test_log_ratio_rejects_negative():
     with pytest.raises(DomainError):
         log_bi_over_ai(-0.1)
+
+
+def reference_asymptotic_sums(zeta, max_terms=60):
+    """The sums loop before its early stop, kept as its reference: every term to the smallest."""
+    sa = sb = sc = sd = 1.0
+    uk = 1.0
+    sign = 1.0
+    prev = 1.0
+    zk = 1.0
+    for k in range(1, max_terms):
+        uk *= (6 * k - 1) * (6 * k - 3) * (6 * k - 5) / (216.0 * k * (2 * k - 1))
+        vk = -uk * (6 * k + 1) / (6 * k - 1.0)
+        zk *= zeta
+        t = uk / zk
+        if abs(t) >= prev:
+            break
+        prev = abs(t)
+        sign = -sign
+        sa += sign * t
+        sb += t
+        sc += sign * vk / zk
+        sd += vk / zk
+    return sa, sb, sc, sd
+
+
+def test_asymptotic_sums_stop_early_without_changing_a_bit():
+    # u from the regime switch to past the overflow limit, dense at the low
+    # end where the sums keep the most terms.
+    u = np.concatenate((np.linspace(SERIES_ASYMPTOTIC_SWITCH, 40.0, 8001), np.geomspace(40.0, 5000.0, 8001)))
+    for zeta in ((2.0 / 3.0) * u ** 1.5).tolist():
+        assert _asymptotic_sums(zeta) == reference_asymptotic_sums(zeta)

@@ -23,7 +23,7 @@ from .errors import (
 from .geometry import find_turning_points
 from .potential import load_tabulated, make_potential
 from .rates import rate_report, rate_reports
-from .wavefunction import _grid_arrays
+from .wavefunction import _basis_arrays, _grid
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 2
@@ -54,11 +54,6 @@ _FAMILY_PARAMS = {
     "gaussian": ("v0", "w"),
     "square": ("v0", "l"),
 }
-
-
-def _row_format(width):
-    """Format string of a CSV line of width numbers, each to 12 significant digits."""
-    return ",".join(["%.12g"] * width)
 
 
 @lru_cache(maxsize=None)
@@ -150,22 +145,25 @@ def _window(args, pot):
     return lo, hi
 
 
-def _report_header(with_oracle):
-    cols = "E,a,b,c,theta,airy_arg,t_wkb,t_asymptotic,t_uniform"
-    if with_oracle:
-        cols += ",t_exact,flux_defect"
-    return cols
+def _csv(header, columns):
+    """CSV lines: the header, then one row per entry of the equal-length
+    columns, every number to 12 significant digits, formatted in one go."""
+    cells = np.column_stack(columns)
+    line = ",".join(["%.12g"] * cells.shape[1])
+    return [header, "\n".join([line] * len(cells)) % tuple(cells.ravel().tolist())]
 
 
-def _report_row(rep, with_oracle):
-    g = rep.geometry
-    fields = [
-        rep.energy, g.a, g.b, g.c, g.theta, rep.airy_argument,
-        rep.t_wkb, rep.t_asymptotic, rep.t_uniform,
+def _report_csv(reports, with_oracle):
+    header = "E,a,b,c,theta,airy_arg,t_wkb,t_asymptotic,t_uniform"
+    rows = [
+        [r.energy, r.geometry.a, r.geometry.b, r.geometry.c, r.geometry.theta,
+         r.airy_argument, r.t_wkb, r.t_asymptotic, r.t_uniform]
+        for r in reports
     ]
     if with_oracle:
-        fields += [rep.oracle.t_exact, rep.oracle.flux_defect]
-    return _row_format(len(fields)) % tuple(fields)
+        header += ",t_exact,flux_defect"
+        rows = [row + [r.oracle.t_exact, r.oracle.flux_defect] for row, r in zip(rows, reports)]
+    return _csv(header, list(zip(*rows)))
 
 
 def _run_report(args):
@@ -175,7 +173,7 @@ def _run_report(args):
         pot, args.energy, window,
         with_oracle=args.oracle, oracle_slices=args.oracle_slices,
     )
-    return [_report_header(args.oracle), _report_row(rep, args.oracle)]
+    return _report_csv([rep], args.oracle)
 
 
 def _run_sweep(args):
@@ -190,7 +188,7 @@ def _run_sweep(args):
         pot, np.linspace(args.emin, args.emax, args.n), window,
         with_oracle=args.oracle, oracle_slices=args.oracle_slices,
     )
-    return [_report_header(args.oracle)] + [_report_row(rep, args.oracle) for rep in reports]
+    return _report_csv(reports, args.oracle)
 
 
 def _run_wavefunction(args):
@@ -198,10 +196,10 @@ def _run_wavefunction(args):
     window = _window(args, pot)
     a, b = find_turning_points(pot, args.energy, window)
     anchor = a if args.anchor == "left" else b
-    xs, psi_ai, psi_bi, ksq, arg = _grid_arrays(pot, args.energy, window, args.n, anchor)
-    # One format over the whole block, straight from the arrays.
-    cells = np.column_stack((xs, ksq, arg, psi_ai, psi_bi)).ravel().tolist()
-    return ["x,ksq,airy_arg,psi_ai,psi_bi", "\n".join([_row_format(5)] * xs.size) % tuple(cells)]
+    xs = _grid(window, args.n)
+    # The scan above already found every crossing in the window: (a, b).
+    psi_ai, psi_bi, ksq, arg = _basis_arrays(pot, args.energy, anchor, xs, (a, b))
+    return _csv("x,ksq,airy_arg,psi_ai,psi_bi", (xs, ksq, arg, psi_ai, psi_bi))
 
 
 _DISPATCH = {

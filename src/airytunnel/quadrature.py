@@ -16,8 +16,11 @@ accurate, most of all near the ends of large rules.
 
 An array of segments is integrated in one pass: every unfinished segment
 is sampled at the same mapped nodes, f sees them all in one call, and
-each segment stops by its own test. A segment's result does not depend
-on which other segments share the call.
+each segment stops by its own test. The live segments' indices, ends,
+estimates and differences are arrays; the stop tests are masks, written
+negated so that a NaN estimate keeps doubling to n_max, and the arrays
+are compacted only when a segment stops. A segment's result does not
+depend on which other segments share the call.
 """
 
 import math
@@ -88,7 +91,8 @@ def integrate_endpoint_singular(f, x1, x2, rel_tol=1e-12, n_start=64, n_max=2048
     successive Gauss-Legendre estimates agree to rel_tol, the difference
     stops shrinking (the integrand's floating-point noise floor, e.g. from
     cancellation in E - V near a turning point), or n_max is reached;
-    the finer estimate is returned.
+    the finer estimate is returned. A NaN estimate meets neither stop
+    test, so its segment doubles up to n_max.
 
     x1 and x2 may be equal-length 1D arrays of segment ends; the result is
     then an array of per-segment estimates, each equal bit for bit to the
@@ -101,40 +105,32 @@ def integrate_endpoint_singular(f, x1, x2, rel_tol=1e-12, n_start=64, n_max=2048
     x2 = np.asarray(x2, dtype=float)
     if x1.ndim > 1 or x1.shape != x2.shape:
         raise ValueError("segment ends must be scalars or equal-length 1D arrays")
-    lo = x1.reshape(-1, 1)
-    width = x2.reshape(-1, 1) - lo
-    spans = width.ravel().tolist()
-    est = [0.0] * len(spans)
-    idx = [i for i, w in enumerate(spans) if w != 0.0]
-    if len(idx) < len(spans):
-        lo, width, spans = lo[idx], width[idx], [spans[i] for i in idx]
+    width = (x2 - x1).ravel()
+    est = np.zeros(width.size)
+    live = np.flatnonzero(width)
+    lo, width = x1.ravel()[live], width[live]
     prev = prev_diff = None
     n = n_start
-    while idx:
+    while live.size:
         s2, s2t, wg = _mapped_rule(n)
         if rows is not None:
-            rows[:] = idx
-        vals = f((lo + width * s2).ravel()).reshape(-1, 1, n) * s2t
+            rows[:] = live.tolist()
+        vals = f((lo[:, None] + width[:, None] * s2).ravel()).reshape(-1, 1, n) * s2t
         # A stack of (1 x n) @ (n x 1) products: numpy takes each as one BLAS
         # dot, so every segment sums in the same order as a scalar call.
-        dots = np.matmul(vals, wg).ravel().tolist()
-        going, new, diff = [], [], []
-        for j, (i, w, d) in enumerate(zip(idx, spans, dots)):
-            est[i] = e = (math.pi / 4.0) * w * d
-            if prev is not None:
-                step = abs(e - prev[j])
-                if step <= rel_tol * abs(e) + 1e-300:
-                    continue  # converged
-                if prev_diff is not None and step >= 0.25 * prev_diff[j]:
-                    continue  # noise floor: the difference stopped shrinking
-                diff.append(step)
-            going.append(j)
-            new.append(e)
+        e = (math.pi / 4.0) * width * np.matmul(vals, wg).ravel()
+        est[live] = e
         if n >= n_max:
             break
-        if len(going) < len(idx):
-            idx, spans = [idx[j] for j in going], [spans[j] for j in going]
-            lo, width = lo[going], width[going]
-        prev, prev_diff = new, (diff if prev is not None else None)
+        if prev is not None:
+            step = np.abs(e - prev)
+            # Negated tests, so that a NaN step fails both and keeps going.
+            going = ~(step <= rel_tol * np.abs(e) + 1e-300)  # not converged
+            if prev_diff is not None:
+                going &= ~(step >= 0.25 * prev_diff)  # still shrinking: above the noise floor
+            if not going.all():
+                live, lo, width, e, step = live[going], lo[going], width[going], e[going], step[going]
+            prev_diff = step
+        prev = e
         n *= 2
-    return np.array(est) if x1.ndim else est[0]
+    return est if x1.ndim else float(est[0])

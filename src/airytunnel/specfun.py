@@ -160,40 +160,27 @@ def _airy_asymptotic(u):
     return ai, bi, ai_prime, bi_prime
 
 
+def _march(x, y, yp, step, count):
+    """(y, y') at x, x + step, ...: count nodes of a Taylor march from (x, y, y')."""
+    nodes = []
+    for _ in range(count):
+        nodes.append((y, yp))
+        y, yp = _taylor_advance(x, y, yp, step)
+        x += step
+    return nodes
+
+
 def _build_seed_tables():
     n_nodes = int(round((_GRID_HI - _GRID_LO) / _GRID_STEP)) + 1
-    ai_seeds = [None] * n_nodes
-    bi_seeds = [None] * n_nodes
-
-    # Ai: march down from the asymptotic anchor.
-    x = _AI_CHAIN_START
-    ai0, _, aip0, _ = _airy_asymptotic(x)
-    y, yp = ai0, aip0
-    while x > _GRID_LO - 1e-9:
-        idx = int(round((x - _GRID_LO) / _GRID_STEP))
-        if 0 <= idx < n_nodes and abs(_GRID_LO + idx * _GRID_STEP - x) < 1e-9:
-            ai_seeds[idx] = (y, yp)
-        y, yp = _taylor_advance(x, y, yp, -_GRID_STEP)
-        x -= _GRID_STEP
-
-    # Bi: march outward from the exact origin values.
-    i0 = int(round((0.0 - _GRID_LO) / _GRID_STEP))
-    x, y, yp = 0.0, BI_ZERO, BIP_ZERO
-    i = i0
-    while i < n_nodes:
-        bi_seeds[i] = (y, yp)
-        y, yp = _taylor_advance(x, y, yp, _GRID_STEP)
-        x += _GRID_STEP
-        i += 1
-    x, y, yp = 0.0, BI_ZERO, BIP_ZERO
-    i = i0
-    while i >= 0:
-        bi_seeds[i] = (y, yp)
-        y, yp = _taylor_advance(x, y, yp, -_GRID_STEP)
-        x -= _GRID_STEP
-        i -= 1
-
-    return ai_seeds, bi_seeds
+    above = int(round((_AI_CHAIN_START - _GRID_HI) / _GRID_STEP))
+    origin = int(round((0.0 - _GRID_LO) / _GRID_STEP))
+    # Ai: march down from the asymptotic anchor, which lies above the grid.
+    ai0, _, aip0, _ = _airy_asymptotic(_AI_CHAIN_START)
+    ai_down = _march(_AI_CHAIN_START, ai0, aip0, -_GRID_STEP, above + n_nodes)
+    # Bi: march outward both ways from the exact origin values.
+    bi_up = _march(0.0, BI_ZERO, BIP_ZERO, _GRID_STEP, n_nodes - origin)
+    bi_down = _march(0.0, BI_ZERO, BIP_ZERO, -_GRID_STEP, origin + 1)
+    return ai_down[above:][::-1], bi_down[::-1] + bi_up[1:]
 
 
 _AI_SEEDS, _BI_SEEDS = _build_seed_tables()

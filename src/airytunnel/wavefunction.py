@@ -9,8 +9,9 @@ with S(x) = (3/2) |integral of |k| from x0 to x|, accumulated as a
 magnitude so S grows monotonically away from the anchor even across
 further turning points. All fractional powers are real positive; the
 allowed/forbidden distinction lives entirely in the sign of the Airy
-argument (negative where k2 > 0, positive where k2 < 0, zero at turning
-points).
+argument (negative where k2 > 0, positive where k2 < 0, zero at the
+anchor). At a far turning point, where k2 = 0 but S is finite, the sign
+is that of -k2 halfway between it and the anchor.
 
 The basis is built for a whole array of points at once; psi_basis is the
 one-point case. The points, the anchor and every sign change of k2
@@ -58,9 +59,9 @@ class WavefunctionSample:
     psi_bi: float
 
 
-def _basis_arrays(pot, energy, anchor, xs):
-    """(psi_ai, psi_bi, ksq, airy_arg) arrays at the points xs."""
-    crossings = find_crossings(pot, energy, min(xs.min(), anchor), max(xs.max(), anchor))
+def _basis_arrays(pot, energy, anchor, xs, crossings):
+    """(psi_ai, psi_bi, ksq, airy_arg) arrays at the points xs, given every
+    sign change of k2 between the anchor and the points (find_crossings)."""
     cuts = np.unique(np.concatenate((xs, [anchor], crossings)))
 
     def abs_k(x):
@@ -81,7 +82,12 @@ def _basis_arrays(pot, energy, anchor, xs):
 
     ksq = np.asarray(pot.wavenumber_sq(energy, xs), dtype=float)
     guard = s_action < ANCHOR_GUARD_S
-    arg = np.where(guard, 0.0, np.sign(-ksq) * s_action ** (2.0 / 3.0))
+    sign = np.sign(-ksq)
+    far = (ksq == 0.0) & ~guard  # far turning points take the side of the stretch toward the anchor
+    if far.any():
+        mid = 0.5 * (xs[far] + anchor)
+        sign[far] = np.sign(-np.asarray(pot.wavenumber_sq(energy, mid), dtype=float))
+    arg = np.where(guard, 0.0, sign * s_action ** (2.0 / 3.0))
     pair = airy(arg)
     ai, bi = pair.ai, pair.bi
     amp = np.empty(xs.size)
@@ -102,7 +108,9 @@ def _basis_arrays(pot, energy, anchor, xs):
 
 def psi_basis(pot, energy, anchor, x):
     """The (Ai-based, Bi-based) uniform basis pair at x, anchored at a turning point."""
-    ai_part, bi_part, _, _ = _basis_arrays(pot, energy, float(anchor), np.array([float(x)]))
+    anchor, x = float(anchor), float(x)
+    crossings = find_crossings(pot, energy, min(x, anchor), max(x, anchor))
+    ai_part, bi_part, _, _ = _basis_arrays(pot, energy, anchor, np.array([x]), crossings)
     return float(ai_part[0]), float(bi_part[0])
 
 
@@ -119,16 +127,15 @@ def superpose(c_plus, c_minus, basis):
     return psi
 
 
-def _grid_arrays(pot, energy, window, n_points, anchor):
-    """(x, psi_ai, psi_bi, ksq, airy_arg) arrays on a uniform grid; needs n_points >= 2."""
+def _grid(window, n_points):
+    """The uniform grid of n_points >= 2 points over the window."""
     n_points = int(n_points)
     if n_points < 2:
         raise ValueError("n_points must be >= 2, got %d" % n_points)
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy xmin < xmax")
-    xs = np.linspace(lo, hi, n_points)
-    return (xs,) + _basis_arrays(pot, energy, float(anchor), xs)
+    return np.linspace(lo, hi, n_points)
 
 
 def sample_grid(pot, energy, window, n_points, c_plus, c_minus, anchor):
@@ -136,7 +143,10 @@ def sample_grid(pot, energy, window, n_points, c_plus, c_minus, anchor):
 
     Returns one WavefunctionSample per node; needs n_points >= 2.
     """
-    xs, psi_ai, psi_bi, ksq, arg = _grid_arrays(pot, energy, window, n_points, anchor)
+    xs = _grid(window, n_points)
+    anchor = float(anchor)
+    crossings = find_crossings(pot, energy, min(xs[0], anchor), max(xs[-1], anchor))
+    psi_ai, psi_bi, ksq, arg = _basis_arrays(pot, energy, anchor, xs, crossings)
     psi = np.broadcast_to(superpose(c_plus, c_minus, (psi_ai, psi_bi)), xs.shape)
     return [
         WavefunctionSample(x=x, psi=complex(p), ksq=k, airy_arg=u, psi_ai=fa, psi_bi=fb)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import airytunnel
+from airytunnel import geometry
 from airytunnel.cli import main
 from conftest import double_hump_samples
 
@@ -221,8 +222,26 @@ def test_wavefunction_rows_equal_sample_grid_records(capsys, family, params, ene
     rows = ["%.12g,%.12g,%.12g,%.12g,%.12g" % (s.x, s.ksq, s.airy_arg, s.psi_ai, s.psi_bi)
             for s in samples]
     assert out == "\n".join(["x,ksq,airy_arg,psi_ai,psi_bi"] + rows) + "\n"
-    if family == "parabolic":
-        assert "\n-0.5,0,0,inf,inf\n" in out
+    if family == "parabolic":  # the far turning point keeps |airy_arg| = (3 pi/16)**(2/3)
+        assert "\n-0.5,0,0.7026959166,inf,inf\n" in out
+
+
+def test_wavefunction_scans_for_turning_points_once(capsys, monkeypatch):
+    # the turning-point scan already finds every crossing in the window
+    scans = []
+    sign_changes = geometry._sign_changes
+
+    def counted(v, energies):
+        scans.append(v.size)
+        return sign_changes(v, energies)
+
+    monkeypatch.setattr(geometry, "_sign_changes", counted)
+    code, _, _ = run_cli(
+        capsys, "wavefunction", "--potential", "sech2", "--v0", "1.0", "--w", "1.0",
+        "--energy", "0.5", "--n", "41",
+    )
+    assert code == 0
+    assert scans == [geometry.DEFAULT_SCAN_POINTS]
 
 
 def test_wavefunction_right_anchor(capsys):

@@ -97,6 +97,43 @@ def test_segments_stop_independently():
     ]
 
 
+def _mixed_exits(x):
+    # [0, 1] converges, [1, 3] has a kink and hits the noise-floor rule,
+    # [4, 5] is still converging at n_max, and [6, 7] is all NaN
+    return np.select(
+        [x < 1.0, x < 3.0, x < 5.0],
+        [np.ones_like(x), np.sqrt(np.abs(x - 1.7)), np.exp(24.0 * (x - 4.0))],
+        np.nan,
+    )
+
+
+def test_mixed_exits_match_single_calls_bit_for_bit():
+    x1, x2 = np.array([0.0, 1.0, 4.0, 6.0]), np.array([1.0, 3.0, 5.0, 7.0])
+    rows, sampled = [], []
+
+    def f(x):
+        sampled.append(list(rows))
+        return _mixed_exits(x)
+
+    out = integrate_endpoint_singular(f, x1, x2, n_start=4, n_max=32, rows=rows)
+    for p, q, got in zip(x1.tolist(), x2.tolist(), out.tolist()):
+        single = integrate_endpoint_singular(_mixed_exits, p, q, n_start=4, n_max=32)
+        ref = reference_integrate(_mixed_exits, p, q, n_start=4, n_max=32)
+        assert got.hex() == single.hex() == ref.hex()  # bit for bit, NaN included
+    # the NaN segment meets neither stop test and is sampled at every doubling
+    assert sampled == [[0, 1, 2, 3]] * 3 + [[2, 3]]
+    assert math.isnan(out[3])
+
+    def estimate(p, q, n):
+        return integrate_endpoint_singular(_mixed_exits, p, q, n_start=n, n_max=n)
+
+    converged = abs(estimate(0.0, 1.0, 16) - estimate(0.0, 1.0, 8))
+    assert converged <= 1e-12 * out[0]
+    floor = abs(estimate(1.0, 3.0, 16) - estimate(1.0, 3.0, 8))
+    assert floor > 1e-12 * out[1]  # stopped at 16 without converging
+    assert integrate_endpoint_singular(_mixed_exits, 4.0, 5.0, n_start=4, n_max=64) != out[2]
+
+
 def test_segment_ends_must_match():
     f = np.sqrt
     with pytest.raises(ValueError):

@@ -223,6 +223,15 @@ def test_far_turning_point_is_infinite_not_nan():
     assert type(psi_basis(ParabolicBarrier(1.0), 0.75, -0.5, 0.5)[0]) is float
 
 
+@pytest.mark.parametrize("anchor, far", [(-0.5, 6), (0.5, 2)])
+def test_far_turning_point_keeps_its_action_in_the_airy_argument(anchor, far):
+    # k2 is exactly 0.0 at the far turning point, where the action across
+    # the barrier is pi/8: |airy_arg| is (3 pi/16)**(2/3), on the forbidden side
+    samples = sample_grid(ParabolicBarrier(1.0), 0.75, (-1.0, 1.0), 9, 1.0, 0.0, anchor)
+    assert samples[far].x == -anchor and samples[far].ksq == 0.0
+    assert samples[far].airy_arg == pytest.approx((3.0 * math.pi / 16.0) ** (2.0 / 3.0), rel=1e-12)
+
+
 def test_deep_window_names_the_worst_airy_argument():
     # (2/3)|u|**1.5 = action from the left turning point out to x = -9,
     # which puts u near -15.2, past the Airy kernel's range
@@ -309,16 +318,18 @@ def test_basis_properties(family, v0, w, fraction, side, pad, n_points):
     window = (turning[0] - pad * width, turning[1] + pad * width)
     samples = sample_grid(pot, energy, window, n_points, 1.0, 0.0, anchor)
 
-    # |airy_arg| = S**(2/3) never decreases away from the anchor. An exact
-    # zero of k2 has airy_arg 0 by construction, so it does not show S.
-    left = [abs(s.airy_arg) for s in samples if s.x <= anchor and s.ksq != 0.0]
-    right = [abs(s.airy_arg) for s in samples if s.x >= anchor and s.ksq != 0.0]
+    # |airy_arg| = S**(2/3) never decreases away from the anchor, exact
+    # zeros of k2 included.
+    left = [abs(s.airy_arg) for s in samples if s.x <= anchor]
+    right = [abs(s.airy_arg) for s in samples if s.x >= anchor]
     assert all(p >= q for p, q in zip(left[:-1], left[1:]))
     assert all(p <= q for p, q in zip(right[:-1], right[1:]))
 
     for s in samples:
-        if s.airy_arg != 0.0:
+        if s.airy_arg != 0.0 and s.ksq != 0.0:
             assert np.sign(s.airy_arg) == -np.sign(s.ksq)
+        elif s.airy_arg != 0.0:  # the far turning point, reached through the barrier
+            assert s.airy_arg > 0.0
 
     # the one-point basis agrees with the grid sample at the same x
     for s in samples[:: max(1, n_points // 6)]:

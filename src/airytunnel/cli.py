@@ -39,7 +39,8 @@ exit codes:
      energies/windows outside the supported domain)
   3  no barrier at the requested energy (or barrier-top degeneracy)
   4  more than one barrier hump in the window
-  5  potential file missing or malformed, or evaluation outside its range
+  5  potential file missing or malformed, evaluation outside its range,
+     or the output file cannot be written
   6  oracle failure (window endpoints not on the zero asymptote)
 
 potential selection: exactly one of --potential (with its family
@@ -217,7 +218,12 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_ARGS
 
     try:
-        rows = _DISPATCH[args.command](args)
+        text = "\n".join(_DISPATCH[args.command](args)) + "\n"
+        if args.output == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w") as handle:
+                handle.write(text)
     except NoBarrierError as exc:
         print("error: no barrier at this energy: %s" % exc, file=sys.stderr)
         return EXIT_NO_BARRIER
@@ -236,13 +242,6 @@ def main(argv=None):
     except (NonSmoothError, DomainError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_ARGS
-
-    text = "\n".join(rows) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w") as handle:
-            handle.write(text)
     return EXIT_OK
 
 

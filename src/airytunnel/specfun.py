@@ -11,11 +11,9 @@ evaluation regimes:
   Gamma-function values and propagated outward (rightward Bi grows, so Ai
   contamination dies out; leftward both solutions are oscillatory and the
   stepping is neutral). A query is evaluated by one short Taylor step from
-  the nearest node, whose derivatives are computed once at import; an
-  array of queries takes all its steps in one vectorised pass over the
-  gathered nodes. This sidesteps the catastrophic cancellation that a
-  single Maclaurin sum from u = 0 suffers for 4 < |u| <= 10 in double
-  precision.
+  the nearest node, whose derivatives are computed once at import. This
+  sidesteps the catastrophic cancellation that a single Maclaurin sum from
+  u = 0 suffers for 4 < |u| <= 10 in double precision.
 
 * ``u > SERIES_ASYMPTOTIC_SWITCH``: standard asymptotic expansions in
   zeta = (2/3) u^(3/2), truncated at the smallest term. At the switch
@@ -24,6 +22,11 @@ evaluation regimes:
 
 Oscillatory arguments are supported down to u = -10, which is all the
 tunneling formulas and wavefunction plotting need.
+
+``airy`` and ``log_bi_over_ai`` have one evaluation path each. They take a
+scalar or a 1D array; a scalar runs as an array of size one. All grid-regime
+entries of a call take their Taylor steps in one vectorised pass, and each
+asymptotic entry runs singly.
 """
 
 import math
@@ -93,11 +96,7 @@ def _taylor_derivs(x0, y, yp, order):
 
 
 def _taylor_sum(d, h):
-    """(y, y') at x0 + h from the derivatives d = [y(x0), y'(x0), ...].
-
-    Elementwise when h and the d[n] are arrays: every entry then takes the
-    same arithmetic steps as a float would.
-    """
+    """(y, y') at x0 + h from d = [y(x0), y'(x0), ...], elementwise for arrays."""
     sy = 0.0
     syp = 0.0
     hk = 1.0  # h^n / n!
@@ -106,11 +105,6 @@ def _taylor_sum(d, h):
         syp += d[n + 1] * hk
         hk *= h / (n + 1)
     return sy, syp
-
-
-def _taylor_advance(x0, y, yp, h, order=30):
-    """Advance (y, y') of y'' = x*y from x0 by h via the local Taylor series."""
-    return _taylor_sum(_taylor_derivs(x0, y, yp, order), h)
 
 
 def _asymptotic_sums(zeta, max_terms=60):
@@ -161,11 +155,11 @@ def _airy_asymptotic(u):
 
 
 def _march(x, y, yp, step, count):
-    """(y, y') at x, x + step, ...: count nodes of a Taylor march from (x, y, y')."""
+    """(y, y') at x, x + step, ...: count nodes of a 30-term Taylor march from (x, y, y')."""
     nodes = []
     for _ in range(count):
         nodes.append((y, yp))
-        y, yp = _taylor_advance(x, y, yp, step)
+        y, yp = _taylor_sum(_taylor_derivs(x, y, yp, 30), step)
         x += step
     return nodes
 
@@ -188,31 +182,31 @@ _N_NODES = len(_AI_SEEDS)
 #: Terms in a query's Taylor step from its node.
 _GRID_ORDER = 24
 # Taylor derivatives y^(n), n = 0 .. _GRID_ORDER + 1, of Ai and Bi at every
-# node, computed once: as (Ai list, Bi list) per node for float queries
-# and as one array indexed [n, Ai/Bi, node] for array queries.
-_NODE_DERIVS = [
-    tuple(_taylor_derivs(_GRID_LO + i * _GRID_STEP, y, yp, _GRID_ORDER) for y, yp in pair)
+# node, computed once as one array indexed [n, Ai/Bi, node].
+_DERIVS = np.ascontiguousarray(np.array([
+    [_taylor_derivs(_GRID_LO + i * _GRID_STEP, y, yp, _GRID_ORDER) for y, yp in pair]
     for i, pair in enumerate(zip(_AI_SEEDS, _BI_SEEDS))
-]
-_DERIVS = np.ascontiguousarray(np.array(_NODE_DERIVS).transpose(2, 1, 0))
+]).transpose(2, 1, 0))
 
 
 def _airy_grid(u):
     """Grid-regime (Ai, Bi, Ai', Bi'): one short Taylor step from the nearest node.
 
-    u is a float or a 1D float array. An array gathers each entry's node
-    derivatives and runs the same Taylor sum on all entries at once, so
-    each equals the float result bit for bit.
+    u is a float or a 1D float array; one Taylor sum runs on all entries at once.
     """
-    if isinstance(u, float):
-        idx = min(max(int(round((u - _GRID_LO) / _GRID_STEP)), 0), _N_NODES - 1)
-        h = u - (_GRID_LO + idx * _GRID_STEP)
-        (ai, ai_prime), (bi, bi_prime) = (_taylor_sum(d, h) for d in _NODE_DERIVS[idx])
-        return ai, bi, ai_prime, bi_prime
     idx = np.clip(np.rint((u - _GRID_LO) / _GRID_STEP).astype(int), 0, _N_NODES - 1)
     h = u - (_GRID_LO + idx * _GRID_STEP)
     (ai, bi), (ai_prime, bi_prime) = _taylor_sum(_DERIVS[:, :, idx], h)
     return ai, bi, ai_prime, bi_prime
+
+
+def _arguments(u):
+    """(u as a 1D float array, whether u was a scalar); ValueError beyond 1D."""
+    scalar = np.ndim(u) == 0
+    u = np.array(u, dtype=float, ndmin=1)
+    if u.ndim > 1:
+        raise ValueError("Airy arguments must be a scalar or 1D, got shape %s" % (u.shape,))
+    return u, scalar
 
 
 def airy(u):
@@ -224,38 +218,24 @@ def airy(u):
     u^(3/2)) leaves double-precision range; the exception carries the
     offending exponent so callers can switch to log_bi_over_ai.
 
-    A 1D numpy array u gives an AiryPair of arrays, each entry equal to
-    the scalar result; a DomainError then names the lowest argument.
+    A scalar u gives an AiryPair of floats, a 1D array an AiryPair of
+    arrays of its shape; a DomainError then names the lowest argument.
     """
-    if isinstance(u, np.ndarray) and u.ndim:
-        return _airy_array(u.astype(float, copy=False))
-    u = float(u)
-    if math.isnan(u) or math.isinf(u):
-        raise DomainError("airy argument must be finite, got %r" % u)
-    if u < U_MIN_SUPPORTED - 1e-9:
-        raise DomainError(
-            "airy argument %g below supported range u >= %g" % (u, U_MIN_SUPPORTED)
-        )
-    if u > SERIES_ASYMPTOTIC_SWITCH:
-        vals = _airy_asymptotic(u)
-    else:
-        vals = _airy_grid(u)
-    return AiryPair(*vals)
-
-
-def _airy_array(u):
-    """airy() on a 1D array: grid entries in one pass, asymptotic ones singly."""
+    u, scalar = _arguments(u)
     if not np.all(np.isfinite(u)):
-        raise DomainError("airy arguments must be finite")
+        raise DomainError(
+            "airy argument must be finite, got %r" % float(u[0]) if scalar
+            else "airy arguments must be finite"
+        )
     if u.size and u.min() < U_MIN_SUPPORTED - 1e-9:
         raise DomainError(
             "airy argument %g below supported range u >= %g" % (u.min(), U_MIN_SUPPORTED)
         )
     far = u > SERIES_ASYMPTOTIC_SWITCH
     vals = np.array(_airy_grid(np.where(far, 0.0, u)))
-    for i in np.flatnonzero(far):
-        vals[:, i] = _airy_asymptotic(float(u[i]))
-    return AiryPair(*vals)
+    for i, x in zip(np.flatnonzero(far).tolist(), u[far].tolist()):
+        vals[:, i] = _airy_asymptotic(x)
+    return AiryPair(*(vals[:, 0].tolist() if scalar else vals))
 
 
 def log_bi_over_ai(u):
@@ -266,32 +246,18 @@ def log_bi_over_ai(u):
     ln 2 + (4/3) u^(3/2) + ln of the correction-series ratio, and never
     overflows.
 
-    A 1D numpy array u gives an array, each entry equal to the scalar
-    result: grid-regime entries take their Airy values in one vectorised
-    pass (the logarithm stays math.log, entry by entry), asymptotic ones
-    run singly.
+    A scalar u gives a float, a 1D array an array of its shape. The
+    logarithm stays math.log, entry by entry, as np.log can differ by an ulp.
     """
-    if isinstance(u, np.ndarray) and u.ndim:
-        return _log_bi_over_ai_array(u.astype(float, copy=False))
-    u = float(u)
-    if math.isnan(u) or u < 0.0:
-        raise DomainError("log_bi_over_ai requires u >= 0, got %r" % u)
-    if u <= SERIES_ASYMPTOTIC_SWITCH:
-        ai, bi, _, _ = _airy_grid(u)
-        return math.log(bi / ai)
-    zeta = (2.0 / 3.0) * u ** 1.5
-    sa, sb, _, _ = _asymptotic_sums(zeta)
-    return math.log(2.0) + 2.0 * zeta + math.log(sb / sa)
-
-
-def _log_bi_over_ai_array(u):
-    """log_bi_over_ai() on a 1D array."""
+    u, scalar = _arguments(u)
     bad = np.flatnonzero(~(u >= 0.0))
     if bad.size:
         raise DomainError("log_bi_over_ai requires u >= 0, got %r" % float(u[bad[0]]))
     far = u > SERIES_ASYMPTOTIC_SWITCH
     ai, bi, _, _ = _airy_grid(np.where(far, 0.0, u))
     out = [math.log(q) for q in (bi / ai).tolist()]
-    for i in np.flatnonzero(far).tolist():
-        out[i] = log_bi_over_ai(float(u[i]))
-    return np.array(out)
+    for i, x in zip(np.flatnonzero(far).tolist(), u[far].tolist()):
+        zeta = (2.0 / 3.0) * x ** 1.5
+        sa, sb, _, _ = _asymptotic_sums(zeta)
+        out[i] = math.log(2.0) + 2.0 * zeta + math.log(sb / sa)
+    return out[0] if scalar else np.array(out)

@@ -298,6 +298,20 @@ def test_output_file_and_error_buffering(capsys, tmp_path):
     assert not target2.exists()
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_output_is_a_file_error(capsys, tmp_path, where):
+    target = tmp_path / "absent" / "rows.csv" if where == "missing_dir" else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run_cli(
+        capsys, "report", "--potential", "sech2", "--v0", "1", "--w", "1",
+        "--energy", "0.5", "--output", str(target),
+    )
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_cli_import_loads_no_scipy():
     code = (
         "import sys, airytunnel.cli; "

@@ -188,6 +188,34 @@ def test_array_argument_errors():
     assert airy(np.array([-10.0])).ai.shape == (1,)  # boundary is included
 
 
+@pytest.mark.parametrize("u", [0.7, 2, np.float64(15.0), np.array(3.5)])
+def test_scalar_arguments_give_python_floats(u):
+    pair = airy(u)
+    assert all(type(v) is float for v in (pair.ai, pair.bi, pair.ai_prime, pair.bi_prime))
+    assert pair == airy(float(u))
+    ratio = log_bi_over_ai(u)
+    assert type(ratio) is float and ratio == log_bi_over_ai(float(u))
+
+
+@pytest.mark.parametrize("u", [[], [0.5], [-3.0, 2.0, 15.0]])
+def test_1d_arguments_give_arrays_of_their_shape(u):
+    u = np.array(u, dtype=float)
+    pair = airy(u)
+    for field in ("ai", "bi", "ai_prime", "bi_prime"):
+        assert isinstance(getattr(pair, field), np.ndarray)
+        assert getattr(pair, field).shape == u.shape
+    ratio = log_bi_over_ai(np.abs(u))
+    assert isinstance(ratio, np.ndarray) and ratio.shape == u.shape
+
+
+@pytest.mark.parametrize("u", [[[1.0, 20.0]], [[1.0, 2.0]], [[0.5], [3.0]]])
+def test_2d_arguments_raise_value_error(u):
+    with pytest.raises(ValueError):
+        airy(np.array(u))
+    with pytest.raises(ValueError):
+        log_bi_over_ai(np.array(u))
+
+
 def test_log_ratio_at_zero():
     assert log_bi_over_ai(0.0) == pytest.approx(math.log(math.sqrt(3.0)), rel=1e-13)
 

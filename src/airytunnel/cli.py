@@ -5,6 +5,7 @@ significant digits, buffered so a failure never emits a partial file.
 """
 
 import argparse
+import re
 import sys
 from functools import lru_cache
 
@@ -55,6 +56,25 @@ _FAMILY_PARAMS = {
     "gaussian": ("v0", "w"),
     "square": ("v0", "l"),
 }
+
+
+# The argparse of Python 3.10 and 3.11 reads only -N and -N.N as negative
+# numbers, so there a value in exponent form, as %.12g prints it, reads as
+# an option: --xmin -1e1 fails where --xmin -10 works.
+_LONG_OPTION = re.compile(r"--\w[\w-]*")
+_NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][+-]?\d+")
+
+
+def _join_negative_exponents(argv):
+    """argv with each negative number in exponent form joined to the long
+    option before it: --xmin -1e1 becomes --xmin=-1e1."""
+    out = []
+    for arg in argv:
+        if out and _LONG_OPTION.fullmatch(out[-1]) and _NEGATIVE_EXPONENT.fullmatch(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +233,7 @@ _DISPATCH = {
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_exponents(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse already printed the diagnostic
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_ARGS
 

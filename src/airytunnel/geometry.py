@@ -171,7 +171,7 @@ def find_crossings(pot, energy, lo, hi, n_scan=DEFAULT_SCAN_POINTS):
     brackets together by solve_bracketed on the potential's own derivative.
     """
     xs = np.linspace(lo, hi, n_scan)
-    _, j = _sign_changes(np.asarray(pot.v(xs), dtype=float), np.array([float(energy)]))
+    _, j = _sign_changes(pot.v(xs), np.array([float(energy)]))
     return _polish(pot, np.full(j.size, float(energy)), xs[j], xs[j + 1]).tolist()
 
 
@@ -213,7 +213,7 @@ def _turning_points(pot, energies, window, n_scan, out):
 
     xs = np.linspace(lo, hi, int(n_scan))
     e = energies[at]
-    which, j = _sign_changes(np.asarray(pot.v(xs), dtype=float), e)
+    which, j = _sign_changes(pot.v(xs), e)
     counts = np.bincount(which, minlength=at.size)
     errors = {}
     for p, (count, energy) in enumerate(zip(counts.tolist(), e.tolist())):
@@ -235,7 +235,7 @@ def _turning_points(pot, energies, window, n_scan, out):
     at, e = at[keep], e[keep]
     roots = _polish(pot, np.repeat(e, 2), xs[j], xs[j + 1])
     a, b = roots[0::2], roots[1::2]
-    inside = e - np.asarray(pot.v(0.5 * (a + b)), dtype=float) >= 0.0
+    inside = e - pot.v(0.5 * (a + b)) >= 0.0
     errors = {
         p: NoBarrierError(
             "window (%g, %g) does not bracket a forbidden interval at E=%g" % (lo, hi, e[p])
@@ -272,7 +272,7 @@ def _actions(pot, energies, x1, x2, rel_tol=1e-12):
     rows, errors = [], {}
 
     def integrand(x):
-        g = np.asarray(pot.v(x), dtype=float).reshape(len(rows), -1) - energies[rows, None]
+        g = pot.v(x).reshape(len(rows), -1) - energies[rows, None]
         for j in np.flatnonzero((g < -neg_tol[rows, None]).any(axis=1)).tolist():
             r = rows[j]
             errors.setdefault(r, DomainError(
@@ -371,9 +371,15 @@ def find_midpoint(pot, energy, a, b):
     return float(c[0])
 
 
+def _degenerate(alpha, energy):
+    """True for a slope alpha of k2 below 1e-10 of the energy scale, where
+    the turning point is degenerate (energy at the barrier top)."""
+    return abs(alpha) < 1e-10 * max(1.0, abs(energy))
+
+
 def _alpha_error(alpha, energy, x0, side):
     """The error alpha_limit raises for slope alpha at turning point x0, or None."""
-    if abs(alpha) < 1e-10 * max(1.0, abs(energy)):
+    if _degenerate(alpha, energy):
         return DegenerateTurningPointError(
             "|dk2/dx| = %g at x=%g: degenerate turning point (barrier top)"
             % (abs(alpha), x0)
@@ -395,7 +401,7 @@ def alpha_limit(pot, energy, x0, side):
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right', got %r" % side)
-    alpha = -float(pot.v_prime(x0))
+    alpha = -pot.v_prime(x0)
     exc = _alpha_error(alpha, float(energy), x0, side)
     if exc is not None:
         raise exc
@@ -442,7 +448,7 @@ def _analyze(pot, energies, window, n_scan, out):
     at, e, a, b, c, theta, left = (arr[keep] for arr in (at, e, a, b, c, theta, left))
 
     m = at.size
-    alpha = -np.asarray(pot.v_prime(np.concatenate((a, b))), dtype=float)
+    alpha = -pot.v_prime(np.concatenate((a, b)))
     rows = zip(at.tolist(), a.tolist(), b.tolist(), c.tolist(), theta.tolist(),
                left.tolist(), alpha[:m].tolist(), alpha[m:].tolist(), e.tolist())
     for i, a_i, b_i, c_i, theta_i, left_i, plus, minus, energy in rows:

@@ -205,8 +205,8 @@ def _passes(pot, energies, domain, slices, out):
     x_left, x_right = float(domain[0]), float(domain[1])
     if not x_left < x_right:
         raise ValueError("domain must satisfy xmin < xmax")
-    v_l = float(pot.v(x_left))
-    v_r = float(pot.v(x_right))
+    v_l = pot.v(x_left)
+    v_r = pot.v(x_right)
     if abs(v_l) > ASYMPTOTE_TOLERANCE or abs(v_r) > ASYMPTOTE_TOLERANCE:
         raise AsymptoteMismatchError(
             "V(%g)=%g, V(%g)=%g not within %g of the zero asymptote; widen the domain"
@@ -217,7 +217,7 @@ def _passes(pot, energies, domain, slices, out):
     passes = []
     for n in (slices, 2 * slices):
         d = (x_right - x_left) / n
-        v_mid = np.asarray(pot.v(x_left + (np.arange(n) + 0.5) * d), dtype=float)
+        v_mid = pot.v(x_left + (np.arange(n) + 0.5) * d)
         t, r = np.full(energies.size, np.nan), np.full(energies.size, np.nan)
         per_block = max(1, BLOCK // n)
         for i in range(0, at.size, per_block):

@@ -17,8 +17,10 @@ Tabulated potentials come from two-column text files and are interpolated
 with a natural cubic spline, which is C2 and therefore smooth enough for
 the turning-point slope limits.
 
-All potential objects are immutable after construction and their
-evaluation methods are pure, so they are safe to share across threads.
+Families write array kernels only: Potential.v and v_prime run a scalar
+as an array of size one, so it gets the bits of its array entry. All
+potential objects are immutable after construction and their evaluation
+methods are pure, so they are safe to share across threads.
 """
 
 import io
@@ -46,22 +48,34 @@ def _check_positive(name, value):
 
 
 class Potential(ABC):
-    """A 1D barrier potential. Subclasses are immutable and stateless."""
+    """A 1D barrier potential. Subclasses are immutable and stateless, and
+    write the array kernels _v and _v_prime (any shape in, that shape out);
+    v and v_prime run a scalar as an array of size one and return a float."""
 
     #: False only for potentials with jump discontinuities.
     smooth = True
 
-    @abstractmethod
     def v(self, x):
-        """V(x); accepts scalars or numpy arrays."""
+        """V(x): a float for a scalar x, else an array of x's shape."""
+        x = np.asarray(x, dtype=float)
+        return self._v(x) if x.ndim else float(self._v(x.reshape(1))[0])
 
-    @abstractmethod
     def v_prime(self, x):
-        """dV/dx; raises NonSmoothError for non-differentiable families."""
+        """dV/dx, as v; raises NonSmoothError for non-differentiable families."""
+        x = np.asarray(x, dtype=float)
+        return self._v_prime(x) if x.ndim else float(self._v_prime(x.reshape(1))[0])
 
     def wavenumber_sq(self, energy, x):
         """k2(x) = E - V(x), negative inside the forbidden region."""
         return energy - self.v(x)
+
+    @abstractmethod
+    def _v(self, x):
+        """V on a float array x with ndim >= 1."""
+
+    @abstractmethod
+    def _v_prime(self, x):
+        """dV/dx on a float array x with ndim >= 1."""
 
     @abstractmethod
     def suggested_window(self):
@@ -78,12 +92,11 @@ class ParabolicBarrier(Potential):
     def __init__(self, v0):
         self.v0 = _check_positive("v0", v0)
 
-    def v(self, x):
-        x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-        return self.v0 - x * x  # not x**2: a float's pow may differ from numpy's square
+    def _v(self, x):
+        return self.v0 - x * x
 
-    def v_prime(self, x):
-        return -2.0 * (np.asarray(x, dtype=float) if np.ndim(x) else float(x))
+    def _v_prime(self, x):
+        return -2.0 * x
 
     def suggested_window(self):
         half = 1.5 * math.sqrt(self.v0)
@@ -107,15 +120,12 @@ class Sech2Barrier(Potential):
         self.v0 = _check_positive("v0", v0)
         self.w = _check_positive("w", w)
 
-    def v(self, x):
-        z = np.asarray(x, dtype=float) / self.w
-        out = self.v0 * _sech(z) ** 2
-        return out if np.ndim(x) else float(out)
+    def _v(self, x):
+        return self.v0 * _sech(x / self.w) ** 2
 
-    def v_prime(self, x):
-        z = np.asarray(x, dtype=float) / self.w
-        out = -2.0 * self.v0 / self.w * _sech(z) ** 2 * np.tanh(z)
-        return out if np.ndim(x) else float(out)
+    def _v_prime(self, x):
+        z = x / self.w
+        return -2.0 * self.v0 / self.w * _sech(z) ** 2 * np.tanh(z)
 
     def suggested_window(self):
         return (-20.0 * self.w, 20.0 * self.w)
@@ -131,16 +141,12 @@ class GaussianBarrier(Potential):
         self.v0 = _check_positive("v0", v0)
         self.w = _check_positive("w", w)
 
-    def v(self, x):
-        z = np.asarray(x, dtype=float) / self.w
-        out = self.v0 * np.exp(-z * z)
-        return out if np.ndim(x) else float(out)
+    def _v(self, x):
+        z = x / self.w
+        return self.v0 * np.exp(-z * z)
 
-    def v_prime(self, x):
-        xa = np.asarray(x, dtype=float)
-        z = xa / self.w
-        out = self.v0 * np.exp(-z * z) * (-2.0 * xa / self.w ** 2)
-        return out if np.ndim(x) else float(out)
+    def _v_prime(self, x):
+        return self._v(x) * (-2.0 * x / self.w ** 2)
 
     def suggested_window(self):
         return (-20.0 * self.w, 20.0 * self.w)
@@ -163,12 +169,10 @@ class SquareBarrier(Potential):
         self.v0 = _check_positive("v0", v0)
         self.length = _check_positive("length", length)
 
-    def v(self, x):
-        inside = np.abs(np.asarray(x, dtype=float)) <= 0.5 * self.length
-        out = np.where(inside, self.v0, 0.0)
-        return out if np.ndim(x) else float(out)
+    def _v(self, x):
+        return np.where(np.abs(x) <= 0.5 * self.length, self.v0, 0.0)
 
-    def v_prime(self, x):
+    def _v_prime(self, x):
         raise NonSmoothError("square barrier has no derivative at its edges")
 
     def suggested_window(self):
@@ -235,32 +239,28 @@ class TabulatedPotential(Potential):
         self._per_unit = (x.size - 1) / (x[-1] - x[0])
 
     def _piece(self, x):
-        """Spline interval index i and offset t = x - x_samples[i].
+        """Spline interval index i and offset t = x - x_samples[i] of an array x.
 
-        i is searchsorted(x_samples[1:-1], x, side="right"). An array finds
-        it without a search for most points: on an evenly spaced table the
-        piece a uniform grid gives is off by at most one, so one step down
-        and one up against the knots settle it. Only the points still
-        outside their piece, as on unevenly spaced tables, are searched for.
+        i is searchsorted(x_samples[1:-1], x, side="right"), found without a
+        search for most points: on an evenly spaced table the piece a uniform
+        grid gives is off by at most one, so one step down and one up against
+        the knots settle it. Only the points still outside their piece, as on
+        unevenly spaced tables, are searched for.
         """
-        xa = np.asarray(x, dtype=float)
         lo, hi = self.x_samples[0], self.x_samples[-1]
-        if xa.min(initial=lo) < lo - self._tol or xa.max(initial=hi) > hi + self._tol:
+        if x.min(initial=lo) < lo - self._tol or x.max(initial=hi) > hi + self._tol:
             raise RangeError("x outside tabulated range [%g, %g]" % (lo, hi))
         interior = self.x_samples[1:-1]
-        if xa.ndim:
-            # fmax/fmin send a nan to a valid piece; its offset stays nan.
-            i = np.fmin(np.fmax((xa - lo) * self._per_unit, 0.0), interior.size).astype(np.intp)
-            i -= xa < self._lower[i]
-            i += xa >= self._upper[i]
-            off = (xa < self._lower[i]) | (xa >= self._upper[i])
-            if off.any():
-                i[off] = np.searchsorted(interior, xa[off], side="right")
-        else:
-            i = np.searchsorted(interior, xa, side="right")
-        return i, xa - self.x_samples[i]
+        # fmax/fmin send a nan to a valid piece; its offset stays nan.
+        i = np.fmin(np.fmax((x - lo) * self._per_unit, 0.0), interior.size).astype(np.intp)
+        i -= x < self._lower[i]
+        i += x >= self._upper[i]
+        off = (x < self._lower[i]) | (x >= self._upper[i])
+        if off.any():
+            i[off] = np.searchsorted(interior, x[off], side="right")
+        return i, x - self.x_samples[i]
 
-    def v(self, x):
+    def _v(self, x):
         i, t = self._piece(x)
         # v + t (b + t (c + t d)), built in place: one temporary per term
         out = self._d[i] * t
@@ -268,12 +268,11 @@ class TabulatedPotential(Potential):
             out += coef[i]
             out *= t
         out += self.v_samples[i]
-        return out if t.ndim else float(out)
+        return out
 
-    def v_prime(self, x):
+    def _v_prime(self, x):
         i, t = self._piece(x)
-        out = self._b[i] + t * (2.0 * self._c[i] + 3.0 * t * self._d[i])
-        return out if t.ndim else float(out)
+        return self._b[i] + t * (2.0 * self._c[i] + 3.0 * t * self._d[i])
 
     def suggested_window(self):
         return (float(self.x_samples[0]), float(self.x_samples[-1]))

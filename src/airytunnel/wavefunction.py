@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTurningPointError
-from .geometry import find_crossings
+from .geometry import _degenerate, find_crossings
 from .quadrature import integrate_endpoint_singular
 from .specfun import AI_ZERO, BI_ZERO, airy
 
@@ -62,10 +62,13 @@ class WavefunctionSample:
 def _basis_arrays(pot, energy, anchor, xs, crossings):
     """(psi_ai, psi_bi, ksq, airy_arg) arrays at the points xs, given every
     sign change of k2 between the anchor and the points (find_crossings)."""
+    alpha = -pot.v_prime(anchor)
+    if _degenerate(alpha, energy):
+        raise DegenerateTurningPointError("anchor %g is a degenerate turning point" % anchor)
     cuts = np.unique(np.concatenate((xs, [anchor], crossings)))
 
     def abs_k(x):
-        return np.sqrt(np.abs(np.asarray(pot.wavenumber_sq(energy, x), dtype=float)))
+        return np.sqrt(np.abs(pot.wavenumber_sq(energy, x)))
 
     # Grid segments are short, so 16 nodes usually settle them at once. A
     # spline knot inside a segment slows convergence enough that the 16-
@@ -80,23 +83,18 @@ def _basis_arrays(pot, energy, anchor, xs, crossings):
     action[:at] = np.cumsum(pieces[:at][::-1])[::-1]
     s_action = 1.5 * action[np.searchsorted(cuts, xs)]
 
-    ksq = np.asarray(pot.wavenumber_sq(energy, xs), dtype=float)
+    ksq = pot.wavenumber_sq(energy, xs)
     guard = s_action < ANCHOR_GUARD_S
     sign = np.sign(-ksq)
     far = (ksq == 0.0) & ~guard  # far turning points take the side of the stretch toward the anchor
     if far.any():
         mid = 0.5 * (xs[far] + anchor)
-        sign[far] = np.sign(-np.asarray(pot.wavenumber_sq(energy, mid), dtype=float))
+        sign[far] = np.sign(-pot.wavenumber_sq(energy, mid))
     arg = np.where(guard, 0.0, sign * s_action ** (2.0 / 3.0))
     pair = airy(arg)
     ai, bi = pair.ai, pair.bi
     amp = np.empty(xs.size)
     if guard.any():
-        alpha = -float(pot.v_prime(anchor))
-        if abs(alpha) < 1e-10 * max(1.0, abs(energy)):
-            raise DegenerateTurningPointError(
-                "anchor %g is a degenerate turning point" % anchor
-            )
         amp[guard] = abs(alpha) ** (-1.0 / 6.0)
         ai[guard], bi[guard] = AI_ZERO, BI_ZERO
     # A far turning point (k2 = 0 with finite action) gets an infinite

@@ -148,6 +148,20 @@ def test_bad_argument_exit_codes(capsys):
     assert "airy argument -15.2" in err
 
 
+def test_negative_numbers_in_exponent_form(capsys):
+    # %.12g prints exponents, so a printed turning point pasted back as
+    # --xmin may read -1e1; it is the same number as -10.
+    sech2 = ("report", "--potential", "sech2", "--v0", "1", "--w", "1")
+    code, out, err = run_cli(capsys, *sech2, "--energy", "0.5", "--xmin", "-1e1", "--xmax", "1e1")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(
+        capsys, *sech2, "--energy", "0.5", "--xmin", "-10", "--xmax", "10"
+    )
+    code, out, err = run_cli(capsys, *sech2, "--energy", "-1e-3")
+    assert (code, out) == (2, "")
+    assert err == "error: energy must be positive and finite, got -0.001\n"
+
+
 def test_oracle_failure_exit_code(capsys):
     # the parabolic barrier has no zero asymptote anywhere
     code, _, err = run_cli(

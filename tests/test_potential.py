@@ -85,12 +85,32 @@ def test_derivative_matches_finite_difference():
 
 
 def test_vectorized_evaluation_matches_scalar():
-    pot = Sech2Barrier(1.0, 1.0)
-    xs = np.linspace(-5, 5, 11)
-    vec = pot.v(xs)
-    assert vec.shape == xs.shape
-    for x, v in zip(xs, vec):
-        assert pot.v(float(x)) == v
+    # A scalar runs as an array of size one, so every scalar input type gets
+    # the bits of its array entry: at x = -8.18, Sech2Barrier(1, 1) differs in
+    # the last bit between numpy's scalar pow and its array square.
+    even = np.linspace(-9.0, 9.0, 1201)
+    graded = 9.0 * np.linspace(-1.0, 1.0, 300) ** 3
+    pots = [
+        ParabolicBarrier(1.3),
+        Sech2Barrier(1.0, 1.0),
+        GaussianBarrier(2.0, 1.5),
+        SquareBarrier(1.0, 2.0),
+        TabulatedPotential(even, np.exp(-even * even / 4.0)),
+        TabulatedPotential(graded, 1.0 / np.cosh(graded) ** 2),
+    ]
+    xs = np.concatenate(([-8.18, -1.0, 0.0, 3.0], np.random.default_rng(3).uniform(-9, 9, 400)))
+    for pot in pots:
+        methods = [pot.v, pot.v_prime] if pot.smooth else [pot.v]
+        for method in methods:
+            vec = method(xs)
+            assert vec.shape == xs.shape
+            assert method(xs.reshape(2, -1)).shape == (2, xs.size // 2)
+            assert method(np.empty((0, 3))).shape == (0, 3)
+            assert method(3) == method(3.0) == method(np.array([3.0]))[0]
+            for x, want in zip(xs.tolist(), vec.tolist()):
+                for scalar in (x, np.float64(x), np.array(x)):
+                    got = method(scalar)
+                    assert type(got) is float and got.hex() == want.hex(), (pot, x)
 
 
 def test_parameter_validation():
@@ -180,7 +200,9 @@ def test_spline_piece_equals_searchsorted(n, lo, span, spacing, seed):
     want = np.searchsorted(x[1:-1], pts, side="right")
     assert np.array_equal(i, want)
     assert np.array_equal(t, pts - x[want])
-    assert [int(pot._piece(p)[0]) for p in pts[::7].tolist()] == want[::7].tolist()
+    # A scalar takes the same pieces, so it gets the bits of its array entry.
+    for method in (pot.v, pot.v_prime):
+        assert [method(p) for p in pts[::7].tolist()] == method(pts)[::7].tolist()
 
 
 def test_even_table_pieces_need_no_search(monkeypatch):

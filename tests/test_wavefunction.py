@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airytunnel import (
+    DegenerateTurningPointError,
     DomainError,
     GaussianBarrier,
     ParabolicBarrier,
@@ -36,6 +37,17 @@ def test_anchor_limit_value_parabolic():
     assert ai_part == pytest.approx(0.33510186034608274, rel=1e-9)
     assert ai_part == pytest.approx(amp * AI_ZERO, rel=1e-12)
     assert bi_part == pytest.approx(amp * BI_ZERO, rel=1e-12)
+
+
+def test_degenerate_anchor_is_rejected_wherever_the_points_lie():
+    # At the top of Sech2Barrier(1, 1) the slope of k2 is 0, so no uniform
+    # basis is anchored there, whether or not a point falls on the anchor.
+    pot = Sech2Barrier(1.0, 1.0)
+    for x in (0.0, 1e-9, 0.3, -2.0):
+        with pytest.raises(DegenerateTurningPointError):
+            psi_basis(pot, 1.0, 0.0, x)
+    with pytest.raises(DegenerateTurningPointError):
+        sample_grid(pot, 1.0, (-2.0, 2.0), 4, 1.0, 0.0, 0.0)
 
 
 def test_continuity_at_the_anchor():

@@ -155,17 +155,6 @@ def _build_potential(args):
     return make_potential(family, **params)
 
 
-def _window(args, pot):
-    lo, hi = pot.suggested_window()
-    if args.xmin is not None:
-        lo = args.xmin
-    if args.xmax is not None:
-        hi = args.xmax
-    if not lo < hi:
-        raise ValueError("window must satisfy xmin < xmax, got (%g, %g)" % (lo, hi))
-    return lo, hi
-
-
 def _csv(header, columns):
     """CSV lines: the header, then one row per entry of the equal-length
     columns, every number to 12 significant digits, formatted in one go."""
@@ -189,7 +178,7 @@ def _report_csv(reports, with_oracle):
 
 def _run_report(args):
     pot = _build_potential(args)
-    window = _window(args, pot)
+    window = pot.window((args.xmin, args.xmax))
     rep = rate_report(
         pot, args.energy, window,
         with_oracle=args.oracle, oracle_slices=args.oracle_slices,
@@ -203,7 +192,7 @@ def _run_sweep(args):
     if not args.emin < args.emax:
         raise ValueError("sweep needs --emin < --emax")
     pot = _build_potential(args)
-    window = _window(args, pot)
+    window = pot.window((args.xmin, args.xmax))
     # One batched pass over the energy grid; rows come in increasing E.
     reports = rate_reports(
         pot, np.linspace(args.emin, args.emax, args.n), window,
@@ -214,10 +203,10 @@ def _run_sweep(args):
 
 def _run_wavefunction(args):
     pot = _build_potential(args)
-    window = _window(args, pot)
+    window = pot.window((args.xmin, args.xmax))
     a, b = find_turning_points(pot, args.energy, window)
     anchor = a if args.anchor == "left" else b
-    xs = _grid(window, args.n)
+    xs = _grid(pot, window, args.n)
     # The scan above already found every crossing in the window: (a, b).
     psi_ai, psi_bi, ksq, arg = _basis_arrays(pot, args.energy, anchor, xs, (a, b))
     return _csv("x,ksq,airy_arg,psi_ai,psi_bi", (xs, ksq, arg, psi_ai, psi_bi))

@@ -4,6 +4,8 @@ Every failure mode that callers are expected to handle gets its own class so
 the CLI can map them onto distinct exit codes.
 """
 
+import math
+
 
 class TunnelError(Exception):
     """Base class for all package-specific errors."""
@@ -23,6 +25,14 @@ class FormatError(TunnelError):
 
 class DomainError(TunnelError):
     """Argument outside the mathematical domain of an operation."""
+
+
+def energy_error(energy):
+    """The DomainError of an energy that is not positive and finite, else None."""
+    energy = float(energy)
+    if energy > 0.0 and math.isfinite(energy):
+        return None
+    return DomainError("energy must be positive and finite, got %r" % energy)
 
 
 class NoBarrierError(TunnelError):

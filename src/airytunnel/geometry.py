@@ -25,7 +25,6 @@ quadrature call each. Each energy takes the same arithmetic steps as it
 would alone. An energy that fails a stage takes no part in later ones.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,7 @@ from .errors import (
     NoBarrierError,
     NonSmoothError,
     TunnelError,
+    energy_error,
 )
 from .quadrature import integrate_endpoint_singular
 
@@ -195,19 +195,11 @@ def _turning_points(pot, energies, window, n_scan, out):
     on the scan) is raised, unless every energy has already failed.
     """
     at = np.arange(energies.size)
-    errors = {
-        j: DomainError("energy must be positive and finite, got %r" % e)
-        for j, e in enumerate(energies.tolist())
-        if e <= 0.0 or not math.isfinite(e)
-    }
-    at = at[_settle(out, at, errors)]
+    errors = enumerate(map(energy_error, energies.tolist()))
+    at = at[_settle(out, at, {j: exc for j, exc in errors if exc is not None})]
     if not at.size:
         return at, energies[at], energies[at]
-    if window is None:
-        window = pot.suggested_window()
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError("window must satisfy xmin < xmax, got (%g, %g)" % (lo, hi))
+    lo, hi = pot.window(window)
     if int(n_scan) < 3:
         raise ValueError("n_scan must be >= 3 to bracket two turning points, got %d" % n_scan)
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymptoteMismatchError, DomainError, TunnelError
+from .errors import AsymptoteMismatchError, DomainError, TunnelError, energy_error
 
 #: Both domain endpoints must be within this of V = 0.
 ASYMPTOTE_TOLERANCE = 1e-9
@@ -202,9 +202,7 @@ def _passes(pot, energies, domain, slices, out):
     slices = int(slices)
     if slices < 100:
         raise ValueError("at least 100 slices required, got %d" % slices)
-    x_left, x_right = float(domain[0]), float(domain[1])
-    if not x_left < x_right:
-        raise ValueError("domain must satisfy xmin < xmax")
+    x_left, x_right = pot.window(domain)
     v_l = pot.v(x_left)
     v_r = pot.v(x_right)
     if abs(v_l) > ASYMPTOTE_TOLERANCE or abs(v_r) > ASYMPTOTE_TOLERANCE:
@@ -250,11 +248,7 @@ def exact_transmissions(pot, energies, domain, slices=4000):
     is the error of every energy that had not failed before it.
     """
     energies = np.array(energies, dtype=float).reshape(-1)
-    out = [
-        None if e > 0.0 and math.isfinite(e)
-        else DomainError("oracle requires E > 0, got %r" % e)
-        for e in energies.tolist()
-    ]
+    out = [energy_error(e) for e in energies.tolist()]
     if None in out:
         try:
             _passes(pot, energies, domain, slices, out)

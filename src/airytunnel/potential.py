@@ -81,6 +81,22 @@ class Potential(ABC):
     def suggested_window(self):
         """Default (xmin, xmax) bracketing the barrier for this potential."""
 
+    def window(self, window=None):
+        """The x-window (lo, hi) as floats, judged once for every entry point.
+
+        None, or an end given as None, takes suggested_window() there.
+        Raises ValueError unless both ends are finite and lo < hi.
+        """
+        lo, hi = (None, None) if window is None else window
+        default_lo, default_hi = self.suggested_window()
+        lo = float(default_lo if lo is None else lo)
+        hi = float(default_hi if hi is None else hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("window must be finite, got (%g, %g)" % (lo, hi))
+        if not lo < hi:
+            raise ValueError("window must satisfy xmin < xmax, got (%g, %g)" % (lo, hi))
+        return lo, hi
+
 
 class ParabolicBarrier(Potential):
     """Inverted parabola V(x) = V0 - x**2.
@@ -289,21 +305,24 @@ def load_tabulated(source):
     """Parse a two-column potential file into a TabulatedPotential.
 
     ``source`` may be a path, a text or byte string, or a file-like
-    object. Format: one ``x V`` pair per line, separated by whitespace or
-    commas; lines starting with ``#`` and blank lines are ignored; x must
-    be strictly increasing, at least 4 rows.
+    object; bytes must be UTF-8 text. Format: one ``x V`` pair per line,
+    separated by whitespace or commas; lines starting with ``#`` and blank
+    lines are ignored; x must be strictly increasing, at least 4 rows.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text()
-    elif isinstance(source, str):
-        text = source
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        raise FormatError("unsupported tabulated-potential source %r" % type(source))
+    try:
+        if isinstance(source, (str, Path)) and "\n" not in str(source):
+            text = Path(source).read_text(encoding="utf-8")
+        elif isinstance(source, str):
+            text = source
+        elif isinstance(source, bytes):
+            text = source.decode("utf-8")
+        elif isinstance(source, io.IOBase) or hasattr(source, "read"):
+            data = source.read()
+            text = data.decode("utf-8") if isinstance(data, bytes) else data
+        else:
+            raise FormatError("unsupported tabulated-potential source %r" % type(source))
+    except UnicodeDecodeError as exc:
+        raise FormatError("potential data is not UTF-8 text: %s" % exc) from None
 
     return TabulatedPotential(*_two_columns(text))
 

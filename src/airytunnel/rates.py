@@ -95,8 +95,6 @@ def rate_reports(pot, energies, window=None, with_oracle=False, oracle_slices=40
     Fails as a loop of single-energy reports would: with the error of the
     lowest energy whose geometry or oracle fails.
     """
-    if window is None:
-        window = pot.suggested_window()
     results = analyze_barriers(pot, energies, window)
     failed = next((i for i, r in enumerate(results) if isinstance(r, Exception)), None)
     geoms = results[:failed]

@@ -96,15 +96,26 @@ def _taylor_derivs(x0, y, yp, order):
 
 
 def _taylor_sum(d, h):
-    """(y, y') at x0 + h from d = [y(x0), y'(x0), ...], elementwise for arrays."""
-    sy = 0.0
-    syp = 0.0
-    hk = 1.0  # h^n / n!
-    for n in range(len(d) - 1):
-        sy += d[n] * hk
-        syp += d[n + 1] * hk
-        hk *= h / (n + 1)
-    return sy, syp
+    """(y, y') at x0 + h from d = [y(x0), y'(x0), ...], elementwise for arrays.
+
+    h^n / n! for n = 0 .. len(d) - 2 is one running product of
+    [1, h/1, h/2, ...]. The y and y' terms stand side by side in a new
+    C-ordered axis, so each sum is one reduction over the leading term
+    axis that adds the terms in order n = 0, 1, ...; numpy would sum a
+    lone 1D term axis pairwise, which rounds differently.
+    """
+    d = np.asarray(d)
+    h = np.asarray(h)
+    n = len(d) - 1
+    hk = np.empty((n,) + (1,) * (d.ndim - h.ndim) + h.shape)
+    hk[0] = 1.0
+    np.divide(h, np.arange(1.0, n).reshape((-1,) + (1,) * (hk.ndim - 1)), out=hk[1:])
+    np.multiply.accumulate(hk, axis=0, out=hk)
+    terms = np.empty((n, 2) + d.shape[1:])
+    terms[:, 0] = d[:-1]
+    terms[:, 1] = d[1:]
+    terms *= hk
+    return np.add.reduce(terms, axis=0)
 
 
 def _asymptotic_sums(zeta, max_terms=60):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTurningPointError
+from .errors import DegenerateTurningPointError, energy_error
 from .geometry import _degenerate, find_crossings
 from .quadrature import integrate_endpoint_singular
 from .specfun import AI_ZERO, BI_ZERO, airy
@@ -62,6 +62,9 @@ class WavefunctionSample:
 def _basis_arrays(pot, energy, anchor, xs, crossings):
     """(psi_ai, psi_bi, ksq, airy_arg) arrays at the points xs, given every
     sign change of k2 between the anchor and the points (find_crossings)."""
+    exc = energy_error(energy)
+    if exc is not None:
+        raise exc
     alpha = -pot.v_prime(anchor)
     if _degenerate(alpha, energy):
         raise DegenerateTurningPointError("anchor %g is a degenerate turning point" % anchor)
@@ -125,15 +128,12 @@ def superpose(c_plus, c_minus, basis):
     return psi
 
 
-def _grid(window, n_points):
-    """The uniform grid of n_points >= 2 points over the window."""
+def _grid(pot, window, n_points):
+    """The uniform grid of n_points >= 2 points over pot.window(window)."""
     n_points = int(n_points)
     if n_points < 2:
         raise ValueError("n_points must be >= 2, got %d" % n_points)
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError("window must satisfy xmin < xmax")
-    return np.linspace(lo, hi, n_points)
+    return np.linspace(*pot.window(window), n_points)
 
 
 def sample_grid(pot, energy, window, n_points, c_plus, c_minus, anchor):
@@ -141,7 +141,7 @@ def sample_grid(pot, energy, window, n_points, c_plus, c_minus, anchor):
 
     Returns one WavefunctionSample per node; needs n_points >= 2.
     """
-    xs = _grid(window, n_points)
+    xs = _grid(pot, window, n_points)
     anchor = float(anchor)
     crossings = find_crossings(pot, energy, min(xs[0], anchor), max(xs[-1], anchor))
     psi_ai, psi_bi, ksq, arg = _basis_arrays(pot, energy, anchor, xs, crossings)

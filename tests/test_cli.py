@@ -101,6 +101,12 @@ def test_file_errors_exit_code(capsys, tmp_path):
         capsys, "report", "--potential-file", str(tmp_path / "missing.dat"), "--energy", "0.5",
     )
     assert code == 5
+    # bytes that are not UTF-8 make a malformed file, not a bad argument
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"\xff\xfe0 1\n1 2\n2 3\n3 4\n")
+    code, out, err = run_cli(capsys, "report", "--potential-file", str(binary), "--energy", "0.5")
+    assert (code, out) == (5, "")
+    assert err.startswith("error: potential data is not UTF-8 text") and len(err.splitlines()) == 1
 
 
 def test_bad_argument_exit_codes(capsys):
@@ -327,9 +333,12 @@ def test_unwritable_output_is_a_file_error(capsys, tmp_path, where):
 
 
 def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency: the CLI loads nothing else
+    # outside the standard library, scipy included.
     code = (
-        "import sys, airytunnel.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "import sys; before = set(sys.modules); import airytunnel.cli; "
+        "allowed = set(sys.stdlib_module_names) | {'numpy', 'airytunnel'}; "
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] not in allowed))"
     )
     src = os.path.dirname(os.path.dirname(airytunnel.__file__))
     out = subprocess.run(

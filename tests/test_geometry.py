@@ -2,9 +2,9 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from airytunnel import (
     DegenerateTurningPointError,
@@ -115,14 +115,11 @@ def test_action_sech2_closed_form_and_quad_oracle():
     pot = Sech2Barrier(1.0, 1.0)
     theta = action_integral(pot, 0.5, -ACOSH_SQRT2, ACOSH_SQRT2)
     assert theta == pytest.approx(math.pi * (1.0 - math.sqrt(0.5)), abs=1e-8)
-    ref, _ = quad(
-        lambda x: math.sqrt(max(1.0 / math.cosh(x) ** 2 - 0.5, 0.0)),
-        -ACOSH_SQRT2,
-        ACOSH_SQRT2,
-        epsabs=1e-13,
-        limit=200,
-    )
-    assert theta == pytest.approx(ref, rel=1e-9)
+    with mpmath.workdps(15):
+        ref = mpmath.quad(
+            lambda x: mpmath.sqrt(max(mpmath.sech(x) ** 2 - 0.5, 0)), [-ACOSH_SQRT2, ACOSH_SQRT2]
+        )
+    assert theta == pytest.approx(float(ref), rel=1e-9)
 
 
 def test_action_rejects_allowed_region_inside():
@@ -154,16 +151,16 @@ def test_midpoint_balances_tilted_barrier(tilted_barrier):
     right = action_integral(tilted_barrier, 0.5, c, b)
     theta = left + right
     assert abs(left - right) <= 1e-10 * theta
-    # independent check of each half
+    # independent check of each half, one tanh-sinh rule per spline piece;
+    # V is a double, so double precision is all the rule can use
+    knots = tilted_barrier.x_samples.tolist()
     for lo, hi, mine in ((a, c, left), (c, b, right)):
-        ref, _ = quad(
-            lambda x: math.sqrt(max(float(tilted_barrier.v(x)) - 0.5, 0.0)),
-            lo,
-            hi,
-            epsabs=1e-13,
-            limit=200,
-        )
-        assert mine == pytest.approx(ref, abs=1e-10)
+        with mpmath.workdps(15):
+            ref = mpmath.quad(
+                lambda x: math.sqrt(max(tilted_barrier.v(float(x)) - 0.5, 0.0)),
+                [lo] + [k for k in knots if lo < k < hi] + [hi],
+            )
+        assert mine == pytest.approx(float(ref), abs=1e-10)
 
 
 def test_alpha_limits_parabolic():

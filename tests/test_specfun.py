@@ -9,9 +9,12 @@ import pytest
 from airytunnel import AiryOverflowError, DomainError, airy, log_bi_over_ai
 from airytunnel.specfun import (
     SERIES_ASYMPTOTIC_SWITCH,
+    _DERIVS,
     _airy_asymptotic,
     _airy_grid,
     _asymptotic_sums,
+    _taylor_derivs,
+    _taylor_sum,
 )
 
 # Independent oracle constants, written out rather than imported.
@@ -272,3 +275,31 @@ def test_asymptotic_sums_stop_early_without_changing_a_bit():
     u = np.concatenate((np.linspace(SERIES_ASYMPTOTIC_SWITCH, 40.0, 8001), np.geomspace(40.0, 5000.0, 8001)))
     for zeta in ((2.0 / 3.0) * u ** 1.5).tolist():
         assert _asymptotic_sums(zeta) == reference_asymptotic_sums(zeta)
+
+
+def reference_taylor_sum(d, h):
+    """The Taylor step as a loop over its terms, kept as the reference of _taylor_sum."""
+    sy = 0.0
+    syp = 0.0
+    hk = 1.0  # h^n / n!
+    for n in range(len(d) - 1):
+        sy += d[n] * hk
+        syp += d[n + 1] * hk
+        hk *= h / (n + 1)
+    return sy, syp
+
+
+@pytest.mark.parametrize("size", [1, 32, 401])
+def test_taylor_sum_equals_term_loop_bit_for_bit(size):
+    # Query steps: any node, any offset within half a grid step.
+    rng = np.random.default_rng(size)
+    idx = rng.integers(0, _DERIVS.shape[2], size)
+    h = rng.uniform(-0.125, 0.125, size)
+    got = _taylor_sum(_DERIVS[:, :, idx], h)
+    want = reference_taylor_sum(_DERIVS[:, :, idx], h)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # Seed-table steps: a 1D list of 32 derivatives and a full grid step.
+    for x0, y, yp in zip(rng.uniform(-12.0, 12.0, size), rng.normal(size=size), rng.normal(size=size)):
+        d = _taylor_derivs(x0, y, yp, 30)
+        assert tuple(_taylor_sum(d, 0.25)) == reference_taylor_sum(d, 0.25)
+        assert tuple(_taylor_sum(d, -0.25)) == reference_taylor_sum(d, -0.25)

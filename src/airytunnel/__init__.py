@@ -50,7 +50,7 @@ from .potential import (
 from .rates import RateReport, rate_report, rate_reports, t_asymptotic, t_uniform, t_wkb
 from .specfun import AiryPair, airy, log_bi_over_ai
 from .wavefunction import (
-    WavefunctionSample,
+    WavefunctionGrid,
     ode_residual,
     psi_basis,
     sample_grid,
@@ -80,7 +80,7 @@ __all__ = [
     "SquareBarrier",
     "TabulatedPotential",
     "TunnelError",
-    "WavefunctionSample",
+    "WavefunctionGrid",
     "action_integral",
     "airy",
     "alpha_limit",

@@ -85,7 +85,8 @@ class Potential(ABC):
         """The x-window (lo, hi) as floats, judged once for every entry point.
 
         None, or an end given as None, takes suggested_window() there.
-        Raises ValueError unless both ends are finite and lo < hi.
+        Raises ValueError unless both ends and the width hi - lo are
+        finite and lo < hi.
         """
         lo, hi = (None, None) if window is None else window
         default_lo, default_hi = self.suggested_window()
@@ -95,6 +96,8 @@ class Potential(ABC):
             raise ValueError("window must be finite, got (%g, %g)" % (lo, hi))
         if not lo < hi:
             raise ValueError("window must satisfy xmin < xmax, got (%g, %g)" % (lo, hi))
+        if not math.isfinite(hi - lo):
+            raise ValueError("window must have a finite width, got (%g, %g)" % (lo, hi))
         return lo, hi
 
 

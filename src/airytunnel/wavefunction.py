@@ -13,8 +13,8 @@ argument (negative where k2 > 0, positive where k2 < 0, zero at the
 anchor). At a far turning point, where k2 = 0 but S is finite, the sign
 is that of -k2 halfway between it and the anchor.
 
-The basis is built for a whole array of points at once; psi_basis is the
-one-point case. The points, the anchor and every sign change of k2
+The basis is built for a whole array of points at once, a scalar as an
+array of size one. The points, the anchor and every sign change of k2
 between them are the breakpoints, so k2 keeps one sign on each segment
 between neighbours and the quadrature's endpoint map absorbs its
 square-root zeros. One batched quadrature call integrates |k| over all
@@ -34,11 +34,12 @@ reach so deep into the allowed region that S**(2/3) exceeds 10 raise
 DomainError naming the most negative argument.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTurningPointError, energy_error
+from .errors import DegenerateTurningPointError, DomainError, energy_error
 from .geometry import _degenerate, find_crossings
 from .quadrature import integrate_endpoint_singular
 from .specfun import AI_ZERO, BI_ZERO, airy
@@ -47,16 +48,16 @@ from .specfun import AI_ZERO, BI_ZERO, airy
 ANCHOR_GUARD_S = 1e-8
 
 
-@dataclass(frozen=True)
-class WavefunctionSample:
-    """One grid sample: superposed psi plus the basis pair it came from."""
+@dataclass(frozen=True, eq=False)
+class WavefunctionGrid:
+    """Superposed psi (complex) plus the basis pair it came from, arrays over x."""
 
-    x: float
-    psi: complex
-    ksq: float
-    airy_arg: float
-    psi_ai: float
-    psi_bi: float
+    x: np.ndarray
+    psi: np.ndarray
+    ksq: np.ndarray
+    airy_arg: np.ndarray
+    psi_ai: np.ndarray
+    psi_bi: np.ndarray
 
 
 def _basis_arrays(pot, energy, anchor, xs, crossings):
@@ -107,12 +108,28 @@ def _basis_arrays(pot, energy, anchor, xs, crossings):
     return amp * ai, amp * bi, ksq, arg
 
 
+def _scanned_basis(pot, energy, anchor, x):
+    """_basis_arrays at x (a scalar or 1D) after one crossing scan; a
+    DomainError names an anchor or point that is not finite before it."""
+    anchor, xs = float(anchor), np.array(x, dtype=float, ndmin=1)
+    if xs.ndim > 1:
+        raise ValueError("x must be a scalar or 1D, got shape %s" % (xs.shape,))
+    if not math.isfinite(anchor):
+        raise DomainError("anchor must be finite, got %r" % anchor)
+    finite = np.isfinite(xs)
+    if not finite.all():
+        raise DomainError("x must be finite, got %r" % float(xs[~finite][0]))
+    ends = np.append(xs, anchor)
+    return _basis_arrays(pot, energy, anchor, xs, find_crossings(pot, energy, ends.min(), ends.max()))
+
+
 def psi_basis(pot, energy, anchor, x):
-    """The (Ai-based, Bi-based) uniform basis pair at x, anchored at a turning point."""
-    anchor, x = float(anchor), float(x)
-    crossings = find_crossings(pot, energy, min(x, anchor), max(x, anchor))
-    ai_part, bi_part, _, _ = _basis_arrays(pot, energy, anchor, np.array([x]), crossings)
-    return float(ai_part[0]), float(bi_part[0])
+    """The (Ai-based, Bi-based) uniform basis pair at x, anchored at a turning
+    point: two floats at a scalar x, two arrays at a 1D x from one scan."""
+    ai_part, bi_part, _, _ = _scanned_basis(pot, energy, anchor, x)
+    if np.ndim(x) == 0:
+        return float(ai_part[0]), float(bi_part[0])
+    return ai_part, bi_part
 
 
 def superpose(c_plus, c_minus, basis):
@@ -139,35 +156,26 @@ def _grid(pot, window, n_points):
 def sample_grid(pot, energy, window, n_points, c_plus, c_minus, anchor):
     """Evaluate the superposed wavefunction on a uniform grid.
 
-    Returns one WavefunctionSample per node; needs n_points >= 2.
+    Returns one WavefunctionGrid; needs n_points >= 2.
     """
     xs = _grid(pot, window, n_points)
-    anchor = float(anchor)
-    crossings = find_crossings(pot, energy, min(xs[0], anchor), max(xs[-1], anchor))
-    psi_ai, psi_bi, ksq, arg = _basis_arrays(pot, energy, anchor, xs, crossings)
-    psi = np.broadcast_to(superpose(c_plus, c_minus, (psi_ai, psi_bi)), xs.shape)
-    return [
-        WavefunctionSample(x=x, psi=complex(p), ksq=k, airy_arg=u, psi_ai=fa, psi_bi=fb)
-        for x, p, k, u, fa, fb in zip(
-            xs.tolist(), psi.tolist(), ksq.tolist(), arg.tolist(), psi_ai.tolist(), psi_bi.tolist()
-        )
-    ]
+    psi_ai, psi_bi, ksq, arg = _scanned_basis(pot, energy, anchor, xs)
+    psi = np.broadcast_to(superpose(c_plus, c_minus, (psi_ai, psi_bi)), xs.shape).astype(complex)
+    return WavefunctionGrid(x=xs, psi=psi, ksq=ksq, airy_arg=arg, psi_ai=psi_ai, psi_bi=psi_bi)
 
 
-def ode_residual(samples, floor_fraction=0.01):
-    """Worst normalized defect |psi'' + k2 psi| over the interior samples.
+def ode_residual(grid):
+    """Worst normalized defect |psi'' + k2 psi| over the interior of a grid.
 
     psi'' is a central difference, so the grid must be uniform (to 1e-9
-    relative) and contain at least 5 samples. Each defect is normalized by
-    max(|k2 psi|, floor), where the floor is ``floor_fraction`` of the
-    grid-wide maximum of |k2 psi|; that keeps oscillation nodes from
-    dominating the statistic. Meaningful away from turning points.
+    relative) and contain at least 5 points. Each defect is normalized by
+    max(|k2 psi|, floor), where the floor is 1% of the grid-wide maximum
+    of |k2 psi|; that keeps oscillation nodes from dominating the
+    statistic. Meaningful away from turning points.
     """
-    if len(samples) < 5:
-        raise ValueError("need at least 5 samples, got %d" % len(samples))
-    xs = np.array([s.x for s in samples])
-    psi = np.array([s.psi for s in samples], dtype=complex)
-    ksq = np.array([s.ksq for s in samples])
+    xs, psi, ksq = grid.x, grid.psi, grid.ksq
+    if xs.size < 5:
+        raise ValueError("need at least 5 samples, got %d" % xs.size)
     dx = np.diff(xs)
     h = dx[0]
     if h <= 0.0 or np.any(np.abs(dx - h) > 1e-9 * abs(h)):
@@ -176,6 +184,6 @@ def ode_residual(samples, floor_fraction=0.01):
     d2 = (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (h * h)
     defect = np.abs(d2 + ksq[1:-1] * psi[1:-1])
     signal = np.abs(ksq * psi)
-    floor = floor_fraction * signal.max() + 1e-300
+    floor = 0.01 * signal.max() + 1e-300
     denom = np.maximum(signal[1:-1], floor)
     return float((defect / denom).max())

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -49,3 +50,19 @@ def tilted_barrier():
 @pytest.fixture
 def double_hump_barrier():
     return TabulatedPotential(*double_hump_samples())
+
+
+@pytest.fixture(autouse=True)
+def mpmath_precision_is_restored():
+    """Fail a test that leaves mpmath's global precision changed.
+
+    A test that sets mpmath.mp.dps for its own reference values would
+    otherwise slow every later mpmath call in the run; mpmath.workdps(n)
+    scopes the precision to one block.
+    """
+    dps = mpmath.mp.dps
+    yield
+    if mpmath.mp.dps != dps:
+        left = mpmath.mp.dps
+        mpmath.mp.dps = dps
+        pytest.fail("the test left mpmath.mp.dps at %d, not %d" % (left, dps))

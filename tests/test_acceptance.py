@@ -159,13 +159,13 @@ def test_criterion_6_oracle_calibration_flux_and_convergence():
 def test_criterion_7_desk_scale_comparison_table():
     rep = rate_report(ParabolicBarrier(1.0), 0.5)
 
-    mpmath.mp.dps = 30
     theta_ref = math.pi / 4.0
-    wkb_ref = float(mpmath.e ** (-2 * mpmath.mpf(theta_ref)))
+    with mpmath.workdps(30):
+        wkb_ref = float(mpmath.e ** (-2 * mpmath.mpf(theta_ref)))
+        u_ref = mpmath.mpf(3) / 4 * theta_ref
+        u_ref = u_ref ** (mpmath.mpf(2) / 3)
+        uni_ref = float(3 * (mpmath.airyai(u_ref) / mpmath.airybi(u_ref)) ** 2)
     asym_ref = 0.75 * wkb_ref
-    u_ref = mpmath.mpf(3) / 4 * theta_ref
-    u_ref = u_ref ** (mpmath.mpf(2) / 3)
-    uni_ref = float(3 * (mpmath.airyai(u_ref) / mpmath.airybi(u_ref)) ** 2)
 
     assert wkb_ref == pytest.approx(0.207880, abs=1e-6)
     assert asym_ref == pytest.approx(0.155910, abs=1e-6)

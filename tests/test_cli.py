@@ -238,9 +238,9 @@ def test_wavefunction_rows_equal_sample_grid_records(capsys, family, params, ene
     assert code == 0
     pot = airytunnel.make_potential(family, **params)
     a, b = airytunnel.find_turning_points(pot, energy, window)
-    samples = airytunnel.sample_grid(pot, energy, window, n, 1.0, 0.0, a if side == "left" else b)
-    rows = ["%.12g,%.12g,%.12g,%.12g,%.12g" % (s.x, s.ksq, s.airy_arg, s.psi_ai, s.psi_bi)
-            for s in samples]
+    grid = airytunnel.sample_grid(pot, energy, window, n, 1.0, 0.0, a if side == "left" else b)
+    rows = ["%.12g,%.12g,%.12g,%.12g,%.12g" % row
+            for row in zip(grid.x, grid.ksq, grid.airy_arg, grid.psi_ai, grid.psi_bi)]
     assert out == "\n".join(["x,ksq,airy_arg,psi_ai,psi_bi"] + rows) + "\n"
     if family == "parabolic":  # the far turning point keeps |airy_arg| = (3 pi/16)**(2/3)
         assert "\n-0.5,0,0.7026959166,inf,inf\n" in out

@@ -28,6 +28,7 @@ BAD_WINDOWS = [
     ((-INF, 20.0), "window must be finite, got (-inf, 20)"),
     ((NAN, 20.0), "window must be finite, got (nan, 20)"),
     ((3.0, -3.0), "window must satisfy xmin < xmax, got (3, -3)"),
+    ((-1e308, 1e308), "window must have a finite width, got (-1e+308, 1e+308)"),
 ]
 
 
@@ -81,6 +82,25 @@ def test_wavefunctions_reject_an_energy_outside_the_domain(energy):
             psi_basis(pot, energy, -math.sqrt(0.5), 0.2)
 
 
+@pytest.mark.parametrize("bad", [INF, -INF, NAN])
+def test_wavefunctions_reject_a_point_or_anchor_that_is_not_finite(bad):
+    # judged before the crossing scan, so numpy never sees the value
+    pot = ParabolicBarrier(1.0)
+    a = -math.sqrt(0.5)
+    point = "^x must be finite, got %r$" % bad
+    anchor = "^anchor must be finite, got %r$" % bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (bad, [0.2, bad, -0.3]):
+            with pytest.raises(DomainError, match=point):
+                psi_basis(pot, 0.5, a, x)
+        for x in (0.2, [0.2, -0.3]):
+            with pytest.raises(DomainError, match=anchor):
+                psi_basis(pot, 0.5, bad, x)
+        with pytest.raises(DomainError, match=anchor):
+            sample_grid(pot, 0.5, (-1.0, 1.0), 41, 1.0, 0.0, bad)
+
+
 @pytest.mark.parametrize("command", [
     ("report", "--energy", "0.5", "--oracle"),
     ("sweep", "--emin", "0.2", "--emax", "0.8", "--n", "4"),
@@ -89,6 +109,8 @@ def test_wavefunctions_reject_an_energy_outside_the_domain(energy):
 @pytest.mark.parametrize("override, message", [
     (("--xmax", "inf"), "error: window must be finite, got (-20, inf)\n"),
     (("--xmin=-inf",), "error: window must be finite, got (-inf, 20)\n"),
+    (("--xmin=-1e308", "--xmax", "1e308"),
+     "error: window must have a finite width, got (-1e+308, 1e+308)\n"),
 ])
 def test_cli_rejects_an_infinite_window_end(capsys, command, override, message):
     code = main([*command, "--potential", "sech2", "--v0", "1", "--w", "1", *override])

@@ -131,9 +131,9 @@ def test_report_parabolic_against_recomputed_values():
     assert rep.t_wkb == pytest.approx(math.exp(-math.pi / 2.0), rel=1e-3)
     assert rep.t_asymptotic == pytest.approx(0.75 * math.exp(-math.pi / 2.0), rel=1e-3)
     # independent recomputation of the uniform rate from high-precision Airy
-    mpmath.mp.dps = 30
     u = (0.75 * math.pi / 4.0) ** (2.0 / 3.0)
-    t_ref = float(3.0 * (mpmath.airyai(u) / mpmath.airybi(u)) ** 2)
+    with mpmath.workdps(30):
+        t_ref = float(3.0 * (mpmath.airyai(u) / mpmath.airybi(u)) ** 2)
     assert rep.t_uniform == pytest.approx(t_ref, rel=1e-3)
     assert rep.t_uniform == pytest.approx(0.1123, abs=2e-4)
     assert rep.airy_argument == pytest.approx(u, rel=1e-10)

@@ -130,27 +130,23 @@ def test_leading_order_asymptotic_forms(u):
 
 
 def test_mpmath_cross_check_in_range():
-    mpmath.mp.dps = 30
     for u in np.linspace(-10.0, 9.0, 77):
         u = float(u)
         pair = airy(u)
-        for mine, ref in [
-            (pair.ai, mpmath.airyai(u)),
-            (pair.bi, mpmath.airybi(u)),
-            (pair.ai_prime, mpmath.airyai(u, 1)),
-            (pair.bi_prime, mpmath.airybi(u, 1)),
-        ]:
+        with mpmath.workdps(30):
+            refs = [mpmath.airyai(u), mpmath.airybi(u), mpmath.airyai(u, 1), mpmath.airybi(u, 1)]
+        for mine, ref in zip((pair.ai, pair.bi, pair.ai_prime, pair.bi_prime), refs):
             assert abs(mine - float(ref)) <= 1e-11 * max(1.0, abs(float(ref)))
 
 
 @pytest.mark.parametrize("u", [15.0, 50.0, 100.0])
 def test_mpmath_cross_check_asymptotic_range(u):
-    mpmath.mp.dps = 40
     pair = airy(u)
-    assert pair.ai == pytest.approx(float(mpmath.airyai(u)), rel=1e-8)
-    assert pair.bi == pytest.approx(float(mpmath.airybi(u)), rel=1e-8)
-    assert pair.ai_prime == pytest.approx(float(mpmath.airyai(u, 1)), rel=1e-8)
-    assert pair.bi_prime == pytest.approx(float(mpmath.airybi(u, 1)), rel=1e-8)
+    with mpmath.workdps(40):
+        assert pair.ai == pytest.approx(float(mpmath.airyai(u)), rel=1e-8)
+        assert pair.bi == pytest.approx(float(mpmath.airybi(u)), rel=1e-8)
+        assert pair.ai_prime == pytest.approx(float(mpmath.airyai(u, 1)), rel=1e-8)
+        assert pair.bi_prime == pytest.approx(float(mpmath.airybi(u, 1)), rel=1e-8)
 
 
 def test_overflow_raises_with_exponent():

@@ -1,6 +1,7 @@
 """Uniform wavefunction basis: anchor limits, exactness, ODE defect."""
 
 import math
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from airytunnel import (
     GaussianBarrier,
     ParabolicBarrier,
     Sech2Barrier,
+    WavefunctionGrid,
     airy,
     find_turning_points,
     ode_residual,
@@ -21,6 +23,7 @@ from airytunnel import (
     sample_grid,
     superpose,
 )
+from airytunnel import geometry
 from airytunnel.geometry import find_crossings
 from airytunnel.specfun import AI_ZERO, BI_ZERO
 from conftest import linear_potential
@@ -94,11 +97,11 @@ def test_allowed_region_is_oscillatory_with_negative_argument():
     # passes its first two zeros
     pot = ParabolicBarrier(1.0)
     a, _ = find_turning_points(pot, 0.5, (-1.5, 1.5))
-    samples = sample_grid(pot, 0.5, (-3.6, a - 0.05), 200, 1.0, 0.0, a)
-    assert all(s.airy_arg < 0.0 for s in samples)
-    assert all(s.ksq > 0.0 for s in samples)
-    signs = [np.sign(s.psi.real) for s in samples]
-    assert sum(1 for p, q in zip(signs[:-1], signs[1:]) if p != q) >= 2
+    grid = sample_grid(pot, 0.5, (-3.6, a - 0.05), 200, 1.0, 0.0, a)
+    assert np.all(grid.airy_arg < 0.0)
+    assert np.all(grid.ksq > 0.0)
+    signs = np.sign(grid.psi.real)
+    assert np.count_nonzero(signs[:-1] != signs[1:]) >= 2
 
 
 def test_superpose_is_plain_linear_combination():
@@ -112,28 +115,26 @@ def test_superpose_is_plain_linear_combination():
 def test_sample_grid_shapes_and_signs():
     pot = ParabolicBarrier(1.0)
     a, b = find_turning_points(pot, 0.5, (-1.5, 1.5))
-    samples = sample_grid(pot, 0.5, (-3.0, 3.0), 601, 1.0, 0.0, a)
-    assert len(samples) == 601
-    for s in samples:
-        if s.ksq > 0:
-            assert s.airy_arg < 0
-        elif s.ksq < 0:
-            assert s.airy_arg > 0
-        assert math.isfinite(abs(s.psi))
+    grid = sample_grid(pot, 0.5, (-3.0, 3.0), 601, 1.0, 0.0, a)
+    for field in ("x", "psi", "ksq", "airy_arg", "psi_ai", "psi_bi"):
+        assert getattr(grid, field).shape == (601,)
+    assert np.all(grid.airy_arg[grid.ksq > 0] < 0)
+    assert np.all(grid.airy_arg[grid.ksq < 0] > 0)
+    assert np.all(np.isfinite(np.abs(grid.psi)))
     # the action grows away from the anchor, so |arg| peaks at the edges
-    args = np.array([abs(s.airy_arg) for s in samples])
-    assert args.argmax() in (0, len(samples) - 1)
+    args = np.abs(grid.airy_arg)
+    assert args.argmax() in (0, args.size - 1)
     assert max(args[0], args[-1]) == args.max()
     # Ai branch: decaying through the barrier, bounded oscillation beyond
-    left_peak = max(abs(s.psi) for s in samples if s.x < a)
-    beyond = max(abs(s.psi) for s in samples if s.x > b + 0.3)
+    left_peak = np.abs(grid.psi[grid.x < a]).max()
+    beyond = np.abs(grid.psi[grid.x > b + 0.3]).max()
     assert beyond < 1.5 * left_peak
 
 
 def test_sample_grid_two_points_and_validation():
     pot = ParabolicBarrier(1.0)
-    samples = sample_grid(pot, 0.5, (-1.0, 1.0), 2, 1.0, 0.0, -SQRT_HALF)
-    assert [s.x for s in samples] == [-1.0, 1.0]
+    grid = sample_grid(pot, 0.5, (-1.0, 1.0), 2, 1.0, 0.0, -SQRT_HALF)
+    assert grid.x.tolist() == [-1.0, 1.0]
     with pytest.raises(ValueError):
         sample_grid(pot, 0.5, (-1.0, 1.0), 1, 1.0, 0.0, -SQRT_HALF)
 
@@ -156,18 +157,18 @@ def test_ode_residual_linear_potential():
     # residual is pure finite-difference truncation
     pot = linear_potential()
     energy = 2.0
-    samples = sample_grid(pot, energy, (2.5, 4.5), 2001, 1.0, 0.0, energy)
-    assert ode_residual(samples) <= 1e-4
+    grid = sample_grid(pot, energy, (2.5, 4.5), 2001, 1.0, 0.0, energy)
+    assert ode_residual(grid) <= 1e-4
 
 
 def test_ode_residual_flat_allowed_window():
     # allowed-region window far from the anchor: small residual, oscillatory
     pot = linear_potential()
     energy = 2.0
-    samples = sample_grid(pot, energy, (-2.0, 0.0), 2001, 1.0, 0.0, energy)
-    assert ode_residual(samples) <= 1e-4
-    signs = [np.sign(s.psi.real) for s in samples]
-    assert sum(1 for p, q in zip(signs[:-1], signs[1:]) if p != q) >= 1
+    grid = sample_grid(pot, energy, (-2.0, 0.0), 2001, 1.0, 0.0, energy)
+    assert ode_residual(grid) <= 1e-4
+    signs = np.sign(grid.psi.real)
+    assert np.count_nonzero(signs[:-1] != signs[1:]) >= 1
 
 
 def test_ode_residual_parabolic_regression_bounds():
@@ -200,37 +201,35 @@ def test_ode_residual_grows_toward_far_turning_point():
 
 def test_ode_residual_validation():
     pot = ParabolicBarrier(1.0)
-    samples = sample_grid(pot, 0.5, (-0.4, 0.4), 9, 1.0, 0.0, -SQRT_HALF)
+    grid = sample_grid(pot, 0.5, (-0.4, 0.4), 9, 1.0, 0.0, -SQRT_HALF)
+    short = WavefunctionGrid(*(getattr(grid, f.name)[:4] for f in fields(grid)))
     with pytest.raises(ValueError):
-        ode_residual(samples[:4])
-    from dataclasses import replace
-
-    skewed = samples[:5] + [replace(samples[5], x=samples[5].x + 1e-3)] + samples[6:]
+        ode_residual(short)
+    skewed_x = grid.x.copy()
+    skewed_x[5] += 1e-3
     with pytest.raises(ValueError):
-        ode_residual(skewed)
+        ode_residual(replace(grid, x=skewed_x))
 
 
 def test_airy_argument_zero_at_anchor_sample():
     pot = ParabolicBarrier(1.0)
     a, b = find_turning_points(pot, 0.5, (-1.5, 1.5))
-    samples = sample_grid(pot, 0.5, (a, b), 3, 1.0, 0.0, a)
-    assert samples[0].airy_arg == 0.0
-    assert samples[0].psi.real == pytest.approx(0.33510186034608274, rel=1e-9)
+    grid = sample_grid(pot, 0.5, (a, b), 3, 1.0, 0.0, a)
+    assert grid.airy_arg[0] == 0.0
+    assert grid.psi[0].real == pytest.approx(0.33510186034608274, rel=1e-9)
 
 
 def test_far_turning_point_is_infinite_not_nan():
     # E = 0.75 puts the turning points of 1 - x**2 at exactly +-0.5, so the
     # last sample has k2 == 0.0 with finite action: both basis values are
     # +inf, and the zero Bi coefficient must not turn psi into 0 * inf
-    samples = sample_grid(ParabolicBarrier(1.0), 0.75, (-0.5, 0.5), 5, 1.0, 0.0, -0.5)
-    far = samples[-1]
-    assert far.ksq == 0.0
-    assert far.psi_ai == math.inf and far.psi_bi == math.inf
-    assert far.psi == complex(math.inf, 0.0)
-    for s in samples:
-        assert type(s.psi) is complex
-        assert all(type(v) is float for v in (s.x, s.ksq, s.airy_arg, s.psi_ai, s.psi_bi))
-    assert superpose(1.0, 0.0, (far.psi_ai, far.psi_bi)) == math.inf
+    grid = sample_grid(ParabolicBarrier(1.0), 0.75, (-0.5, 0.5), 5, 1.0, 0.0, -0.5)
+    assert grid.ksq[-1] == 0.0
+    assert grid.psi_ai[-1] == math.inf and grid.psi_bi[-1] == math.inf
+    assert grid.psi[-1] == complex(math.inf, 0.0)
+    assert grid.psi.dtype == np.complex128
+    assert all(getattr(grid, f).dtype == np.float64 for f in ("x", "ksq", "airy_arg", "psi_ai", "psi_bi"))
+    assert superpose(1.0, 0.0, (grid.psi_ai[-1], grid.psi_bi[-1])) == math.inf
     assert superpose(0.0, 2.0, (math.inf, 0.5)) == 1.0
     assert type(psi_basis(ParabolicBarrier(1.0), 0.75, -0.5, 0.5)[0]) is float
 
@@ -239,9 +238,34 @@ def test_far_turning_point_is_infinite_not_nan():
 def test_far_turning_point_keeps_its_action_in_the_airy_argument(anchor, far):
     # k2 is exactly 0.0 at the far turning point, where the action across
     # the barrier is pi/8: |airy_arg| is (3 pi/16)**(2/3), on the forbidden side
-    samples = sample_grid(ParabolicBarrier(1.0), 0.75, (-1.0, 1.0), 9, 1.0, 0.0, anchor)
-    assert samples[far].x == -anchor and samples[far].ksq == 0.0
-    assert samples[far].airy_arg == pytest.approx((3.0 * math.pi / 16.0) ** (2.0 / 3.0), rel=1e-12)
+    grid = sample_grid(ParabolicBarrier(1.0), 0.75, (-1.0, 1.0), 9, 1.0, 0.0, anchor)
+    assert grid.x[far] == -anchor and grid.ksq[far] == 0.0
+    assert grid.airy_arg[far] == pytest.approx((3.0 * math.pi / 16.0) ** (2.0 / 3.0), rel=1e-12)
+
+
+def test_array_psi_basis_scans_once_and_matches_scalar_calls(monkeypatch, tilted_barrier):
+    # one crossing scan covers every point of an array call; each point
+    # then agrees with its own scalar call, whose scan and cuts differ
+    energy = 0.5
+    scans = []
+    sign_changes = geometry._sign_changes
+
+    def counted(v, energies):
+        scans.append(v.size)
+        return sign_changes(v, energies)
+
+    xs = np.linspace(-2.0, 2.0, 41)
+    for pot, side in ((Sech2Barrier(1.0, 1.0), 0), (tilted_barrier, 1)):
+        anchor = find_turning_points(pot, energy)[side]
+        scans.clear()
+        monkeypatch.setattr(geometry, "_sign_changes", counted)
+        ai_part, bi_part = psi_basis(pot, energy, anchor, xs)
+        monkeypatch.undo()
+        assert scans == [geometry.DEFAULT_SCAN_POINTS]
+        assert ai_part.shape == bi_part.shape == xs.shape
+        singles = np.array([psi_basis(pot, energy, anchor, x) for x in xs.tolist()])
+        assert ai_part == pytest.approx(singles[:, 0], rel=1e-9, abs=1e-12)
+        assert bi_part == pytest.approx(singles[:, 1], rel=1e-9, abs=1e-12)
 
 
 def test_deep_window_names_the_worst_airy_argument():
@@ -295,13 +319,14 @@ def test_action_on_tabulated_barrier_matches_mpmath(tilted_barrier):
     # 30-digit integral of the same spline
     energy = 0.5
     a, b = find_turning_points(tilted_barrier, energy)
-    samples = sample_grid(tilted_barrier, energy, (-1.6, 1.6), 161, 1.0, 0.0, a)
-    probes = [s for s in samples[::8] if abs(s.airy_arg) > 0.01]
+    grid = sample_grid(tilted_barrier, energy, (-1.6, 1.6), 161, 1.0, 0.0, a)
+    xs, args = grid.x[::8], grid.airy_arg[::8]
+    probe = np.abs(args) > 0.01
     with mpmath.workdps(30):
-        want = _mp_spline_action(tilted_barrier, energy, a, [s.x for s in probes])
-    for s, ref in zip(probes, want):
-        got = (2.0 / 3.0) * abs(s.airy_arg) ** 1.5
-        assert abs(got - float(ref)) <= 1e-12 * float(ref), s.x
+        want = _mp_spline_action(tilted_barrier, energy, a, xs[probe].tolist())
+    for x, u, ref in zip(xs[probe], args[probe], want):
+        got = (2.0 / 3.0) * abs(u) ** 1.5
+        assert abs(got - float(ref)) <= 1e-12 * float(ref), x
 
 
 _FAMILIES = {
@@ -328,23 +353,23 @@ def test_basis_properties(family, v0, w, fraction, side, pad, n_points):
     anchor = turning[side]
     width = turning[1] - turning[0]
     window = (turning[0] - pad * width, turning[1] + pad * width)
-    samples = sample_grid(pot, energy, window, n_points, 1.0, 0.0, anchor)
+    grid = sample_grid(pot, energy, window, n_points, 1.0, 0.0, anchor)
 
     # |airy_arg| = S**(2/3) never decreases away from the anchor, exact
     # zeros of k2 included.
-    left = [abs(s.airy_arg) for s in samples if s.x <= anchor]
-    right = [abs(s.airy_arg) for s in samples if s.x >= anchor]
-    assert all(p >= q for p, q in zip(left[:-1], left[1:]))
-    assert all(p <= q for p, q in zip(right[:-1], right[1:]))
+    size = np.abs(grid.airy_arg)
+    left, right = size[grid.x <= anchor], size[grid.x >= anchor]
+    assert np.all(left[:-1] >= left[1:])
+    assert np.all(right[:-1] <= right[1:])
 
-    for s in samples:
-        if s.airy_arg != 0.0 and s.ksq != 0.0:
-            assert np.sign(s.airy_arg) == -np.sign(s.ksq)
-        elif s.airy_arg != 0.0:  # the far turning point, reached through the barrier
-            assert s.airy_arg > 0.0
+    arg, ksq = grid.airy_arg, grid.ksq
+    both = (arg != 0.0) & (ksq != 0.0)
+    assert np.all(np.sign(arg[both]) == -np.sign(ksq[both]))
+    # the far turning point, reached through the barrier
+    assert np.all(arg[(arg != 0.0) & (ksq == 0.0)] > 0.0)
 
-    # the one-point basis agrees with the grid sample at the same x
-    for s in samples[:: max(1, n_points // 6)]:
-        ai_part, bi_part = psi_basis(pot, energy, anchor, s.x)
-        assert ai_part == pytest.approx(s.psi_ai, rel=1e-9, abs=1e-12)
-        assert bi_part == pytest.approx(s.psi_bi, rel=1e-9, abs=1e-12)
+    # the basis at an array of points agrees with the grid at the same x
+    every = slice(None, None, max(1, n_points // 6))
+    ai_part, bi_part = psi_basis(pot, energy, anchor, grid.x[every])
+    assert ai_part == pytest.approx(grid.psi_ai[every], rel=1e-9, abs=1e-12)
+    assert bi_part == pytest.approx(grid.psi_bi[every], rel=1e-9, abs=1e-12)

@@ -47,7 +47,7 @@ from .potential import (
     load_tabulated,
     make_potential,
 )
-from .rates import RateReport, rate_report, rate_reports, t_asymptotic, t_uniform, t_wkb
+from .rates import RateReport, rate_report, t_asymptotic, t_uniform, t_wkb
 from .specfun import AiryPair, airy, log_bi_over_ai
 from .wavefunction import (
     WavefunctionGrid,
@@ -96,7 +96,6 @@ __all__ = [
     "ode_residual",
     "psi_basis",
     "rate_report",
-    "rate_reports",
     "sample_grid",
     "square_barrier_closed_form",
     "superpose",

@@ -18,12 +18,12 @@ from .errors import (
     FormatError,
     MultiHumpUnsupported,
     NoBarrierError,
-    NonSmoothError,
     RangeError,
+    energy_error,
 )
 from .geometry import find_turning_points
 from .potential import load_tabulated, make_potential
-from .rates import rate_report, rate_reports
+from .rates import rate_report
 from .wavefunction import _basis_arrays, _grid
 
 EXIT_OK = 0
@@ -36,8 +36,8 @@ EXIT_ORACLE = 6
 _EPILOG = """\
 exit codes:
   0  success
-  2  bad arguments (including square-barrier rate requests and
-     energies/windows outside the supported domain)
+  2  bad arguments (including energies/windows outside the supported
+     domain and arithmetic that leaves double-precision range)
   3  no barrier at the requested energy (or barrier-top degeneracy)
   4  more than one barrier hump in the window
   5  potential file missing or malformed, evaluation outside its range,
@@ -45,16 +45,15 @@ exit codes:
   6  oracle failure (window endpoints not on the zero asymptote)
 
 potential selection: exactly one of --potential (with its family
-parameters: --v0 always; --w for sech2/gaussian; --l for square) or
---potential-file. Default windows: parabolic +-1.5*sqrt(V0); sech2 and
-gaussian +-20*w; square +-2.5*L; tabulated files use their sample range.
+parameters: --v0 always; --w for sech2/gaussian) or --potential-file.
+Default windows: parabolic +-1.5*sqrt(V0); sech2 and gaussian +-20*w;
+tabulated files use their sample range.
 """
 
 _FAMILY_PARAMS = {
     "parabolic": ("v0",),
     "sech2": ("v0", "w"),
     "gaussian": ("v0", "w"),
-    "square": ("v0", "l"),
 }
 
 
@@ -99,7 +98,6 @@ def build_parser():
         p.add_argument("--potential-file", metavar="PATH")
         p.add_argument("--v0", type=float, help="barrier height")
         p.add_argument("--w", type=float, help="width parameter (sech2, gaussian)")
-        p.add_argument("--l", type=float, help="square barrier length")
         p.add_argument("--xmin", type=float, help="window override")
         p.add_argument("--xmax", type=float, help="window override")
         p.add_argument("--output", metavar="PATH", default="-", help="CSV destination, - for stdout")
@@ -134,7 +132,7 @@ def _build_potential(args):
     if (args.potential is None) == (args.potential_file is None):
         raise ValueError("choose exactly one of --potential or --potential-file")
     if args.potential_file is not None:
-        for name in ("v0", "w", "l"):
+        for name in ("v0", "w"):
             if getattr(args, name) is not None:
                 raise ValueError("--%s does not apply to --potential-file" % name)
         return load_tabulated(args.potential_file)
@@ -142,7 +140,7 @@ def _build_potential(args):
     family = args.potential
     wanted = _FAMILY_PARAMS[family]
     params = {}
-    for name in ("v0", "w", "l"):
+    for name in ("v0", "w"):
         value = getattr(args, name)
         if name in wanted:
             if value is None:
@@ -150,8 +148,6 @@ def _build_potential(args):
             params[name] = value
         elif value is not None:
             raise ValueError("--%s does not apply to %s" % (name, family))
-    if family == "square":
-        return make_potential(family, v0=params["v0"], length=params["l"])
     return make_potential(family, **params)
 
 
@@ -176,27 +172,26 @@ def _report_csv(reports, with_oracle):
     return _csv(header, list(zip(*rows)))
 
 
-def _run_report(args):
-    pot = _build_potential(args)
-    window = pot.window((args.xmin, args.xmax))
-    rep = rate_report(
-        pot, args.energy, window,
-        with_oracle=args.oracle, oracle_slices=args.oracle_slices,
-    )
-    return _report_csv([rep], args.oracle)
-
-
-def _run_sweep(args):
-    if args.n < 2:
+def _run_rates(args):
+    """report and sweep: one batched pass over the energies, one row each;
+    a report is a sweep of the one energy --energy."""
+    sweep = args.command == "sweep"
+    if sweep and args.n < 2:
         raise ValueError("sweep needs --n >= 2")
-    if not args.emin < args.emax:
+    if sweep and not args.emin < args.emax:
         raise ValueError("sweep needs --emin < --emax")
     pot = _build_potential(args)
     window = pot.window((args.xmin, args.xmax))
-    # One batched pass over the energy grid; rows come in increasing E.
-    reports = rate_reports(
-        pot, np.linspace(args.emin, args.emax, args.n), window,
-        with_oracle=args.oracle, oracle_slices=args.oracle_slices,
+    if sweep:
+        # Both ends are judged before linspace, which turns an infinite end into nan.
+        exc = energy_error(args.emin) or energy_error(args.emax)
+        if exc is not None:
+            raise exc
+        energies = np.linspace(args.emin, args.emax, args.n)
+    else:
+        energies = [args.energy]
+    reports = rate_report(
+        pot, energies, window, with_oracle=args.oracle, oracle_slices=args.oracle_slices
     )
     return _report_csv(reports, args.oracle)
 
@@ -213,8 +208,8 @@ def _run_wavefunction(args):
 
 
 _DISPATCH = {
-    "report": _run_report,
-    "sweep": _run_sweep,
+    "report": _run_rates,
+    "sweep": _run_rates,
     "wavefunction": _run_wavefunction,
 }
 
@@ -248,7 +243,7 @@ def main(argv=None):
     except AsymptoteMismatchError as exc:
         print("error: oracle failed: %s" % exc, file=sys.stderr)
         return EXIT_ORACLE
-    except (NonSmoothError, DomainError, ValueError) as exc:
+    except (DomainError, ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_ARGS
     return EXIT_OK

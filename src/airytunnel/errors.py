@@ -6,6 +6,8 @@ the CLI can map them onto distinct exit codes.
 
 import math
 
+import numpy as np
+
 
 class TunnelError(Exception):
     """Base class for all package-specific errors."""
@@ -33,6 +35,15 @@ def energy_error(energy):
     if energy > 0.0 and math.isfinite(energy):
         return None
     return DomainError("energy must be positive and finite, got %r" % energy)
+
+
+def energy_array(energies):
+    """energies as a 1D float array, a scalar as an array of size one;
+    ValueError beyond 1D."""
+    energies = np.array(energies, dtype=float, ndmin=1)
+    if energies.ndim > 1:
+        raise ValueError("energies must be a scalar or 1D, got shape %s" % (energies.shape,))
+    return energies
 
 
 class NoBarrierError(TunnelError):

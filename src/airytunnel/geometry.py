@@ -36,6 +36,7 @@ from .errors import (
     NoBarrierError,
     NonSmoothError,
     TunnelError,
+    energy_array,
     energy_error,
 )
 from .quadrature import integrate_endpoint_singular
@@ -205,11 +206,17 @@ def _turning_points(pot, energies, window, n_scan, out):
 
     xs = np.linspace(lo, hi, int(n_scan))
     e = energies[at]
-    which, j = _sign_changes(pot.v(xs), e)
+    v = pot.v(xs)
+    which, j = _sign_changes(v, e)
     counts = np.bincount(which, minlength=at.size)
     errors = {}
     for p, (count, energy) in enumerate(zip(counts.tolist(), e.tolist())):
-        if count == 0:
+        if count == 1 or (count == 0 and not (v < energy).any()):
+            # one crossing, or a window inside the forbidden region
+            errors[p] = NoBarrierError(
+                "forbidden region is not closed inside the window (%g, %g)" % (lo, hi)
+            )
+        elif count == 0:
             errors[p] = NoBarrierError(
                 "no barrier at E=%g: k2 does not change sign in (%g, %g)" % (energy, lo, hi)
             )
@@ -217,10 +224,6 @@ def _turning_points(pot, energies, window, n_scan, out):
             errors[p] = MultiHumpUnsupported(
                 "%d sign changes of k2 in (%g, %g); single-hump barriers only"
                 % (count, lo, hi)
-            )
-        elif count == 1:
-            errors[p] = NoBarrierError(
-                "forbidden region is not closed inside the window (%g, %g)" % (lo, hi)
             )
     keep = _settle(out, at, errors)
     j = j[keep[which]]  # two brackets per remaining energy: a's, then b's
@@ -458,9 +461,9 @@ def analyze_barriers(pot, energies, window=None, n_scan=DEFAULT_SCAN_POINTS):
     that analyze_barrier raises at that energy. An error of a stage as a
     whole (a bad window, a tabulated range the scan leaves, a root search
     that does not converge) is the error of every energy that had not
-    failed before it.
+    failed before it. energies beyond 1D raise ValueError.
     """
-    energies = np.array(energies, dtype=float).reshape(-1)
+    energies = energy_array(energies)
     out = [None] * energies.size
     try:
         _analyze(pot, energies, window, n_scan, out)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymptoteMismatchError, DomainError, TunnelError, energy_error
+from .errors import AsymptoteMismatchError, DomainError, TunnelError, energy_array, energy_error
 
 #: Both domain endpoints must be within this of V = 0.
 ASYMPTOTE_TOLERANCE = 1e-9
@@ -245,9 +245,10 @@ def exact_transmissions(pot, energies, domain, slices=4000):
     Returns one entry per energy: its OracleResult, or the exception that
     exact_transmission raises at that energy. An error of the call as a
     whole (bad slices or domain, V off the zero asymptote at a domain end)
-    is the error of every energy that had not failed before it.
+    is the error of every energy that had not failed before it. energies
+    beyond 1D raise ValueError.
     """
-    energies = np.array(energies, dtype=float).reshape(-1)
+    energies = energy_array(energies)
     out = [energy_error(e) for e in energies.tolist()]
     if None in out:
         try:

@@ -9,9 +9,9 @@ Built-in families:
 * parabolic : V(x) = V0 - x**2 (inverted parabola, finite window only)
 * sech2     : V(x) = V0 * sech(x/w)**2
 * gaussian  : V(x) = V0 * exp(-x**2 / w**2)
-* square    : V(x) = V0 for |x| <= L/2, else 0 (oracle calibration only;
-              it has no derivative at the edges, so every Airy-method
-              operation rejects it)
+* square    : V(x) = V0 for |x| <= L/2, else 0 (oracle calibration only,
+              not offered by the CLI; it has no derivative at the edges,
+              so every Airy-method operation rejects it)
 
 Tabulated potentials come from two-column text files and are interpolated
 with a natural cubic spline, which is C2 and therefore smooth enough for
@@ -165,7 +165,9 @@ class GaussianBarrier(Potential):
         return self.v0 * np.exp(-z * z)
 
     def _v_prime(self, x):
-        return self._v(x) * (-2.0 * x / self.w ** 2)
+        # V (-2 z / w), without w**2, which overflows a float past w ~ 1.3e154
+        z = x / self.w
+        return self.v0 * np.exp(-z * z) * (-2.0 * z / self.w)
 
     def suggested_window(self):
         return (-20.0 * self.w, 20.0 * self.w)

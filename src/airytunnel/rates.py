@@ -17,14 +17,15 @@ These are amplitude-ratio quantities, not flux-normalized transmission
 coefficients; t_uniform is deliberately not clamped to <= 1 so its
 behavior near the barrier top can be studied against the exact solver.
 
-A sweep is one batched pass (rate_reports): the geometry of all its
-energies comes from geometry.analyze_barriers, their Airy ratios from one
-log_bi_over_ai call and their exact values from one
-oracle.exact_transmissions call. rate_report is the one-energy case.
+rate_report takes one energy or an array of them, and a sweep is one
+batched pass: the geometry of all its energies comes from
+geometry.analyze_barriers, their Airy ratios from one log_bi_over_ai call
+and their exact values from one oracle.exact_transmissions call. A scalar
+energy runs as an array of size one.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -83,51 +84,42 @@ def _uniform_rate(geom, log_ratio):
     return math.exp(log_t)
 
 
-def rate_reports(pot, energies, window=None, with_oracle=False, oracle_slices=4000):
-    """Assemble all transmission estimates at each of an array of energies.
+def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000):
+    """All transmission estimates at one energy or at each of an array of them.
 
-    The geometry is one batched pass over all energies, t_uniform one
+    A scalar energy (a float or a 0-d array) gives one RateReport, a 1D
+    array or list a list of them; a 2-D array raises ValueError. The
+    geometry is one batched pass over all energies, t_uniform one
     log_bi_over_ai call and the exact transfer-matrix values, included
     when ``with_oracle`` is set, one exact_transmissions call over the
     same window as the geometry scan, so the window must then reach far
     enough that V has decayed to its zero asymptote.
 
-    Fails as a loop of single-energy reports would: with the error of the
+    Fails as a loop of one-energy reports would: with the error of the
     lowest energy whose geometry or oracle fails.
     """
-    results = analyze_barriers(pot, energies, window)
+    results = analyze_barriers(pot, energy, window)
     failed = next((i for i, r in enumerate(results) if isinstance(r, Exception)), None)
     geoms = results[:failed]
     u = [geom.s_half ** (2.0 / 3.0) for geom in geoms]
-    reports = [
-        RateReport(
-            energy=geom.energy,
-            geometry=geom,
-            airy_argument=u_i,
-            t_wkb=t_wkb(geom.theta),
-            t_asymptotic=t_asymptotic(geom.theta, geom.alpha_plus, geom.alpha_minus),
-            t_uniform=_uniform_rate(geom, log_ratio),
-        )
-        for geom, u_i, log_ratio in zip(geoms, u, log_bi_over_ai(np.array(u)).tolist())
+    estimates = [
+        (t_wkb(geom.theta), t_asymptotic(geom.theta, geom.alpha_plus, geom.alpha_minus),
+         _uniform_rate(geom, log_ratio))
+        for geom, log_ratio in zip(geoms, log_bi_over_ai(np.array(u)).tolist())
     ]
+    oracle = [None] * len(geoms)
     if with_oracle:
         oracle = exact_transmissions(
             pot, [geom.energy for geom in geoms], window, slices=oracle_slices
         )
-        for i, result in enumerate(oracle):
+        for result in oracle:
             if isinstance(result, Exception):
                 raise result
-            reports[i] = replace(reports[i], t_exact=result.t_exact, oracle=result)
     if failed is not None:
         raise results[failed]
-    return reports
-
-
-def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000):
-    """Assemble all transmission estimates at one energy.
-
-    The exact transfer-matrix value is included when ``with_oracle`` is
-    set; it uses the same window as the geometry scan, so the window must
-    then reach far enough that V has decayed to its zero asymptote.
-    """
-    return rate_reports(pot, [energy], window, with_oracle, oracle_slices)[0]
+    reports = [
+        RateReport(geom.energy, geom, u_i, *t,
+                   t_exact=None if exact is None else exact.t_exact, oracle=exact)
+        for geom, u_i, t, exact in zip(geoms, u, estimates, oracle)
+    ]
+    return reports[0] if np.ndim(energy) == 0 else reports

@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import airytunnel
-from airytunnel import geometry
+from airytunnel import cli, geometry
 from airytunnel.cli import main
 from conftest import double_hump_samples
 
@@ -110,7 +111,7 @@ def test_file_errors_exit_code(capsys, tmp_path):
 
 
 def test_bad_argument_exit_codes(capsys):
-    # square barrier has no slope limits, so rate commands reject it
+    # the CLI offers no square family (it has no slope limits); argparse rejects it
     code, _, err = run_cli(
         capsys, "report", "--potential", "square", "--v0", "1.0", "--l", "2.0",
         "--energy", "0.5",
@@ -152,6 +153,44 @@ def test_bad_argument_exit_codes(capsys):
     )
     assert code == 2 and out == ""
     assert "airy argument -15.2" in err
+
+
+def test_report_row_is_the_first_row_of_a_sweep(capsys):
+    sech2 = ("--potential", "sech2", "--v0", "1", "--w", "1", "--oracle", "--oracle-slices", "200")
+    code, report, _ = run_cli(capsys, "report", *sech2, "--energy", "0.3")
+    assert code == 0
+    code, sweep, _ = run_cli(capsys, "sweep", *sech2, "--emin", "0.3", "--emax", "0.7", "--n", "2")
+    assert code == 0
+    assert report.splitlines() == sweep.splitlines()[:2]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # the whole default window lies inside the forbidden region
+    (("report", "--potential", "sech2", "--v0", "1e300", "--w", "1", "--energy", "0.5"),
+     3, "forbidden region is not closed inside the window (-20, 20)"),
+    # w**2 overflows a float; the slope is formed without it
+    (("report", "--potential", "gaussian", "--v0", "1", "--w", "1e200", "--energy", "0.5"),
+     3, "degenerate turning point"),
+    (("wavefunction", "--potential", "gaussian", "--v0", "1", "--w", "1e200", "--energy", "0.5"),
+     3, "degenerate turning point"),
+], ids=["sech2-v0-1e300", "gaussian-w-1e200-report", "gaussian-w-1e200-wavefunction"])
+def test_extreme_barriers_end_with_one_error_line(capsys, argv, code, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_arithmetic_error_is_a_bad_argument(capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(cli, "rate_report", overflow)
+    code, out, err = run_cli(
+        capsys, "report", "--potential", "sech2", "--v0", "1", "--w", "1", "--energy", "0.5"
+    )
+    assert (code, out, err) == (2, "", "error: (34, 'Numerical result out of range')\n")
 
 
 def test_negative_numbers_in_exponent_form(capsys):

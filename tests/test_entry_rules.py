@@ -4,18 +4,20 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from airytunnel import (
     DomainError,
     ParabolicBarrier,
+    RateReport,
     Sech2Barrier,
     TabulatedPotential,
     analyze_barriers,
     exact_transmissions,
     find_turning_points,
     psi_basis,
-    rate_reports,
+    rate_report,
     sample_grid,
 )
 from airytunnel.cli import main
@@ -53,7 +55,7 @@ def test_every_entry_point_rejects_a_bad_window(window, message):
         with pytest.raises(ValueError, match="^window must"):
             find_turning_points(pot, 0.5, window)
         with pytest.raises(ValueError, match="^window must"):
-            rate_reports(pot, energies, window, with_oracle=True)
+            rate_report(pot, energies, window, with_oracle=True)
         with pytest.raises(ValueError, match="^window must"):
             sample_grid(pot, 0.5, window, 41, 1.0, 0.0, -0.88)
         for out in (analyze_barriers(pot, energies, window), exact_transmissions(pot, energies, window)):
@@ -116,3 +118,45 @@ def test_cli_rejects_an_infinite_window_end(capsys, command, override, message):
     code = main([*command, "--potential", "sech2", "--v0", "1", "--w", "1", *override])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", message)
+
+
+def test_rate_report_takes_a_scalar_or_a_1d_array():
+    pot = Sech2Barrier(1.0, 1.0)
+    one = rate_report(pot, 0.5)
+    assert type(one) is RateReport and one.energy == 0.5
+    assert rate_report(pot, np.array(0.5)) == one
+    for energies in ([0.3, 0.5], np.array([0.3, 0.5])):
+        reports = rate_report(pot, energies)
+        assert type(reports) is list and [r.energy for r in reports] == [0.3, 0.5]
+        assert reports[1] == one
+    assert rate_report(pot, []) == []
+    assert rate_report(pot, [0.5])[0] == one
+    with_oracle = rate_report(pot, 0.5, with_oracle=True, oracle_slices=200)
+    assert rate_report(pot, [0.5], with_oracle=True, oracle_slices=200) == [with_oracle]
+
+
+def test_energies_beyond_1d_are_rejected():
+    pot = Sech2Barrier(1.0, 1.0)
+    grid = np.array([[0.3, 0.5], [0.6, 0.7]])
+    message = r"^energies must be a scalar or 1D, got shape \(2, 2\)$"
+    for call in (rate_report, analyze_barriers,
+                 lambda pot, e: exact_transmissions(pot, e, pot.window())):
+        with pytest.raises(ValueError, match=message):
+            call(pot, grid)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("sweep", "--emin", "0.1", "--emax", "inf", "--n", "3"),
+     2, "energy must be positive and finite, got inf"),
+    (("sweep", "--emin=-1e308", "--emax", "1e308", "--n", "3"),
+     2, "energy must be positive and finite, got -1e+308"),
+    (("report", "--energy", "0.5", "--xmin", "-0.5", "--xmax", "0.5"),
+     3, "no barrier at this energy: "
+        "forbidden region is not closed inside the window (-0.5, 0.5)"),
+], ids=["emax-inf", "emin-minus-1e308", "window-inside-hump"])
+def test_cli_judges_energies_and_windows_before_numpy_sees_them(capsys, argv, code, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = main([*argv, "--potential", "sech2", "--v0", "1", "--w", "1"])
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err) == (code, "", "error: %s\n" % message)

@@ -54,6 +54,10 @@ def test_no_barrier_above_top():
 def test_no_barrier_when_window_cuts_hump():
     with pytest.raises(NoBarrierError):
         find_turning_points(Sech2Barrier(1.0, 1.0), 0.5, (-20.0, 0.0))
+    # a window inside the forbidden region has no crossing at all
+    message = r"^forbidden region is not closed inside the window \(-0.5, 0.5\)$"
+    with pytest.raises(NoBarrierError, match=message):
+        find_turning_points(Sech2Barrier(1.0, 1.0), 0.5, (-0.5, 0.5))
 
 
 def test_multi_hump_rejected(double_hump_barrier):

@@ -46,6 +46,20 @@ def test_derivatives_closed_forms():
     assert Sech2Barrier(1.0, 1.0).v_prime(x) == pytest.approx(expected, rel=1e-13)
 
 
+def test_wide_gaussian_slope_is_finite():
+    # w**2 overflows a float past w ~ 1.3e154; the slope never forms it
+    w = 1e200
+    pot = GaussianBarrier(1.0, w)
+    for z in (-2.0, -0.5, 0.3, 1.0):
+        x = z * w
+        with mpmath.workdps(30):
+            mx, mw = mpmath.mpf(x), mpmath.mpf(w)
+            expected = float(-2 * mx / mw ** 2 * mpmath.exp(-(mx / mw) ** 2))
+        got = pot.v_prime(x)
+        assert math.isfinite(got) and got == pytest.approx(expected, rel=1e-14)
+    assert np.all(np.isfinite(pot.v_prime(np.array([-w, 0.0, w]))))
+
+
 def test_square_has_no_derivative():
     with pytest.raises(NonSmoothError):
         SquareBarrier(1.0, 2.0).v_prime(0.3)

@@ -21,7 +21,6 @@ from airytunnel import (
     analyze_barriers,
     log_bi_over_ai,
     rate_report,
-    rate_reports,
 )
 from airytunnel.cli import main
 from airytunnel.geometry import solve_bracketed
@@ -243,10 +242,10 @@ def assert_matches_reference(name, energies):
     if failed:
         # the sweep raises the lowest failing energy's error ...
         with pytest.raises(want[failed[0]]):
-            rate_reports(pot, energies, window)
+            rate_report(pot, energies, window)
     # ... and reports every energy below it as the loop did
     ok = [i for i in range(len(energies)) if i not in failed]
-    got = report_rows(rate_reports(pot, [energies[i] for i in ok], window))
+    got = report_rows(rate_report(pot, [energies[i] for i in ok], window))
     assert len(got) == len(ok)
     for row, i in zip(got, ok):
         assert_rows_match(name, row, want[i])
@@ -273,7 +272,7 @@ def test_sweep_matches_per_energy_loop_property(name, fractions):
 def test_single_energy_is_the_batched_pass():
     pot = Sech2Barrier(1.0, 1.0)
     energies = np.linspace(0.1, 0.9, 9)
-    batched = rate_reports(pot, energies)
+    batched = rate_report(pot, energies)
     for e, rep in zip(energies, batched):
         assert rate_report(pot, float(e)) == rep
 
@@ -299,11 +298,11 @@ def test_analyze_barriers_reports_each_energy_outcome(double_hump_barrier):
 def test_sweep_raises_the_lowest_failing_energy():
     pot = Sech2Barrier(1.0, 1.0)
     with pytest.raises(NoBarrierError, match="E=1.2"):
-        rate_reports(pot, [0.2, 0.5, 1.2, 1.5])
+        rate_report(pot, [0.2, 0.5, 1.2, 1.5])
     # energy 1 fails at the first stage, energy 0 in a later one (a window
     # cutting its hump), and energy 0's error is the one raised
     with pytest.raises(NoBarrierError, match="not closed"):
-        rate_reports(pot, [0.5, -1.0], window=(-20.0, 0.5))
+        rate_report(pot, [0.5, -1.0], window=(-20.0, 0.5))
 
 
 def run_cli(capsys, *argv):
@@ -358,9 +357,9 @@ def test_lowest_energy_failing_last_is_raised():
     assert out[1].energy == 0.5
     assert isinstance(out[2], NoBarrierError)
     with pytest.raises(DegenerateTurningPointError):
-        rate_reports(pot, [0.05, 0.5, 2.0])
+        rate_report(pot, [0.05, 0.5, 2.0])
     with pytest.raises(NoBarrierError):
-        rate_reports(pot, [0.5, 2.0, 0.05])
+        rate_report(pot, [0.5, 2.0, 0.05])
 
 
 @pytest.mark.parametrize("potential", ["sech2", "gaussian", "parabolic", "tabulated"])

@@ -20,9 +20,14 @@ The geometry of a whole array of energies is one batched pass
 single energy. V is sampled once on the scan grid and each energy's
 brackets come from comparing E against it; every turning-point bracket
 is polished by one array call of solve_bracketed; theta, every Newton
-step of the midpoint search and the final half actions are one
-quadrature call each. Each energy takes the same arithmetic steps as it
+step of the midpoint search and the right half actions are one
+quadrature call each. The midpoint is the search's last evaluated
+iterate, whose left half action that Newton step already integrated, so
+an energy's geometry takes three action quadratures when its midpoint
+search takes one step. Each energy takes the same arithmetic steps as it
 would alone. An energy that fails a stage takes no part in later ones.
+A sweep longer than BLOCK energies runs in blocks of BLOCK, which bounds
+its memory.
 """
 
 from dataclasses import dataclass
@@ -45,6 +50,11 @@ from .quadrature import integrate_endpoint_singular
 #: Narrow humps (energy within ~1e-4 of the barrier top for unit-width
 #: barriers) may need a finer scan or a tighter window.
 DEFAULT_SCAN_POINTS = 2048
+
+#: Energies in one batched geometry pass. A longer sweep runs in blocks of
+#: this many, which caps the memory its arrays take (several KB per
+#: energy); each energy's result is the same in any block.
+BLOCK = 1024
 
 # Relative part of the root solver's stop test, 4 eps.
 _EPS4 = 4.0 * np.finfo(float).eps
@@ -140,27 +150,36 @@ def _sign_changes(v, energies):
     """(energy index, j) of every scan interval [xs[j], xs[j+1]] on which
     k2 = E - V changes sign, given v = V(xs); sorted by energy, then j."""
     allowed = v < energies[:, None]  # k2 > 0, without forming E - V
-    return np.nonzero(allowed[:, 1:] != allowed[:, :-1])
+    change = allowed[:, 1:] != allowed[:, :-1]
+    # divmod of the flat indices: the pairs of np.nonzero, ~10x faster
+    return np.divmod(np.flatnonzero(change), change.shape[1])
 
 
 def _polish(pot, energies, lo, hi):
     """Zeros of k2 = E - V in the brackets [lo, hi], each at its own energy.
 
-    An iterate where |k2| is within 4 eps max(|E|, |V|), the rounding
-    noise of E - V, counts as a root: its computed sign says nothing, and
-    a wrong one would send the solver into a long bisection.
+    An iterate where |k2| is within 4 eps max(|E|, |V|, |x V'(x)|) counts
+    as a root: its computed sign says nothing, and a wrong one would send
+    the solver into a long bisection. |E| and |V| bound the rounding noise
+    of E - V; |x V'| that of V itself from the rounding of x, which on
+    V = v0 - x^2 is the cancellation of x^2.
+
+    k2 evaluates V' with V, and k2_prime returns it: solve_bracketed asks
+    for the slope at the points of the f call just before.
     """
-    rows = []
+    rows, dv = [], None
 
     def k2(x):
+        nonlocal dv
         e = energies[rows]
-        v = pot.v(x)
+        v, dv = pot.v(x), pot.v_prime(x)
         g = e - v
-        g[np.abs(g) <= _EPS4 * np.maximum(np.abs(e), np.abs(v))] = 0.0
+        noise = np.maximum(np.maximum(np.abs(e), np.abs(v)), np.abs(x * dv))
+        g[np.abs(g) <= _EPS4 * noise] = 0.0
         return g
 
     def k2_prime(x):
-        return -pot.v_prime(x)
+        return -dv
 
     return solve_bracketed(k2, k2_prime, lo, hi, 1e-14, rows=rows)
 
@@ -304,11 +323,15 @@ def _midpoints(pot, energies, a, b, theta):
 
     c splits each action into equal halves, |left - right| <= 1e-10 theta,
     and left = action(a, c). errors maps a position to the exception of a
-    barrier without a midpoint; its left is nan.
+    barrier without a midpoint; its c and left are meaningless.
 
     g(c) = action(a, c) - theta/2 rises from -theta/2 at a to theta/2 at b
     with the closed-form slope sqrt(V(c) - E), which Newton steps use. All
-    barriers step together, each step one batched quadrature.
+    barriers step together, each step one batched quadrature. c is the
+    last iterate the search evaluated, kept with the left action found
+    there: the solver stopped because the step from that iterate is below
+    1e-13 (b - a) + 4 eps |c|, so c is within that tolerance of the root.
+    Only the right halves action(c, b) take one more quadrature call.
     """
     errors = {
         j: DegenerateTurningPointError("vanishing barrier action between %g and %g" % (a[j], b[j]))
@@ -316,34 +339,32 @@ def _midpoints(pot, energies, a, b, theta):
     }
     go = np.flatnonzero(theta > 0.0)
     half = 0.5 * theta
+    c = np.full(theta.size, np.nan)
+    left = np.full(theta.size, np.nan)
     rows = []
 
-    def imbalance(c):
+    def imbalance(x):
         j = go[rows]
         # action(a, a) = 0 and action(a, b) = theta need no quadrature.
-        at_b = c == b[j]
-        left, errs = _actions(pot, energies[j], a[j], np.where(at_b, a[j], c))
+        at_b = x == b[j]
+        s, errs = _actions(pot, energies[j], a[j], np.where(at_b, a[j], x))
         for r, exc in errs.items():
             errors.setdefault(int(j[r]), exc)
-        return np.where(at_b, half[j], left - half[j])
+        s = np.where(at_b, theta[j], s)
+        # The first call evaluates both ends; every later one overwrites them.
+        c[j], left[j] = x, s
+        return s - half[j]
 
-    def slope(c):
-        return np.sqrt(np.maximum(pot.v(c) - energies[go[rows]], 0.0))
+    def slope(x):
+        return np.sqrt(np.maximum(pot.v(x) - energies[go[rows]], 0.0))
 
-    c = np.full(theta.size, np.nan)
-    c[go] = solve_bracketed(imbalance, slope, a[go], b[go], 1e-13 * (b[go] - a[go]), rows=rows)
+    solve_bracketed(imbalance, slope, a[go], b[go], 1e-13 * (b[go] - a[go]), rows=rows)
 
     fine = np.array([j for j in range(theta.size) if j not in errors], dtype=int)
-    m = fine.size
-    halves, errs = _actions(
-        pot, np.tile(energies[fine], 2),
-        np.concatenate((a[fine], c[fine])), np.concatenate((c[fine], b[fine])),
-    )
-    for r in sorted(errs):  # a left half fails before its right half
-        errors.setdefault(int(fine[r % m]), errs[r])
-    left = np.full(theta.size, np.nan)
-    left[fine] = halves[:m]
-    for j, lh, rh in zip(fine.tolist(), halves[:m].tolist(), halves[m:].tolist()):
+    right, errs = _actions(pot, energies[fine], c[fine], b[fine])
+    for r, exc in errs.items():
+        errors.setdefault(int(fine[r]), exc)
+    for j, lh, rh in zip(fine.tolist(), left[fine].tolist(), right.tolist()):
         if j not in errors and abs(lh - rh) > 1e-10 * theta[j]:
             errors[j] = DomainError(
                 "midpoint search failed to balance actions (%g vs %g)" % (lh, rh)
@@ -354,7 +375,9 @@ def _midpoints(pot, energies, a, b, theta):
 def find_midpoint(pot, energy, a, b):
     """Interior point c with equal half actions, integral a..c == c..b.
 
-    The result satisfies |action(a, c) - action(c, b)| <= 1e-10 * theta.
+    c is the last iterate of a Newton-bisection search on action(a, c) =
+    theta / 2 (see _midpoints), within 1e-13 (b - a) + 4 eps |c| of the
+    root. The result satisfies |action(a, c) - action(c, b)| <= 1e-10 * theta.
     """
     theta = action_integral(pot, energy, a, b)
     c, _, errors = _midpoints(
@@ -455,20 +478,26 @@ def _analyze(pot, energies, window, n_scan, out):
 
 
 def analyze_barriers(pot, energies, window=None, n_scan=DEFAULT_SCAN_POINTS):
-    """Geometry of one barrier at each of an array of energies, in one pass.
+    """Geometry of one barrier at each of an array of energies, in batched passes.
 
     Returns one entry per energy: its BarrierGeometry, or the exception
-    that analyze_barrier raises at that energy. An error of a stage as a
-    whole (a bad window, a tabulated range the scan leaves, a root search
-    that does not converge) is the error of every energy that had not
-    failed before it. energies beyond 1D raise ValueError.
+    that analyze_barrier raises at that energy. The energies run in
+    blocks of BLOCK, in order, one pass per block. An error of a stage as
+    a whole (a bad window, a tabulated range the scan leaves, a root
+    search that does not converge) is the error of every energy of its
+    block that had not failed before it; the other blocks do not see it.
+    energies beyond 1D raise ValueError.
     """
     energies = energy_array(energies)
-    out = [None] * energies.size
-    try:
-        _analyze(pot, energies, window, n_scan, out)
-    except (TunnelError, ValueError, ArithmeticError) as exc:
-        return [exc if r is None else r for r in out]
+    out = []
+    for i in range(0, energies.size, BLOCK):
+        block = energies[i:i + BLOCK]
+        part = [None] * block.size
+        try:
+            _analyze(pot, block, window, n_scan, part)
+        except (TunnelError, ValueError, ArithmeticError) as exc:
+            part = [exc if r is None else r for r in part]
+        out += part
     return out
 
 

@@ -1,6 +1,7 @@
 """Turning points, action integrals, midpoint balance, slope limits."""
 
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -23,6 +24,7 @@ from airytunnel import (
     find_midpoint,
     find_turning_points,
 )
+from airytunnel import geometry
 from airytunnel.geometry import solve_bracketed
 
 SQRT_HALF = math.sqrt(0.5)
@@ -258,3 +260,28 @@ def test_theta_strictly_decreasing_in_energy():
             for e in np.linspace(0.02, 0.98, 50)
         ]
         assert all(x > y for x, y in zip(thetas[:-1], thetas[1:]))
+
+
+@pytest.mark.parametrize("v0", [1.0, 2.0, 500.0 / math.pi])
+def test_parabolic_polish_takes_few_steps(monkeypatch, v0):
+    # V = v0 - x^2 cancels in x^2 itself; the polish's noise floor covers
+    # that through |x V'(x)|, so no bracket bisects down to 1e-14.
+    per_bracket = []
+
+    def counting(f, fprime, lo, hi, xtol, rows=None):
+        if f.__name__ != "k2":
+            return solve_bracketed(f, fprime, lo, hi, xtol, rows=rows)
+        calls = Counter()
+
+        def g(x):
+            calls.update(rows)
+            return f(x)
+
+        root = solve_bracketed(g, fprime, lo, hi, xtol, rows=rows)
+        per_bracket.extend(calls.values())
+        return root
+
+    monkeypatch.setattr(geometry, "solve_bracketed", counting)
+    geometry.analyze_barriers(ParabolicBarrier(v0), np.linspace(0.02, 0.97, 32) * v0)
+    assert len(per_bracket) == 64
+    assert max(per_bracket) <= 10, Counter(per_bracket)

@@ -22,6 +22,7 @@ from airytunnel import (
     log_bi_over_ai,
     rate_report,
 )
+from airytunnel import geometry
 from airytunnel.cli import main
 from airytunnel.geometry import solve_bracketed
 from airytunnel.quadrature import integrate_endpoint_singular
@@ -57,13 +58,14 @@ def reference_solve(f, fprime, lo, hi, xtol):
 
 
 def reference_k2(pot, energy):
-    """k2 = E - V at one energy as the root polish sees it: 0 within the
-    rounding noise of the difference, 4 eps max(|E|, |V|)."""
+    """k2 = E - V at one energy as the root polish sees it: 0 within its
+    rounding noise, 4 eps max(|E|, |V|, |x V'(x)|)."""
 
     def k2(x):
         v = float(pot.v(x))
         g = energy - v
-        return 0.0 if abs(g) <= 4.0 * np.finfo(float).eps * max(abs(energy), abs(v)) else g
+        noise = max(abs(energy), abs(v), abs(x * float(pot.v_prime(x))))
+        return 0.0 if abs(g) <= 4.0 * np.finfo(float).eps * noise else g
 
     return k2
 
@@ -107,17 +109,19 @@ def reference_geometry(pot, energy, window):
     if theta <= 0.0:
         raise DegenerateTurningPointError("theta")
     half = 0.5 * theta
+    last = {}  # the last iterate evaluated and its left action
 
     def imbalance(c):
         if c == a or c == b:
             return half if c == b else -half
-        return reference_action(pot, energy, a, c) - half
+        last["c"], last["left"] = c, reference_action(pot, energy, a, c)
+        return last["left"] - half
 
     def slope(c):
         return math.sqrt(max(float(pot.v(c)) - energy, 0.0))
 
-    c = reference_solve(imbalance, slope, a, b, 1e-13 * (b - a))
-    left = reference_action(pot, energy, a, c)
+    reference_solve(imbalance, slope, a, b, 1e-13 * (b - a))
+    c, left = last["c"], last["left"]
     right = reference_action(pot, energy, c, b)
     if abs(left - right) > 1e-10 * theta:
         raise DomainError("balance")
@@ -275,6 +279,38 @@ def test_single_energy_is_the_batched_pass():
     batched = rate_report(pot, energies)
     for e, rep in zip(energies, batched):
         assert rate_report(pot, float(e)) == rep
+
+
+def test_sweep_integrates_three_action_segments_per_energy(monkeypatch):
+    # theta, the left half at the one Newton iterate of a symmetric barrier,
+    # and the right half from that iterate: the left half is not redone.
+    segments = []
+
+    def counting(f, x1, x2, **kwargs):
+        segments.append(int(np.count_nonzero(np.asarray(x2) - np.asarray(x1))))
+        return integrate_endpoint_singular(f, x1, x2, **kwargs)
+
+    monkeypatch.setattr(geometry, "integrate_endpoint_singular", counting)
+    reports = rate_report(Sech2Barrier(1.0, 1.0), np.linspace(0.01, 0.99, 32))
+    assert len(reports) == 32
+    # the search's first call evaluates the bracket ends, which need no quadrature
+    assert segments == [32, 0, 32, 32]
+
+
+def test_sweep_longer_than_a_block_is_the_single_energy_loop(monkeypatch):
+    monkeypatch.setattr(geometry, "BLOCK", 5)
+    pot = Sech2Barrier(1.0, 1.0)
+    energies = np.linspace(0.05, 0.95, 12)
+    swept = rate_report(pot, energies)
+    assert swept == [rate_report(pot, float(e)) for e in energies]
+    energies[6] = 1.5  # a failure in the middle block stays its own
+    out = analyze_barriers(pot, energies)
+    assert isinstance(out[6], NoBarrierError)
+    assert out[:6] + out[7:] == [r.geometry for r in swept[:6] + swept[7:]]
+    # a stage-wide error reaches the energies of every block still in play
+    out = analyze_barriers(pot, [-1.0] * 5 + [0.5] * 3, window=(1.0, -1.0))
+    assert all(isinstance(r, DomainError) for r in out[:5])
+    assert all(isinstance(r, ValueError) and "xmin < xmax" in str(r) for r in out[5:])
 
 
 def test_analyze_barriers_reports_each_energy_outcome(double_hump_barrier):

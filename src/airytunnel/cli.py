@@ -159,17 +159,16 @@ def _csv(header, columns):
     return [header, "\n".join([line] * len(cells)) % tuple(cells.ravel().tolist())]
 
 
-def _report_csv(reports, with_oracle):
+def _report_csv(report, with_oracle):
+    """The CSV of a RateReport of arrays, one row per energy."""
+    geom = report.geometry
     header = "E,a,b,c,theta,airy_arg,t_wkb,t_asymptotic,t_uniform"
-    rows = [
-        [r.energy, r.geometry.a, r.geometry.b, r.geometry.c, r.geometry.theta,
-         r.airy_argument, r.t_wkb, r.t_asymptotic, r.t_uniform]
-        for r in reports
-    ]
+    columns = [report.energy, geom.a, geom.b, geom.c, geom.theta, report.airy_argument,
+               report.t_wkb, report.t_asymptotic, report.t_uniform]
     if with_oracle:
         header += ",t_exact,flux_defect"
-        rows = [row + [r.oracle.t_exact, r.oracle.flux_defect] for row, r in zip(rows, reports)]
-    return _csv(header, list(zip(*rows)))
+        columns += [report.oracle.t_exact, report.oracle.flux_defect]
+    return _csv(header, columns)
 
 
 def _run_rates(args):
@@ -190,10 +189,10 @@ def _run_rates(args):
         energies = np.linspace(args.emin, args.emax, args.n)
     else:
         energies = [args.energy]
-    reports = rate_report(
+    report = rate_report(
         pot, energies, window, with_oracle=args.oracle, oracle_slices=args.oracle_slices
     )
-    return _report_csv(reports, args.oracle)
+    return _report_csv(report, args.oracle)
 
 
 def _run_wavefunction(args):

@@ -4,8 +4,6 @@ Every failure mode that callers are expected to handle gets its own class so
 the CLI can map them onto distinct exit codes.
 """
 
-import math
-
 import numpy as np
 
 
@@ -29,12 +27,23 @@ class DomainError(TunnelError):
     """Argument outside the mathematical domain of an operation."""
 
 
+def _energy_ok(energy):
+    """True where an energy (a float or an array of them) is positive and finite."""
+    return (energy > 0.0) & np.isfinite(energy)
+
+
 def energy_error(energy):
     """The DomainError of an energy that is not positive and finite, else None."""
     energy = float(energy)
-    if energy > 0.0 and math.isfinite(energy):
+    if _energy_ok(energy):
         return None
     return DomainError("energy must be positive and finite, got %r" % energy)
+
+
+def energy_errors(energies):
+    """{index: energy_error(E)} for each energy of a 1D array that energy_error rejects."""
+    bad = np.flatnonzero(~_energy_ok(energies))
+    return {i: energy_error(e) for i, e in zip(bad.tolist(), energies[bad].tolist())}
 
 
 def energy_array(energies):

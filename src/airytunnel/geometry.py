@@ -19,18 +19,23 @@ The geometry of a whole array of energies is one batched pass
 (analyze_barriers), and the one-energy functions are that pass at a
 single energy. V is sampled once on the scan grid and each energy's
 brackets come from comparing E against it; every turning-point bracket
-is polished by one array call of solve_bracketed; theta, every Newton
-step of the midpoint search and the right half actions are one
-quadrature call each. The midpoint is the search's last evaluated
-iterate, whose left half action that Newton step already integrated, so
-an energy's geometry takes three action quadratures when its midpoint
-search takes one step. Each energy takes the same arithmetic steps as it
-would alone. An energy that fails a stage takes no part in later ones.
-A sweep longer than BLOCK energies runs in blocks of BLOCK, which bounds
-its memory.
+is polished by one array call of solve_bracketed, which starts from the
+regula-falsi point of the scan's own samples. theta and the action up to
+(a + b)/2, the midpoint search's first iterate, are one quadrature call;
+each later Newton step of the search and the right half actions are one
+more each. The midpoint is the search's last evaluated iterate, whose
+left half action is already integrated, so an energy's geometry takes
+two action quadrature calls when its midpoint search takes one step.
+
+The pass keeps its results in arrays, one entry per energy still in
+play, and its checks are masks: Python runs per energy only to build
+the exception of an energy that fails. Each energy takes the same
+arithmetic steps as it would alone. An energy that fails a stage takes
+no part in later ones. A sweep longer than BLOCK energies runs in blocks
+of BLOCK, which bounds its memory.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -42,7 +47,7 @@ from .errors import (
     NonSmoothError,
     TunnelError,
     energy_array,
-    energy_error,
+    energy_errors,
 )
 from .quadrature import integrate_endpoint_singular
 
@@ -62,7 +67,8 @@ _EPS4 = 4.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class BarrierGeometry:
-    """Everything the rate formulas need about one barrier at one energy."""
+    """Everything the rate formulas need about one barrier at one energy;
+    from the batched pass, arrays of it with one entry per energy."""
 
     a: float
     b: float
@@ -74,21 +80,27 @@ class BarrierGeometry:
     energy: float
 
 
-def solve_bracketed(f, fprime, lo, hi, xtol, rows=None):
+_FIELDS = tuple(field.name for field in fields(BarrierGeometry))
+_EMPTY = BarrierGeometry(*[np.empty(0)] * len(_FIELDS))
+
+
+def solve_bracketed(f, fprime, lo, hi, xtol, rows=None, x0=None):
     """Root of f between lo and hi by safeguarded Newton-bisection.
 
-    f(lo) and f(hi) must not share a sign (ValueError otherwise). Each step
-    is a Newton step when it lands inside the shrinking bracket and is at
-    most half the previous step, else a bisection. Stops once a step is
-    below xtol + 4 eps |x|; more than 100 steps raise DomainError.
+    f(lo) and f(hi) must not share a sign (ValueError otherwise). The first
+    interior iterate is x0 where it lies strictly inside the bracket, else
+    the midpoint. Each step is a Newton step when it lands inside the
+    shrinking bracket and is at most half the previous step, else a
+    bisection. Stops once a step is below xtol + 4 eps |x|; more than 100
+    steps raise DomainError.
 
-    f and fprime take an array of iterates. lo, hi and xtol may be
-    equal-length 1D arrays of brackets, solved together: each call then
-    gets one iterate per bracket still stepping (the first call both ends
-    of every bracket), and ``rows``, if given, is a list the loop keeps
-    equal to the bracket index of each point of the next call. A bracket
-    takes the steps it would take alone and drops out when it stops; the
-    result is then an array of roots.
+    f and fprime take an array of iterates. lo, hi, xtol and x0 may be
+    equal-length 1D arrays of brackets and their starts, solved together:
+    each call then gets one iterate per bracket still stepping (the first
+    call both ends of every bracket), and ``rows``, if given, is a list the
+    loop keeps equal to the bracket index of each point of the next call.
+    A bracket takes the steps it would take alone and drops out when it
+    stops; the result is then an array of roots.
     """
     scalar = np.ndim(lo) == 0
     lo = np.array(lo, dtype=float, ndmin=1)
@@ -114,6 +126,9 @@ def solve_bracketed(f, fprime, lo, hi, xtol, rows=None):
     lo, hi = np.where(swap, hi[live], lo[live]), np.where(swap, lo[live], hi[live])
     tol = tol[live]
     x = 0.5 * (lo + hi)
+    if x0 is not None:
+        x0 = np.broadcast_to(np.asarray(x0, dtype=float), root.shape)[live]
+        x = np.where((np.minimum(lo, hi) < x0) & (x0 < np.maximum(lo, hi)), x0, x)
     step = np.abs(hi - lo)
     track[:] = live.tolist()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -155,8 +170,20 @@ def _sign_changes(v, energies):
     return np.divmod(np.flatnonzero(change), change.shape[1])
 
 
-def _polish(pot, energies, lo, hi):
-    """Zeros of k2 = E - V in the brackets [lo, hi], each at its own energy.
+def _regula_falsi(xs, v, energies, j):
+    """The regula-falsi point of k2 = E - V in each scan interval
+    [xs[j], xs[j+1]] at its own energy, given v = V(xs): the start of its
+    root polish."""
+    k_lo, k_hi = energies - v[j], energies - v[j + 1]
+    # k_lo and k_hi differ in sign, so the fraction lies in [0, 1] unless
+    # their difference overflows; solve_bracketed then starts at the midpoint.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return xs[j] + (xs[j + 1] - xs[j]) * (k_lo / (k_lo - k_hi))
+
+
+def _polish(pot, energies, lo, hi, x0):
+    """Zeros of k2 = E - V in the brackets [lo, hi], each at its own energy,
+    starting from x0.
 
     An iterate where |k2| is within 4 eps max(|E|, |V|, |x V'(x)|) counts
     as a root: its computed sign says nothing, and a wrong one would send
@@ -181,7 +208,7 @@ def _polish(pot, energies, lo, hi):
     def k2_prime(x):
         return -dv
 
-    return solve_bracketed(k2, k2_prime, lo, hi, 1e-14, rows=rows)
+    return solve_bracketed(k2, k2_prime, lo, hi, 1e-14, rows=rows, x0=x0)
 
 
 def find_crossings(pot, energy, lo, hi, n_scan=DEFAULT_SCAN_POINTS):
@@ -191,18 +218,20 @@ def find_crossings(pot, energy, lo, hi, n_scan=DEFAULT_SCAN_POINTS):
     brackets together by solve_bracketed on the potential's own derivative.
     """
     xs = np.linspace(lo, hi, n_scan)
-    _, j = _sign_changes(pot.v(xs), np.array([float(energy)]))
-    return _polish(pot, np.full(j.size, float(energy)), xs[j], xs[j + 1]).tolist()
+    v = pot.v(xs)
+    _, j = _sign_changes(v, np.array([float(energy)]))
+    e = np.full(j.size, float(energy))
+    return _polish(pot, e, xs[j], xs[j + 1], _regula_falsi(xs, v, e, j)).tolist()
 
 
 def _settle(out, at, errors):
-    """Record errors, keyed by position in at, as those energies' outcomes.
+    """Record errors, keyed by position in at, in out, keyed by energy index.
 
     Returns the mask of the positions still in play.
     """
     keep = np.ones(at.size, dtype=bool)
     for j, exc in errors.items():
-        out[at[j]] = exc
+        out[int(at[j])] = exc
         keep[j] = False
     return keep
 
@@ -215,8 +244,7 @@ def _turning_points(pot, energies, window, n_scan, out):
     on the scan) is raised, unless every energy has already failed.
     """
     at = np.arange(energies.size)
-    errors = enumerate(map(energy_error, energies.tolist()))
-    at = at[_settle(out, at, {j: exc for j, exc in errors if exc is not None})]
+    at = at[_settle(out, at, energy_errors(energies))]
     if not at.size:
         return at, energies[at], energies[at]
     lo, hi = pot.window(window)
@@ -228,26 +256,26 @@ def _turning_points(pot, energies, window, n_scan, out):
     v = pot.v(xs)
     which, j = _sign_changes(v, e)
     counts = np.bincount(which, minlength=at.size)
-    errors = {}
-    for p, (count, energy) in enumerate(zip(counts.tolist(), e.tolist())):
-        if count == 1 or (count == 0 and not (v < energy).any()):
-            # one crossing, or a window inside the forbidden region
-            errors[p] = NoBarrierError(
-                "forbidden region is not closed inside the window (%g, %g)" % (lo, hi)
-            )
-        elif count == 0:
-            errors[p] = NoBarrierError(
-                "no barrier at E=%g: k2 does not change sign in (%g, %g)" % (energy, lo, hi)
-            )
-        elif count > 2:
-            errors[p] = MultiHumpUnsupported(
-                "%d sign changes of k2 in (%g, %g); single-hump barriers only"
-                % (count, lo, hi)
-            )
+    # One crossing, or none with V >= E on the whole scan (fmin skips a nan
+    # V as `v < E` does): a window inside the forbidden region.
+    unclosed = (counts == 1) | ((counts == 0) & ~(np.fmin.reduce(v) < e))
+    errors = {
+        p: NoBarrierError("forbidden region is not closed inside the window (%g, %g)" % (lo, hi))
+        for p in np.flatnonzero(unclosed).tolist()
+    }
+    for p in np.flatnonzero((counts == 0) & ~unclosed).tolist():
+        errors[p] = NoBarrierError(
+            "no barrier at E=%g: k2 does not change sign in (%g, %g)" % (e[p], lo, hi)
+        )
+    for p in np.flatnonzero(counts > 2).tolist():
+        errors[p] = MultiHumpUnsupported(
+            "%d sign changes of k2 in (%g, %g); single-hump barriers only" % (counts[p], lo, hi)
+        )
     keep = _settle(out, at, errors)
     j = j[keep[which]]  # two brackets per remaining energy: a's, then b's
     at, e = at[keep], e[keep]
-    roots = _polish(pot, np.repeat(e, 2), xs[j], xs[j + 1])
+    e2 = np.repeat(e, 2)
+    roots = _polish(pot, e2, xs[j], xs[j + 1], _regula_falsi(xs, v, e2, j))
     a, b = roots[0::2], roots[1::2]
     inside = e - pot.v(0.5 * (a + b)) >= 0.0
     errors = {
@@ -268,9 +296,9 @@ def find_turning_points(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
     closed forbidden interval lies inside the window and
     MultiHumpUnsupported when the window contains more than one.
     """
-    out = [None]
+    out = {}
     _, a, b = _turning_points(pot, np.array([float(energy)]), window, n_scan, out)
-    if out[0] is not None:
+    if out:
         raise out[0]
     return float(a[0]), float(b[0])
 
@@ -318,39 +346,61 @@ def action_integral(pot, energy, x1, x2, rel_tol=1e-12):
     return float(values[0])
 
 
-def _midpoints(pot, energies, a, b, theta):
-    """(c, left, errors) for barriers [a, b] at energies whose actions are theta.
+def _midpoints(pot, energies, a, b):
+    """(theta, c, left, errors) for barriers [a, b], each at its own energy.
 
-    c splits each action into equal halves, |left - right| <= 1e-10 theta,
-    and left = action(a, c). errors maps a position to the exception of a
-    barrier without a midpoint; its c and left are meaningless.
+    theta is the action over [a, b], c splits it into equal halves,
+    |left - right| <= 1e-10 theta, and left = action(a, c). errors maps a
+    position to the exception of a barrier without a midpoint; its c and
+    left are meaningless. A barrier keeps the error of its first failing
+    step: theta, then each iterate of the search in turn, then the right
+    half and the balance.
 
     g(c) = action(a, c) - theta/2 rises from -theta/2 at a to theta/2 at b
     with the closed-form slope sqrt(V(c) - E), which Newton steps use. All
-    barriers step together, each step one batched quadrature. c is the
-    last iterate the search evaluated, kept with the left action found
-    there: the solver stopped because the step from that iterate is below
+    barriers step together. The search's first interior iterate is always
+    (a + b)/2, so one quadrature call integrates [a, b] and [a, (a + b)/2]
+    of every barrier, and g needs no quadrature at a, at b or at
+    (a + b)/2; each later step is one batched quadrature. c is the last
+    iterate the search evaluated, kept with the left action found there:
+    the solver stopped because the step from that iterate is below
     1e-13 (b - a) + 4 eps |c|, so c is within that tolerance of the root.
     Only the right halves action(c, b) take one more quadrature call.
     """
-    errors = {
-        j: DegenerateTurningPointError("vanishing barrier action between %g and %g" % (a[j], b[j]))
-        for j in np.flatnonzero(theta <= 0.0).tolist()
-    }
-    go = np.flatnonzero(theta > 0.0)
+    m = a.size
+    mid = 0.5 * (a + b)
+    s, errs = _actions(
+        pot, np.concatenate((energies, energies)), np.concatenate((a, a)), np.concatenate((b, mid))
+    )
+    theta, first = s[:m], s[m:]
+    errors = {r: exc for r, exc in errs.items() if r < m}
+    for j in np.flatnonzero(theta <= 0.0).tolist():
+        errors.setdefault(j, DegenerateTurningPointError(
+            "vanishing barrier action between %g and %g" % (a[j], b[j])
+        ))
+    searched = np.ones(m, dtype=bool)
+    searched[list(errors)] = False
+    # the first iterate's errors, which the search would meet first
+    for r, exc in errs.items():
+        if r >= m and searched[r - m]:
+            errors.setdefault(r - m, exc)
+    go = np.flatnonzero(searched)
     half = 0.5 * theta
-    c = np.full(theta.size, np.nan)
-    left = np.full(theta.size, np.nan)
+    c = np.full(m, np.nan)
+    left = np.full(m, np.nan)
     rows = []
 
     def imbalance(x):
         j = go[rows]
-        # action(a, a) = 0 and action(a, b) = theta need no quadrature.
-        at_b = x == b[j]
-        s, errs = _actions(pot, energies[j], a[j], np.where(at_b, a[j], x))
-        for r, exc in errs.items():
-            errors.setdefault(int(j[r]), exc)
-        s = np.where(at_b, theta[j], s)
+        # action(a, a) = 0; action(a, b) and action(a, (a + b)/2) are known.
+        at_b, at_mid = x == b[j], x == mid[j]
+        s = np.where(at_b, theta[j], np.where(at_mid, first[j], 0.0))
+        new = ~(at_b | at_mid | (x == a[j]))
+        if new.any():
+            k = j[new]
+            s[new], errs = _actions(pot, energies[k], a[k], x[new])
+            for r, exc in errs.items():
+                errors.setdefault(int(k[r]), exc)
         # The first call evaluates both ends; every later one overwrites them.
         c[j], left[j] = x, s
         return s - half[j]
@@ -360,16 +410,18 @@ def _midpoints(pot, energies, a, b, theta):
 
     solve_bracketed(imbalance, slope, a[go], b[go], 1e-13 * (b[go] - a[go]), rows=rows)
 
-    fine = np.array([j for j in range(theta.size) if j not in errors], dtype=int)
+    fine = np.ones(m, dtype=bool)
+    fine[list(errors)] = False
+    fine = np.flatnonzero(fine)
     right, errs = _actions(pot, energies[fine], c[fine], b[fine])
     for r, exc in errs.items():
         errors.setdefault(int(fine[r]), exc)
-    for j, lh, rh in zip(fine.tolist(), left[fine].tolist(), right.tolist()):
-        if j not in errors and abs(lh - rh) > 1e-10 * theta[j]:
-            errors[j] = DomainError(
-                "midpoint search failed to balance actions (%g vs %g)" % (lh, rh)
-            )
-    return c, left, errors
+    lh = left[fine]
+    for r in np.flatnonzero(np.abs(lh - right) > 1e-10 * theta[fine]).tolist():
+        errors.setdefault(int(fine[r]), DomainError(
+            "midpoint search failed to balance actions (%g vs %g)" % (lh[r], right[r])
+        ))
+    return theta, c, left, errors
 
 
 def find_midpoint(pot, energy, a, b):
@@ -379,11 +431,11 @@ def find_midpoint(pot, energy, a, b):
     theta / 2 (see _midpoints), within 1e-13 (b - a) + 4 eps |c| of the
     root. The result satisfies |action(a, c) - action(c, b)| <= 1e-10 * theta.
     """
-    theta = action_integral(pot, energy, a, b)
-    c, _, errors = _midpoints(
-        pot, np.array([float(energy)]), np.array([float(a)]), np.array([float(b)]),
-        np.array([theta]),
-    )
+    a = float(a)
+    b = float(b)
+    if a > b:
+        raise ValueError("a must be <= b, got %g > %g" % (a, b))
+    _, c, _, errors = _midpoints(pot, np.array([float(energy)]), np.array([a]), np.array([b]))
     if errors:
         raise errors[0]
     return float(c[0])
@@ -391,22 +443,30 @@ def find_midpoint(pot, energy, a, b):
 
 def _degenerate(alpha, energy):
     """True for a slope alpha of k2 below 1e-10 of the energy scale, where
-    the turning point is degenerate (energy at the barrier top)."""
-    return abs(alpha) < 1e-10 * max(1.0, abs(energy))
+    the turning point is degenerate (energy at the barrier top); floats
+    or arrays."""
+    return np.abs(alpha) < 1e-10 * np.maximum(1.0, np.abs(energy))
 
 
-def _alpha_error(alpha, energy, x0, side):
-    """The error alpha_limit raises for slope alpha at turning point x0, or None."""
-    if _degenerate(alpha, energy):
-        return DegenerateTurningPointError(
+def _alpha_errors(alpha, energies, x0, side, errors):
+    """Add to errors, keyed by position, the error alpha_limit raises for
+    each slope alpha at its turning point x0 (arrays) that it rejects."""
+    degenerate = _degenerate(alpha, energies)
+    for p in np.flatnonzero(degenerate).tolist():
+        errors.setdefault(p, DegenerateTurningPointError(
             "|dk2/dx| = %g at x=%g: degenerate turning point (barrier top)"
-            % (abs(alpha), x0)
-        )
-    if side == "left" and alpha >= 0.0:
-        return DomainError("left turning point at %g has alpha >= 0; not a barrier entry" % x0)
-    if side == "right" and alpha <= 0.0:
-        return DomainError("right turning point at %g has alpha <= 0; not a barrier exit" % x0)
-    return None
+            % (abs(alpha[p]), x0[p])
+        ))
+    if side == "left":
+        for p in np.flatnonzero(~degenerate & (alpha >= 0.0)).tolist():
+            errors.setdefault(p, DomainError(
+                "left turning point at %g has alpha >= 0; not a barrier entry" % x0[p]
+            ))
+    else:
+        for p in np.flatnonzero(~degenerate & (alpha <= 0.0)).tolist():
+            errors.setdefault(p, DomainError(
+                "right turning point at %g has alpha <= 0; not a barrier exit" % x0[p]
+            ))
 
 
 def alpha_limit(pot, energy, x0, side):
@@ -420,61 +480,92 @@ def alpha_limit(pot, energy, x0, side):
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right', got %r" % side)
     alpha = -pot.v_prime(x0)
-    exc = _alpha_error(alpha, float(energy), x0, side)
-    if exc is not None:
-        raise exc
+    errors = {}
+    _alpha_errors(np.array([alpha]), np.array([float(energy)]), [x0], side, errors)
+    if errors:
+        raise errors[0]
     return alpha
 
 
-def _geometry(a, b, c, theta, left, alpha_plus, alpha_minus, energy):
-    """The BarrierGeometry of one energy, or the DomainError of an inconsistent one."""
-    s_half = 1.5 * left
-    geom = BarrierGeometry(
-        a=a,
-        b=b,
-        c=c,
-        theta=theta,
-        s_half=s_half,
-        alpha_plus=alpha_plus,
-        alpha_minus=alpha_minus,
-        energy=energy,
-    )
-    # Internal consistency: c splits theta equally, so s_half = (3/4) theta.
-    if not (a < c < b) or theta <= 0.0 or s_half <= 0.0:
-        return DomainError("inconsistent barrier geometry: %r" % (geom,))
-    if abs(s_half - 0.75 * theta) > 1e-9 * theta:
-        return DomainError("half action %g inconsistent with theta %g" % (s_half, theta))
-    return geom
+def _entry(record, i):
+    """Entry i of a record (a dataclass) of arrays, as a record of Python
+    scalars; a field that is itself such a record becomes its entry i."""
+    values = []
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if is_dataclass(value):
+            value = _entry(value, i)
+        elif value is not None:
+            value = value[i].item()
+        values.append(value)
+    return type(record)(*values)
+
+
+def _select(record, index):
+    """The entries of a record (a dataclass) of arrays that index selects."""
+    return type(record)(*(getattr(record, field.name)[index] for field in fields(record)))
+
+
+def _check_geometry(geom, errors):
+    """Add to errors, keyed by position, the DomainError of each entry of
+    a BarrierGeometry of arrays that is inconsistent: c must lie strictly
+    between a and b, theta and s_half must be positive, and, since c
+    splits theta equally, s_half must be (3/4) theta."""
+    a, c, b, theta, s_half = geom.a, geom.c, geom.b, geom.theta, geom.s_half
+    bad = ~((a < c) & (c < b)) | (theta <= 0.0) | (s_half <= 0.0)
+    for p in np.flatnonzero(bad).tolist():
+        errors.setdefault(p, DomainError("inconsistent barrier geometry: %r" % (_entry(geom, p),)))
+    for p in np.flatnonzero(~bad & (np.abs(s_half - 0.75 * theta) > 1e-9 * theta)).tolist():
+        errors.setdefault(p, DomainError(
+            "half action %g inconsistent with theta %g" % (s_half[p], theta[p])
+        ))
 
 
 def _analyze(pot, energies, window, n_scan, out):
-    """Fill out with the geometry or the error of each energy."""
+    """The BarrierGeometry of arrays of the energies that pass every check,
+    in order; the error of each other energy goes to out, keyed by its index."""
     if not pot.smooth:
         raise NonSmoothError(
             "potential %r has jumps; turning-point slopes do not exist" % pot
         )
     at, a, b = _turning_points(pot, energies, window, n_scan, out)
     if not at.size:
-        return
+        return _EMPTY
     e = energies[at]
-    theta, errors = _actions(pot, e, a, b)
-    keep = _settle(out, at, errors)
-    at, e, a, b, theta = at[keep], e[keep], a[keep], b[keep], theta[keep]
-
-    c, left, errors = _midpoints(pot, e, a, b, theta)
+    theta, c, left, errors = _midpoints(pot, e, a, b)
     keep = _settle(out, at, errors)
     at, e, a, b, c, theta, left = (arr[keep] for arr in (at, e, a, b, c, theta, left))
 
     m = at.size
     alpha = -pot.v_prime(np.concatenate((a, b)))
-    rows = zip(at.tolist(), a.tolist(), b.tolist(), c.tolist(), theta.tolist(),
-               left.tolist(), alpha[:m].tolist(), alpha[m:].tolist(), e.tolist())
-    for i, a_i, b_i, c_i, theta_i, left_i, plus, minus, energy in rows:
-        out[i] = (
-            _alpha_error(plus, energy, a_i, "left")
-            or _alpha_error(minus, energy, b_i, "right")
-            or _geometry(a_i, b_i, c_i, theta_i, left_i, plus, minus, energy)
-        )
+    geom = BarrierGeometry(a, b, c, theta, 1.5 * left, alpha[:m], alpha[m:], e)
+    errors = {}
+    _alpha_errors(geom.alpha_plus, e, a, "left", errors)
+    _alpha_errors(geom.alpha_minus, e, b, "right", errors)
+    _check_geometry(geom, errors)
+    return _select(geom, _settle(out, at, errors))
+
+
+def _geometries(pot, energies, window=None, n_scan=DEFAULT_SCAN_POINTS):
+    """(geom, errors): analyze_barriers' outcomes as arrays.
+
+    geom is a BarrierGeometry of arrays with one entry per energy whose
+    geometry passes every check, in order; errors maps the index of every
+    other energy to its exception.
+    """
+    energies = energy_array(energies)
+    parts, errors = [_EMPTY], {}
+    for i in range(0, energies.size, BLOCK):
+        block = energies[i:i + BLOCK]
+        out = {}
+        try:
+            parts.append(_analyze(pot, block, window, n_scan, out))
+        except (TunnelError, ValueError, ArithmeticError) as exc:
+            for j in range(block.size):
+                out.setdefault(j, exc)
+        errors.update((i + j, exc) for j, exc in out.items())
+    geom = BarrierGeometry(*(np.concatenate([getattr(p, name) for p in parts]) for name in _FIELDS))
+    return geom, errors
 
 
 def analyze_barriers(pot, energies, window=None, n_scan=DEFAULT_SCAN_POINTS):
@@ -488,17 +579,12 @@ def analyze_barriers(pot, energies, window=None, n_scan=DEFAULT_SCAN_POINTS):
     block that had not failed before it; the other blocks do not see it.
     energies beyond 1D raise ValueError.
     """
-    energies = energy_array(energies)
-    out = []
-    for i in range(0, energies.size, BLOCK):
-        block = energies[i:i + BLOCK]
-        part = [None] * block.size
-        try:
-            _analyze(pot, block, window, n_scan, part)
-        except (TunnelError, ValueError, ArithmeticError) as exc:
-            part = [exc if r is None else r for r in part]
-        out += part
-    return out
+    geom, errors = _geometries(pot, energies, window, n_scan)
+    passed = iter(range(geom.energy.size))
+    return [
+        errors[i] if i in errors else _entry(geom, next(passed))
+        for i in range(geom.energy.size + len(errors))
+    ]
 
 
 def analyze_barrier(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):

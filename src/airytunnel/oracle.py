@@ -46,11 +46,11 @@ rescaled product is unconditionally stable in the evanescent region.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import AsymptoteMismatchError, DomainError, TunnelError, energy_array, energy_error
+from .errors import AsymptoteMismatchError, DomainError, TunnelError, energy_array, energy_errors
 
 #: Both domain endpoints must be within this of V = 0.
 ASYMPTOTE_TOLERANCE = 1e-9
@@ -66,13 +66,18 @@ _BIG = 2.0 ** 500
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Converged transmission with convergence diagnostics."""
+    """Converged transmission with convergence diagnostics; from a batch
+    of energies, arrays of them with one entry per energy."""
 
     t_exact: float
     r_exact: float
     slices: int
     flux_defect: float
     richardson_estimate: float
+
+
+_FIELDS = tuple(field.name for field in fields(OracleResult))
+_EMPTY = OracleResult(*[np.empty(0)] * len(_FIELDS))
 
 
 def square_barrier_closed_form(v0, length, energy):
@@ -193,8 +198,9 @@ def _transfer_once(v_mid, energies, x_left, x_right, n):
     return t, r
 
 
-def _passes(pot, energies, domain, slices, out):
-    """Fill the empty entries of out with each energy's OracleResult or error.
+def _passes(pot, energies, at, domain, slices, errors):
+    """The OracleResult of arrays of the energies at that pass, in order;
+    the error of each other one goes to errors, keyed by its index.
 
     Two passes, at slices and 2 * slices; an energy whose coarse pass fails
     takes no part in the fine one.
@@ -211,7 +217,6 @@ def _passes(pot, energies, domain, slices, out):
             % (x_left, v_l, x_right, v_r, ASYMPTOTE_TOLERANCE)
         )
 
-    at = np.array([i for i, r in enumerate(out) if r is None], dtype=int)
     passes = []
     for n in (slices, 2 * slices):
         d = (x_right - x_left) / n
@@ -222,21 +227,43 @@ def _passes(pot, energies, domain, slices, out):
             block = at[i:i + per_block]
             t[block], r[block] = _transfer_once(v_mid, energies[block], x_left, x_right, n)
         for i in at[np.isnan(t[at])].tolist():
-            out[i] = ValueError(
+            errors[i] = ValueError(
                 "%d slices on [%g, %g] are too coarse for this barrier at E=%g"
                 % (n, x_left, x_right, energies[i])
             )
         at = at[~np.isnan(t[at])]
-        passes.append((t.tolist(), r.tolist()))
+        passes.append((t, r))
     (t_coarse, _), (t_fine, r_fine) = passes
-    for i in at.tolist():
-        out[i] = OracleResult(
-            t_exact=t_fine[i],
-            r_exact=r_fine[i],
-            slices=2 * slices,
-            flux_defect=abs(t_fine[i] + r_fine[i] - 1.0),
-            richardson_estimate=(4.0 * t_fine[i] - t_coarse[i]) / 3.0,
-        )
+    t_fine, r_fine, t_coarse = t_fine[at], r_fine[at], t_coarse[at]
+    return OracleResult(
+        t_exact=t_fine,
+        r_exact=r_fine,
+        slices=np.full(at.size, 2 * slices),
+        flux_defect=np.abs(t_fine + r_fine - 1.0),
+        richardson_estimate=(4.0 * t_fine - t_coarse) / 3.0,
+    )
+
+
+def _transmissions(pot, energies, domain, slices):
+    """(result, errors): exact_transmissions' outcomes as arrays.
+
+    result is an OracleResult of arrays with one entry per energy that
+    passes, in order; errors maps the index of every other energy to its
+    exception.
+    """
+    energies = energy_array(energies)
+    errors = energy_errors(energies)
+    keep = np.ones(energies.size, dtype=bool)
+    keep[list(errors)] = False
+    at = np.flatnonzero(keep)
+    if not at.size:
+        return _EMPTY, errors
+    try:
+        return _passes(pot, energies, at, domain, slices, errors), errors
+    except (TunnelError, ValueError, ArithmeticError) as exc:
+        for i in at.tolist():
+            errors.setdefault(i, exc)
+        return _EMPTY, errors
 
 
 def exact_transmissions(pot, energies, domain, slices=4000):
@@ -248,14 +275,12 @@ def exact_transmissions(pot, energies, domain, slices=4000):
     is the error of every energy that had not failed before it. energies
     beyond 1D raise ValueError.
     """
-    energies = energy_array(energies)
-    out = [energy_error(e) for e in energies.tolist()]
-    if None in out:
-        try:
-            _passes(pot, energies, domain, slices, out)
-        except (TunnelError, ValueError, ArithmeticError) as exc:
-            return [exc if r is None else r for r in out]
-    return out
+    result, errors = _transmissions(pot, energies, domain, slices)
+    rows = zip(*(getattr(result, name).tolist() for name in _FIELDS))
+    return [
+        errors[i] if i in errors else OracleResult(*next(rows))
+        for i in range(result.t_exact.size + len(errors))
+    ]
 
 
 def exact_transmission(pot, energy, domain, slices=4000):

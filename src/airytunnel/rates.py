@@ -18,10 +18,13 @@ coefficients; t_uniform is deliberately not clamped to <= 1 so its
 behavior near the barrier top can be studied against the exact solver.
 
 rate_report takes one energy or an array of them, and a sweep is one
-batched pass: the geometry of all its energies comes from
-geometry.analyze_barriers, their Airy ratios from one log_bi_over_ai call
-and their exact values from one oracle.exact_transmissions call. A scalar
-energy runs as an array of size one.
+batched pass that stays in arrays: the geometry of all its energies
+comes from the batched geometry pass, their Airy ratios from one
+log_bi_over_ai call and their exact values from one batched oracle pass.
+An array of energies gives one RateReport of arrays, a scalar energy runs
+as an array of size one and gives a RateReport of floats. The powers,
+exponentials and logarithms of the rates stay math's, entry by entry, so
+every entry has the bits of the one-energy report.
 """
 
 import math
@@ -31,14 +34,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateTurningPointError
-from .geometry import BarrierGeometry, analyze_barriers
-from .oracle import OracleResult, exact_transmissions
+from .geometry import BarrierGeometry, _entry, _geometries, _select
+from .oracle import OracleResult, _transmissions
 from .specfun import log_bi_over_ai
 
 
 @dataclass(frozen=True)
 class RateReport:
-    """All transmission estimates for one barrier at one energy."""
+    """All transmission estimates for one barrier at one energy, or, from
+    an array of energies, arrays of them: each float field is then an
+    array, geometry a BarrierGeometry of arrays and oracle an OracleResult
+    of arrays. Compare array reports field by field."""
 
     energy: float
     geometry: BarrierGeometry
@@ -74,52 +80,58 @@ def t_uniform(geom: BarrierGeometry):
     """
     if geom.s_half <= 0.0:
         raise ValueError("geometry has non-positive half action %r" % geom.s_half)
-    return _uniform_rate(geom, log_bi_over_ai(geom.s_half ** (2.0 / 3.0)))
-
-
-def _uniform_rate(geom, log_ratio):
-    """t_uniform of geom, given log_ratio = ln(Bi(u)/Ai(u)) at its u."""
     ratio = abs(geom.alpha_plus / geom.alpha_minus)
-    log_t = math.log(3.0) - 2.0 * log_ratio + math.log(ratio) / 3.0
-    return math.exp(log_t)
+    log_ratio = log_bi_over_ai(geom.s_half ** (2.0 / 3.0))
+    return math.exp(math.log(3.0) - 2.0 * log_ratio + math.log(ratio) / 3.0)
+
+
+def _each(fn, x):
+    """fn, a function of one float, at each entry of the 1D array x. numpy's
+    exp, log and power can differ from math's in the last bit."""
+    return np.array([fn(v) for v in x.tolist()], dtype=float)
+
+
+def _estimates(geom):
+    """(u, t_wkb, t_asymptotic, t_uniform) of a BarrierGeometry of arrays,
+    entry by entry the values t_wkb, t_asymptotic and t_uniform give."""
+    bad = np.flatnonzero(~((geom.theta >= 0.0) & np.isfinite(geom.theta)))
+    if bad.size:
+        t_wkb(geom.theta[bad[0]])  # raises t_wkb's ValueError
+    ratio = np.abs(geom.alpha_plus / geom.alpha_minus)
+    u = _each(lambda s: s ** (2.0 / 3.0), geom.s_half)
+    wkb = _each(math.exp, -2.0 * geom.theta)
+    asymptotic = 0.75 * _each(lambda r: r ** (1.0 / 3.0), ratio) * wkb
+    log_t = math.log(3.0) - 2.0 * log_bi_over_ai(u) + _each(math.log, ratio) / 3.0
+    return u, wkb, asymptotic, _each(math.exp, log_t)
 
 
 def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000):
     """All transmission estimates at one energy or at each of an array of them.
 
-    A scalar energy (a float or a 0-d array) gives one RateReport, a 1D
-    array or list a list of them; a 2-D array raises ValueError. The
-    geometry is one batched pass over all energies, t_uniform one
-    log_bi_over_ai call and the exact transfer-matrix values, included
-    when ``with_oracle`` is set, one exact_transmissions call over the
-    same window as the geometry scan, so the window must then reach far
-    enough that V has decayed to its zero asymptote.
+    A scalar energy (a float or a 0-d array) gives a RateReport of floats,
+    a 1D array or list one RateReport of arrays, one entry per energy; a
+    2-D array raises ValueError. The geometry is one batched pass over all
+    energies, t_uniform one log_bi_over_ai call and the exact
+    transfer-matrix values, included when ``with_oracle`` is set, one
+    batched oracle pass over the same window as the geometry scan, so the
+    window must then reach far enough that V has decayed to its zero
+    asymptote.
 
     Fails as a loop of one-energy reports would: with the error of the
     lowest energy whose geometry or oracle fails.
     """
-    results = analyze_barriers(pot, energy, window)
-    failed = next((i for i, r in enumerate(results) if isinstance(r, Exception)), None)
-    geoms = results[:failed]
-    u = [geom.s_half ** (2.0 / 3.0) for geom in geoms]
-    estimates = [
-        (t_wkb(geom.theta), t_asymptotic(geom.theta, geom.alpha_plus, geom.alpha_minus),
-         _uniform_rate(geom, log_ratio))
-        for geom, log_ratio in zip(geoms, log_bi_over_ai(np.array(u)).tolist())
-    ]
-    oracle = [None] * len(geoms)
-    if with_oracle:
-        oracle = exact_transmissions(
-            pot, [geom.energy for geom in geoms], window, slices=oracle_slices
-        )
-        for result in oracle:
-            if isinstance(result, Exception):
-                raise result
+    geom, errors = _geometries(pot, energy, window)
+    failed = min(errors, default=None)
     if failed is not None:
-        raise results[failed]
-    reports = [
-        RateReport(geom.energy, geom, u_i, *t,
-                   t_exact=None if exact is None else exact.t_exact, oracle=exact)
-        for geom, u_i, t, exact in zip(geoms, u, estimates, oracle)
-    ]
-    return reports[0] if np.ndim(energy) == 0 else reports
+        geom = _select(geom, slice(failed))
+    u, wkb, asymptotic, uniform = _estimates(geom)
+    oracle = t_exact = None
+    if with_oracle:
+        oracle, oracle_errors = _transmissions(pot, geom.energy, window, oracle_slices)
+        if oracle_errors:
+            raise oracle_errors[min(oracle_errors)]
+        t_exact = oracle.t_exact
+    if failed is not None:
+        raise errors[failed]
+    report = RateReport(geom.energy, geom, u, wkb, asymptotic, uniform, t_exact, oracle)
+    return _entry(report, 0) if np.ndim(energy) == 0 else report

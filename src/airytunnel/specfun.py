@@ -25,8 +25,8 @@ tunneling formulas and wavefunction plotting need.
 
 ``airy`` and ``log_bi_over_ai`` have one evaluation path each. They take a
 scalar or a 1D array; a scalar runs as an array of size one. All grid-regime
-entries of a call take their Taylor steps in one vectorised pass, and each
-asymptotic entry runs singly.
+entries of a call take their Taylor steps in one vectorised pass, and all
+asymptotic entries sum their series in one pass along a term axis.
 """
 
 import math
@@ -81,6 +81,15 @@ class AiryPair:
     bi_prime: float
 
 
+def _arguments(u):
+    """(u as a 1D float array, whether u was a scalar); ValueError beyond 1D."""
+    scalar = np.ndim(u) == 0
+    u = np.array(u, dtype=float, ndmin=1)
+    if u.ndim > 1:
+        raise ValueError("Airy arguments must be a scalar or 1D, got shape %s" % (u.shape,))
+    return u, scalar
+
+
 def _taylor_derivs(x0, y, yp, order):
     """y^(n)(x0) for n = 0 .. order + 1, where y'' = x*y and (y, y') = (y, yp) at x0.
 
@@ -118,50 +127,78 @@ def _taylor_sum(d, h):
     return np.add.reduce(terms, axis=0)
 
 
-def _asymptotic_sums(zeta, max_terms=60):
-    """Truncated asymptotic correction sums for (Ai, Bi, Ai', Bi').
-
-    Coefficients u_k (values) and v_k (derivatives) by recurrence; the sums
-    stop at the smallest term, the standard rule for divergent asymptotic
-    series, or earlier once the terms no longer change any sum.
-    """
-    sa = sb = sc = sd = 1.0
-    uk = 1.0
-    sign = 1.0
-    prev = 1.0
-    zk = 1.0
+def _coefficients(max_terms):
+    """u_k (values) and v_k (derivatives), k = 1 .. max_terms - 1, of the
+    asymptotic series, by their recurrence."""
+    uk, u, v = 1.0, [], []
     for k in range(1, max_terms):
         uk *= (6 * k - 1) * (6 * k - 3) * (6 * k - 5) / (216.0 * k * (2 * k - 1))
-        vk = -uk * (6 * k + 1) / (6 * k - 1.0)
-        zk *= zeta
-        t = uk / zk
-        tv = vk / zk
-        # |u_k| < |v_k|, so once v_k's term rounds away from every sum, all
-        # terms do, and the later ones are smaller still.
-        if abs(t) >= prev or abs(tv) < _QUARTER_ULP_OF_ONE_HALF:
-            break
-        prev = abs(t)
-        sign = -sign
-        sa += sign * t
-        sb += t
-        sc += sign * tv
-        sd += tv
-    return sa, sb, sc, sd
+        u.append(uk)
+        v.append(-uk * (6 * k + 1) / (6 * k - 1.0))
+    return np.array(u)[:, None], np.array(v)[:, None]
+
+
+_U_K, _V_K = _coefficients(60)
+
+
+def _asymptotic_sums(zeta):
+    """Truncated asymptotic correction sums for (Ai, Bi, Ai', Bi') at each
+    entry of the 1D array zeta, as the rows of a (4, zeta.size) array.
+
+    Each sum stops at its smallest term, the standard rule for divergent
+    asymptotic series, or earlier once the terms no longer change any sum.
+    All entries run in one pass along a term axis: the powers zeta^k are
+    one running product, every term is formed, and the terms past an
+    entry's stop are set to 0. The sums add the terms in order
+    k = 0, 1, ..., so each entry gets the bits of a loop over its terms.
+    """
+    # Past an entry's stop zeta^k may overflow to inf; its terms are then 0.
+    with np.errstate(over="ignore"):
+        zk = np.multiply.accumulate(np.broadcast_to(zeta, (_U_K.size, zeta.size)), axis=0)
+    t = _U_K / zk  # > 0, as u_k > 0
+    tv = _V_K / zk  # < 0, as v_k < 0
+    # go[k]: term k + 1 is smaller than the one before and v_k's term still
+    # changes a sum. |u_k| < |v_k|, so once v_k's term rounds away from
+    # every sum, all terms do, and the later ones are smaller still.
+    go = np.empty((_U_K.size + 1, zeta.size), dtype=bool)
+    np.less(t[0], 1.0, out=go[0])
+    np.less(t[1:], t[:-1], out=go[1:-1])
+    go[:-1] &= tv <= -_QUARTER_ULP_OF_ONE_HALF
+    go[-1] = False
+    stop = go.argmin(axis=0)  # the number of terms each entry keeps
+    n = int(stop.max(initial=0))
+    keep = np.arange(n)[:, None] < stop
+    terms = np.empty((n + 1, 4, zeta.size))
+    terms[0] = 1.0
+    np.multiply(t[:n], keep, out=terms[1:, 1])
+    np.multiply(tv[:n], keep, out=terms[1:, 3])
+    terms[1::2, 0::2] = -terms[1::2, 1::2]  # the alternating sums, sign (-1)^k
+    terms[2::2, 0::2] = terms[2::2, 1::2]
+    return np.add.reduce(terms, axis=0)
 
 
 def _airy_asymptotic(u):
-    """Asymptotic-regime evaluation, valid to ~1e-15 for u >= 8."""
-    zeta = (2.0 / 3.0) * u ** 1.5
-    if zeta > _ZETA_OVERFLOW:
-        raise AiryOverflowError(zeta)
+    """Asymptotic-regime (Ai, Bi, Ai', Bi'), valid to ~1e-15 for u >= 8.
+
+    Floats at a scalar u, arrays at a 1D array; AiryOverflowError names the
+    first entry past double range. Powers and exponentials are math's,
+    entry by entry, as numpy's can differ in the last bit.
+    """
+    u, scalar = _arguments(u)
+    zeta = np.array([(2.0 / 3.0) * x ** 1.5 for x in u.tolist()])
+    over = np.flatnonzero(zeta > _ZETA_OVERFLOW)
+    if over.size:
+        raise AiryOverflowError(zeta[over[0]])
     sa, sb, sc, sd = _asymptotic_sums(zeta)
-    q = u ** 0.25
-    em = math.exp(-zeta)
-    ep = math.exp(zeta)
+    q = np.array([x ** 0.25 for x in u.tolist()])
+    em = np.array([math.exp(-z) for z in zeta.tolist()])
+    ep = np.array([math.exp(z) for z in zeta.tolist()])
     ai = em * sa / (2.0 * _SQRT_PI * q)
     ai_prime = -q * em * sc / (2.0 * _SQRT_PI)
     bi = ep * sb / (_SQRT_PI * q)
     bi_prime = q * ep * sd / _SQRT_PI
+    if scalar:
+        return ai.item(), bi.item(), ai_prime.item(), bi_prime.item()
     return ai, bi, ai_prime, bi_prime
 
 
@@ -211,15 +248,6 @@ def _airy_grid(u):
     return ai, bi, ai_prime, bi_prime
 
 
-def _arguments(u):
-    """(u as a 1D float array, whether u was a scalar); ValueError beyond 1D."""
-    scalar = np.ndim(u) == 0
-    u = np.array(u, dtype=float, ndmin=1)
-    if u.ndim > 1:
-        raise ValueError("Airy arguments must be a scalar or 1D, got shape %s" % (u.shape,))
-    return u, scalar
-
-
 def airy(u):
     """Evaluate Ai(u), Bi(u), Ai'(u), Bi'(u).
 
@@ -244,8 +272,8 @@ def airy(u):
         )
     far = u > SERIES_ASYMPTOTIC_SWITCH
     vals = np.array(_airy_grid(np.where(far, 0.0, u)))
-    for i, x in zip(np.flatnonzero(far).tolist(), u[far].tolist()):
-        vals[:, i] = _airy_asymptotic(x)
+    if far.any():
+        vals[:, far] = _airy_asymptotic(u[far])
     return AiryPair(*(vals[:, 0].tolist() if scalar else vals))
 
 
@@ -266,9 +294,10 @@ def log_bi_over_ai(u):
         raise DomainError("log_bi_over_ai requires u >= 0, got %r" % float(u[bad[0]]))
     far = u > SERIES_ASYMPTOTIC_SWITCH
     ai, bi, _, _ = _airy_grid(np.where(far, 0.0, u))
-    out = [math.log(q) for q in (bi / ai).tolist()]
-    for i, x in zip(np.flatnonzero(far).tolist(), u[far].tolist()):
-        zeta = (2.0 / 3.0) * x ** 1.5
+    out = np.array([math.log(q) for q in (bi / ai).tolist()])
+    if far.any():
+        zeta = np.array([(2.0 / 3.0) * x ** 1.5 for x in u[far].tolist()])
         sa, sb, _, _ = _asymptotic_sums(zeta)
-        out[i] = math.log(2.0) + 2.0 * zeta + math.log(sb / sa)
-    return out[0] if scalar else np.array(out)
+        log_sums = np.array([math.log(q) for q in (sb / sa).tolist()])
+        out[far] = math.log(2.0) + 2.0 * zeta + log_sums
+    return float(out[0]) if scalar else out

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+from dataclasses import fields, is_dataclass
+
 import mpmath
 import numpy as np
 import pytest
@@ -40,6 +42,29 @@ def transfer_once(pot, energy, x_left, x_right, n):
         midpoint_samples(pot, x_left, x_right, n), np.array([energy]), x_left, x_right, n
     )
     return float(t[0]), float(r[0])
+
+
+def entry_matches(record, i, one):
+    """Whether entry i of a record of arrays (a RateReport, BarrierGeometry
+    or OracleResult from an array of energies) has, field by field, the
+    type and the bits of the record of scalars one."""
+    assert type(record) is type(one)
+    for field in fields(one):
+        got, want = getattr(record, field.name), getattr(one, field.name)
+        if is_dataclass(want):
+            if not entry_matches(got, i, want):
+                return False
+        elif want is None:
+            if got is not None:
+                return False
+        else:
+            assert isinstance(got, np.ndarray) and got.ndim == 1
+            value = got[i].item()
+            if type(value) is not type(want):
+                return False
+            if value != want if isinstance(want, int) else value.hex() != want.hex():
+                return False
+    return True
 
 
 @pytest.fixture

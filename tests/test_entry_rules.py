@@ -21,7 +21,7 @@ from airytunnel import (
     sample_grid,
 )
 from airytunnel.cli import main
-from conftest import tilted_gaussian_samples
+from conftest import entry_matches, tilted_gaussian_samples
 
 INF = math.inf
 NAN = math.nan
@@ -126,13 +126,15 @@ def test_rate_report_takes_a_scalar_or_a_1d_array():
     assert type(one) is RateReport and one.energy == 0.5
     assert rate_report(pot, np.array(0.5)) == one
     for energies in ([0.3, 0.5], np.array([0.3, 0.5])):
-        reports = rate_report(pot, energies)
-        assert type(reports) is list and [r.energy for r in reports] == [0.3, 0.5]
-        assert reports[1] == one
-    assert rate_report(pot, []) == []
-    assert rate_report(pot, [0.5])[0] == one
+        report = rate_report(pot, energies)
+        assert type(report) is RateReport and report.energy.tolist() == [0.3, 0.5]
+        assert entry_matches(report, 1, one)
+    empty = rate_report(pot, [])
+    assert empty.energy.shape == empty.geometry.a.shape == empty.t_uniform.shape == (0,)
+    assert entry_matches(rate_report(pot, [0.5]), 0, one)
     with_oracle = rate_report(pot, 0.5, with_oracle=True, oracle_slices=200)
-    assert rate_report(pot, [0.5], with_oracle=True, oracle_slices=200) == [with_oracle]
+    assert type(with_oracle.oracle.slices) is int
+    assert entry_matches(rate_report(pot, [0.5], with_oracle=True, oracle_slices=200), 0, with_oracle)
 
 
 def test_energies_beyond_1d_are_rejected():

@@ -268,20 +268,20 @@ def test_parabolic_polish_takes_few_steps(monkeypatch, v0):
     # that through |x V'(x)|, so no bracket bisects down to 1e-14.
     per_bracket = []
 
-    def counting(f, fprime, lo, hi, xtol, rows=None):
+    def counting(f, fprime, lo, hi, xtol, rows=None, x0=None):
         if f.__name__ != "k2":
-            return solve_bracketed(f, fprime, lo, hi, xtol, rows=rows)
+            return solve_bracketed(f, fprime, lo, hi, xtol, rows=rows, x0=x0)
         calls = Counter()
 
         def g(x):
             calls.update(rows)
             return f(x)
 
-        root = solve_bracketed(g, fprime, lo, hi, xtol, rows=rows)
+        root = solve_bracketed(g, fprime, lo, hi, xtol, rows=rows, x0=x0)
         per_bracket.extend(calls.values())
         return root
 
     monkeypatch.setattr(geometry, "solve_bracketed", counting)
     geometry.analyze_barriers(ParabolicBarrier(v0), np.linspace(0.02, 0.97, 32) * v0)
     assert len(per_bracket) == 64
-    assert max(per_bracket) <= 10, Counter(per_bracket)
+    assert max(per_bracket) <= 5, Counter(per_bracket)

@@ -1,10 +1,13 @@
 """Airy kernel tests: exact identities, frozen series values, regime checks."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airytunnel import AiryOverflowError, DomainError, airy, log_bi_over_ai
 from airytunnel.specfun import (
@@ -265,12 +268,30 @@ def reference_asymptotic_sums(zeta, max_terms=60):
     return sa, sb, sc, sd
 
 
+def assert_sums_match_reference(u):
+    """The one-pass sums at u (a 1D array) equal the reference loop's, bit for bit."""
+    zeta = np.array([(2.0 / 3.0) * x ** 1.5 for x in u.tolist()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _asymptotic_sums(zeta)
+    assert got.shape == (4, u.size)
+    for sums, z in zip(got.T.tolist(), zeta.tolist()):
+        assert tuple(sums) == reference_asymptotic_sums(z)
+
+
 def test_asymptotic_sums_stop_early_without_changing_a_bit():
     # u from the regime switch to past the overflow limit, dense at the low
     # end where the sums keep the most terms.
     u = np.concatenate((np.linspace(SERIES_ASYMPTOTIC_SWITCH, 40.0, 8001), np.geomspace(40.0, 5000.0, 8001)))
-    for zeta in ((2.0 / 3.0) * u ** 1.5).tolist():
-        assert _asymptotic_sums(zeta) == reference_asymptotic_sums(zeta)
+    assert_sums_match_reference(u)
+    # Hypothesis-drawn arguments in (9, 1e8], one pass each: zeta^k overflows
+    # past the stop of the largest, which must not warn.
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(SERIES_ASYMPTOTIC_SWITCH, 1e8, exclude_min=True), min_size=1, max_size=40))
+    def drawn(u):
+        assert_sums_match_reference(np.array(u))
+
+    drawn()
 
 
 def reference_taylor_sum(d, h):

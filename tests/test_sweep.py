@@ -27,13 +27,13 @@ from airytunnel.cli import main
 from airytunnel.geometry import solve_bracketed
 from airytunnel.quadrature import integrate_endpoint_singular
 from airytunnel.specfun import SERIES_ASYMPTOTIC_SWITCH, _airy_grid
-from conftest import double_hump_samples, tilted_gaussian_samples
+from conftest import double_hump_samples, entry_matches, tilted_gaussian_samples
 
 # The per-energy loop that the batched sweep replaced, kept as its reference:
 # scalar root steps, one quadrature per action, one report per energy.
 
 
-def reference_solve(f, fprime, lo, hi, xtol):
+def reference_solve(f, fprime, lo, hi, xtol, x0=None):
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0 or f_hi == 0.0:
         return lo if f_lo == 0.0 else hi
@@ -41,6 +41,8 @@ def reference_solve(f, fprime, lo, hi, xtol):
     if f_lo > 0.0:
         lo, hi = hi, lo
     x = 0.5 * (lo + hi)
+    if x0 is not None and min(lo, hi) < x0 < max(lo, hi):
+        x = x0
     step = step_before = abs(hi - lo)
     for _ in range(100):
         fx = f(x)
@@ -89,14 +91,16 @@ def reference_geometry(pot, energy, window):
     if energy <= 0.0:
         raise DomainError("energy")
     lo, hi = window
-    xs = np.linspace(lo, hi, 2048)
-    signs = np.where(pot.wavenumber_sq(energy, xs) > 0.0, 1.0, -1.0)
+    xs = np.linspace(lo, hi, 2048).tolist()
+    k2 = pot.wavenumber_sq(energy, np.array(xs)).tolist()
     roots = [
         reference_solve(
             reference_k2(pot, energy), lambda x: -float(pot.v_prime(x)),
-            float(xs[i]), float(xs[i + 1]), 1e-14,
+            xs[i], xs[i + 1], 1e-14,
+            # regula falsi on the scan's own k2 values
+            x0=xs[i] + (xs[i + 1] - xs[i]) * (k2[i] / (k2[i] - k2[i + 1])),
         )
-        for i in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
+        for i in range(len(xs) - 1) if (k2[i] > 0.0) != (k2[i + 1] > 0.0)
     ]
     if len(roots) > 2:
         raise MultiHumpUnsupported("hump")
@@ -159,13 +163,12 @@ def reference_outcomes(pot, energies, window):
     return out
 
 
-def report_rows(reports):
-    return [
-        (r.energy, r.geometry.a, r.geometry.b, r.geometry.c, r.geometry.theta,
-         r.geometry.s_half, r.geometry.alpha_plus, r.geometry.alpha_minus,
-         r.airy_argument, r.t_wkb, r.t_asymptotic, r.t_uniform)
-        for r in reports
-    ]
+def report_rows(report):
+    """The rows of a report of arrays, in the layout of reference_report."""
+    g = report.geometry
+    columns = (report.energy, g.a, g.b, g.c, g.theta, g.s_half, g.alpha_plus, g.alpha_minus,
+               report.airy_argument, report.t_wkb, report.t_asymptotic, report.t_uniform)
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def tabulated_sech2():
@@ -249,10 +252,12 @@ def assert_matches_reference(name, energies):
             rate_report(pot, energies, window)
     # ... and reports every energy below it as the loop did
     ok = [i for i in range(len(energies)) if i not in failed]
-    got = report_rows(rate_report(pot, [energies[i] for i in ok], window))
+    report = rate_report(pot, [energies[i] for i in ok], window)
+    got = report_rows(report)
     assert len(got) == len(ok)
-    for row, i in zip(got, ok):
+    for k, (row, i) in enumerate(zip(got, ok)):
         assert_rows_match(name, row, want[i])
+        assert entry_matches(report, k, rate_report(pot, energies[i], window))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -277,13 +282,14 @@ def test_single_energy_is_the_batched_pass():
     pot = Sech2Barrier(1.0, 1.0)
     energies = np.linspace(0.1, 0.9, 9)
     batched = rate_report(pot, energies)
-    for e, rep in zip(energies, batched):
-        assert rate_report(pot, float(e)) == rep
+    for i, e in enumerate(energies.tolist()):
+        assert entry_matches(batched, i, rate_report(pot, e))
 
 
 def test_sweep_integrates_three_action_segments_per_energy(monkeypatch):
-    # theta, the left half at the one Newton iterate of a symmetric barrier,
-    # and the right half from that iterate: the left half is not redone.
+    # theta and the left half at the search's first iterate (a + b)/2 in one
+    # call, then the right half from that iterate: the first iterate of a
+    # symmetric barrier is its midpoint, and the left half is not redone.
     segments = []
 
     def counting(f, x1, x2, **kwargs):
@@ -291,10 +297,10 @@ def test_sweep_integrates_three_action_segments_per_energy(monkeypatch):
         return integrate_endpoint_singular(f, x1, x2, **kwargs)
 
     monkeypatch.setattr(geometry, "integrate_endpoint_singular", counting)
-    reports = rate_report(Sech2Barrier(1.0, 1.0), np.linspace(0.01, 0.99, 32))
-    assert len(reports) == 32
-    # the search's first call evaluates the bracket ends, which need no quadrature
-    assert segments == [32, 0, 32, 32]
+    report = rate_report(Sech2Barrier(1.0, 1.0), np.linspace(0.01, 0.99, 32))
+    assert report.energy.size == 32
+    # the search's bracket ends and first iterate need no quadrature
+    assert segments == [64, 32]
 
 
 def test_sweep_longer_than_a_block_is_the_single_energy_loop(monkeypatch):
@@ -302,11 +308,11 @@ def test_sweep_longer_than_a_block_is_the_single_energy_loop(monkeypatch):
     pot = Sech2Barrier(1.0, 1.0)
     energies = np.linspace(0.05, 0.95, 12)
     swept = rate_report(pot, energies)
-    assert swept == [rate_report(pot, float(e)) for e in energies]
+    assert all(entry_matches(swept, i, rate_report(pot, e)) for i, e in enumerate(energies.tolist()))
     energies[6] = 1.5  # a failure in the middle block stays its own
     out = analyze_barriers(pot, energies)
     assert isinstance(out[6], NoBarrierError)
-    assert out[:6] + out[7:] == [r.geometry for r in swept[:6] + swept[7:]]
+    assert all(entry_matches(swept.geometry, i, out[i]) for i in range(12) if i != 6)
     # a stage-wide error reaches the energies of every block still in play
     out = analyze_barriers(pot, [-1.0] * 5 + [0.5] * 3, window=(1.0, -1.0))
     assert all(isinstance(r, DomainError) for r in out[:5])
@@ -331,10 +337,24 @@ def test_analyze_barriers_reports_each_energy_outcome(double_hump_barrier):
     assert analyze_barriers(pot, []) == []
 
 
-def test_sweep_raises_the_lowest_failing_energy():
+def test_sweep_raises_the_lowest_failing_energy(double_hump_barrier):
     pot = Sech2Barrier(1.0, 1.0)
-    with pytest.raises(NoBarrierError, match="E=1.2"):
-        rate_report(pot, [0.2, 0.5, 1.2, 1.5])
+    # one mixed sweep per kind of failure: (potential, window, energies, the
+    # lowest failing one, its error)
+    sweeps = [
+        (pot, None, [0.2, 0.5, 1.2, 1.5], 1.2, NoBarrierError),  # no barrier
+        # a window inside the forbidden region at the low energies
+        (pot, (-0.5, 0.5), [0.95, 0.9, 0.5, 0.3], 0.5, NoBarrierError),
+        (double_hump_barrier, (-6.0, 6.0), [0.02, 0.5, 1.5], 0.5, MultiHumpUnsupported),
+        (FlatFarFlanks(1.0, 1.0), None, [0.5, 0.05, 2.0], 0.05, DegenerateTurningPointError),
+    ]
+    for barrier, window, energies, lowest, error in sweeps:
+        with pytest.raises(error) as swept:
+            rate_report(barrier, energies, window)
+        with pytest.raises(error) as alone:
+            rate_report(barrier, lowest, window)
+        assert str(swept.value) == str(alone.value)
+        rate_report(barrier, energies[:energies.index(lowest)], window)  # the ones below pass
     # energy 1 fails at the first stage, energy 0 in a later one (a window
     # cutting its hump), and energy 0's error is the one raised
     with pytest.raises(NoBarrierError, match="not closed"):

@@ -21,11 +21,13 @@ single energy. V is sampled once on the scan grid and each energy's
 brackets come from comparing E against it; every turning-point bracket
 is polished by one array call of solve_bracketed, which starts from the
 regula-falsi point of the scan's own samples. theta and the action up to
-(a + b)/2, the midpoint search's first iterate, are one quadrature call;
-each later Newton step of the search and the right half actions are one
-more each. The midpoint is the search's last evaluated iterate, whose
-left half action is already integrated, so an energy's geometry takes
-two action quadrature calls when its midpoint search takes one step.
+(a + b)/2, the midpoint search's first iterate, are one quadrature call.
+Each later step of the search is one more, over the segments from each
+barrier's last iterate to its next, which hold no turning point; the
+right half actions are one more. The midpoint is the search's last
+evaluated iterate, whose left half action is already summed, so an
+energy's geometry takes two action quadrature calls when its midpoint
+search takes one step.
 
 The pass keeps its results in arrays, one entry per energy still in
 play, and its checks are masks: Python runs per energy only to build
@@ -361,11 +363,16 @@ def _midpoints(pot, energies, a, b):
     barriers step together. The search's first interior iterate is always
     (a + b)/2, so one quadrature call integrates [a, b] and [a, (a + b)/2]
     of every barrier, and g needs no quadrature at a, at b or at
-    (a + b)/2; each later step is one batched quadrature. c is the last
-    iterate the search evaluated, kept with the left action found there:
-    the solver stopped because the step from that iterate is below
+    (a + b)/2. Each later step is one batched quadrature of the signed
+    segments [c_prev, x] from each barrier's last interior iterate c_prev,
+    added to the left action known there: an interior segment has no
+    square-root end and converges in fewer nodes than [a, x]. c is the
+    last iterate the search evaluated, kept with its left action: the
+    solver stopped because the step from that iterate is below
     1e-13 (b - a) + 4 eps |c|, so c is within that tolerance of the root.
-    Only the right halves action(c, b) take one more quadrature call.
+    The right halves action(c, b) take one more quadrature call from the
+    turning point b, not a sum of the steps, so the balance check
+    verifies c independently of the search.
     """
     m = a.size
     mid = 0.5 * (a + b)
@@ -386,23 +393,27 @@ def _midpoints(pot, energies, a, b):
             errors.setdefault(r - m, exc)
     go = np.flatnonzero(searched)
     half = 0.5 * theta
-    c = np.full(m, np.nan)
-    left = np.full(m, np.nan)
+    # The last interior iterate evaluated and its left action; the first is
+    # (a + b)/2, which the theta call integrated.
+    c, left = mid, first
     rows = []
 
     def imbalance(x):
         j = go[rows]
-        # action(a, a) = 0; action(a, b) and action(a, (a + b)/2) are known.
-        at_b, at_mid = x == b[j], x == mid[j]
-        s = np.where(at_b, theta[j], np.where(at_mid, first[j], 0.0))
-        new = ~(at_b | at_mid | (x == a[j]))
+        # action(a, a) = 0 and action(a, b) = theta. An interior iterate adds
+        # the signed segment from the last one to that one's left action.
+        inside = (x != a[j]) & (x != b[j])
+        s = np.where(inside, left[j], np.where(x == b[j], theta[j], 0.0))
+        new = inside & (x != c[j])
         if new.any():
             k = j[new]
-            s[new], errs = _actions(pot, energies[k], a[k], x[new])
+            step, errs = _actions(pot, energies[k], c[k], x[new])
+            s[new] += step
             for r, exc in errs.items():
                 errors.setdefault(int(k[r]), exc)
-        # The first call evaluates both ends; every later one overwrites them.
-        c[j], left[j] = x, s
+        # Ends come only in the first call, both under one bracket index;
+        # recording interior iterates alone leaves no write order to matter.
+        c[j[inside]], left[j[inside]] = x[inside], s[inside]
         return s - half[j]
 
     def slope(x):

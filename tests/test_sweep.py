@@ -113,12 +113,16 @@ def reference_geometry(pot, energy, window):
     if theta <= 0.0:
         raise DegenerateTurningPointError("theta")
     half = 0.5 * theta
-    last = {}  # the last iterate evaluated and its left action
+    # the last interior iterate evaluated and its left action, first (a + b)/2
+    mid = 0.5 * (a + b)
+    last = {"c": mid, "left": reference_action(pot, energy, a, mid)}
 
     def imbalance(c):
         if c == a or c == b:
             return half if c == b else -half
-        last["c"], last["left"] = c, reference_action(pot, energy, a, c)
+        # the signed segment from the last iterate, added to its left action
+        last["left"] += reference_action(pot, energy, last["c"], c)
+        last["c"] = c
         return last["left"] - half
 
     def slope(c):
@@ -301,6 +305,71 @@ def test_sweep_integrates_three_action_segments_per_energy(monkeypatch):
     assert report.energy.size == 32
     # the search's bracket ends and first iterate need no quadrature
     assert segments == [64, 32]
+
+
+def test_midpoint_steps_integrate_from_the_last_iterate(monkeypatch):
+    # On the tilted table the search takes Newton steps. Each one integrates
+    # only the segment from the last iterate, which holds no turning point;
+    # theta (the first call) and the right halves (the last) end at one.
+    calls = []
+
+    def counting(f, x1, x2, **kwargs):
+        points = [0]
+
+        def g(x):
+            points[0] += x.size
+            return f(x)
+
+        value = integrate_endpoint_singular(g, x1, x2, **kwargs)
+        calls.append((np.array(x1, dtype=float), np.array(x2, dtype=float), points[0]))
+        return value
+
+    monkeypatch.setattr(geometry, "integrate_endpoint_singular", counting)
+    pot, window, top, _ = FAMILIES["tilted"]
+    energies = np.linspace(0.03 * top, 0.9 * top, 24)
+    g = rate_report(pot, energies, window).geometry
+    turning = set(g.a.tolist()) | set(g.b.tolist())
+    assert len(calls) > 2
+    for x1, x2, _ in calls[1:-1]:
+        assert turning.isdisjoint(x1.tolist() + x2.tolist())
+    # 2832 when every step integrated action(a, x) anew; 2085 from the last iterate
+    assert sum(points for _, _, points in calls) / energies.size < 2200
+
+
+TILTED = FAMILIES["tilted"][0]
+MIRRORED = TabulatedPotential(-TILTED.x_samples[::-1], TILTED.v_samples[::-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=12))
+def test_mirrored_table_mirrors_the_geometry(fractions):
+    # x -> -x swaps the turning points and the half actions. c is found from
+    # the other side, within its stop test, and s_half is the other half.
+    _, window, top, _ = FAMILIES["tilted"]
+    energies = np.array(fractions) * top
+    g, errors = geometry._geometries(TILTED, energies, window)
+    h, mirrored_errors = geometry._geometries(MIRRORED, energies, window)
+    assert not errors and not mirrored_errors
+    assert np.all(np.abs(h.theta - g.theta) <= 1e-13 * g.theta)
+    assert np.all(np.abs(h.c + g.c) <= 1e-9 * (g.b - g.a))
+    assert np.all(np.abs(h.s_half - g.s_half) <= 1e-11 * g.theta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FAMILIES)),
+    fractions=st.lists(st.floats(0.01, 0.93), min_size=2, max_size=12),
+)
+@example(name="parabolic", fractions=[0.5, 0.5 + 1.5e-6])
+def test_theta_decreases_with_energy(name, fractions):
+    pot, window, top, _ = FAMILIES[name]
+    energies = []
+    for e in sorted(np.array(fractions) * top):
+        if not energies or e - energies[-1] >= 1e-6 * top:
+            energies.append(e)
+    # energies that fail (the tabulated table's balance check) drop out
+    theta = geometry._geometries(pot, energies, window)[0].theta
+    assert np.all(np.diff(theta) < 0.0)
 
 
 def test_sweep_longer_than_a_block_is_the_single_energy_loop(monkeypatch):

@@ -18,7 +18,6 @@ from .errors import (
     FormatError,
     MultiHumpUnsupported,
     NoBarrierError,
-    NonSmoothError,
     RangeError,
     TunnelError,
 )
@@ -27,22 +26,15 @@ from .geometry import (
     action_integral,
     alpha_limit,
     analyze_barrier,
-    analyze_barriers,
     find_midpoint,
     find_turning_points,
 )
-from .oracle import (
-    OracleResult,
-    exact_transmission,
-    exact_transmissions,
-    square_barrier_closed_form,
-)
+from .oracle import OracleResult, exact_transmission
 from .potential import (
     GaussianBarrier,
     ParabolicBarrier,
     Potential,
     Sech2Barrier,
-    SquareBarrier,
     TabulatedPotential,
     load_tabulated,
     make_potential,
@@ -70,14 +62,12 @@ __all__ = [
     "GaussianBarrier",
     "MultiHumpUnsupported",
     "NoBarrierError",
-    "NonSmoothError",
     "OracleResult",
     "ParabolicBarrier",
     "Potential",
     "RangeError",
     "RateReport",
     "Sech2Barrier",
-    "SquareBarrier",
     "TabulatedPotential",
     "TunnelError",
     "WavefunctionGrid",
@@ -85,9 +75,7 @@ __all__ = [
     "airy",
     "alpha_limit",
     "analyze_barrier",
-    "analyze_barriers",
     "exact_transmission",
-    "exact_transmissions",
     "find_midpoint",
     "find_turning_points",
     "load_tabulated",
@@ -97,7 +85,6 @@ __all__ = [
     "psi_basis",
     "rate_report",
     "sample_grid",
-    "square_barrier_closed_form",
     "superpose",
     "t_asymptotic",
     "t_uniform",

@@ -15,10 +15,6 @@ class RangeError(TunnelError):
     """Evaluation outside the x-range of a tabulated potential."""
 
 
-class NonSmoothError(TunnelError):
-    """Derivative requested from a potential with jumps (square barrier)."""
-
-
 class FormatError(TunnelError):
     """Malformed tabulated-potential input."""
 

@@ -15,19 +15,19 @@ alpha is taken from the analytic (or spline) derivative of V rather than
 the raw difference quotient, which loses half the significant digits near
 the root.
 
-The geometry of a whole array of energies is one batched pass
-(analyze_barriers), and the one-energy functions are that pass at a
-single energy. V is sampled once on the scan grid and each energy's
-brackets come from comparing E against it; every turning-point bracket
-is polished by one array call of solve_bracketed, which starts from the
-regula-falsi point of the scan's own samples. theta and the action up to
-(a + b)/2, the midpoint search's first iterate, are one quadrature call.
-Each later step of the search is one more, over the segments from each
-barrier's last iterate to its next, which hold no turning point; the
-right half actions are one more. The midpoint is the search's last
-evaluated iterate, whose left half action is already summed, so an
-energy's geometry takes two action quadrature calls when its midpoint
-search takes one step.
+analyze_barrier takes one energy or an array of them, and the geometry
+of all of them is one batched pass; the one-energy stage functions are
+that pass at a single energy. V is sampled once on the scan grid and
+each energy's brackets come from comparing E against it; every
+turning-point bracket is polished by one array call of solve_bracketed,
+which starts from the regula-falsi point of the scan's own samples.
+theta and the action up to (a + b)/2, the midpoint search's first
+iterate, are one quadrature call. Each later step of the search is one
+more, over the segments from each barrier's last iterate to its next,
+which hold no turning point; the right half actions are one more. The
+midpoint is the search's last evaluated iterate, whose left half action
+is already summed, so an energy's geometry takes two action quadrature
+calls when its midpoint search takes one step.
 
 The pass keeps its results in arrays, one entry per energy still in
 play, and its checks are masks: Python runs per energy only to build
@@ -46,9 +46,9 @@ from .errors import (
     DomainError,
     MultiHumpUnsupported,
     NoBarrierError,
-    NonSmoothError,
     TunnelError,
     energy_array,
+    energy_error,
     energy_errors,
 )
 from .quadrature import integrate_endpoint_singular
@@ -161,6 +161,19 @@ def solve_bracketed(f, fprime, lo, hi, xtol, rows=None, x0=None):
     if live.size:
         raise DomainError("no root to %g found in 100 steps near x=%g" % (tol[0], x[0]))
     return float(root[0]) if scalar else root
+
+
+def _judge(energy, **points):
+    """(energy, *points) as floats, for a one-energy stage function: the
+    energy judged by errors.energy_error, and a DomainError for a named
+    point that is not finite."""
+    exc = energy_error(energy)
+    if exc is not None:
+        raise exc
+    for name, x in points.items():
+        if not np.isfinite(float(x)):
+            raise DomainError("%s must be finite, got %r" % (name, float(x)))
+    return (float(energy), *map(float, points.values()))
 
 
 def _sign_changes(v, energies):
@@ -334,15 +347,13 @@ def action_integral(pot, energy, x1, x2, rel_tol=1e-12):
     The integrand has square-root zeros at the turning points; the mapped
     Gauss-Legendre rule handles those. V < E strictly inside the range
     means the supplied interval is not contained in the forbidden region
-    and raises DomainError.
+    and raises DomainError, as do an energy that is not positive and
+    finite and an end that is not finite.
     """
-    x1 = float(x1)
-    x2 = float(x2)
+    energy, x1, x2 = _judge(energy, x1=x1, x2=x2)
     if x1 > x2:
         raise ValueError("x1 must be <= x2, got %g > %g" % (x1, x2))
-    values, errors = _actions(
-        pot, np.array([float(energy)]), np.array([x1]), np.array([x2]), rel_tol
-    )
+    values, errors = _actions(pot, np.array([energy]), np.array([x1]), np.array([x2]), rel_tol)
     if errors:
         raise errors[0]
     return float(values[0])
@@ -441,12 +452,13 @@ def find_midpoint(pot, energy, a, b):
     c is the last iterate of a Newton-bisection search on action(a, c) =
     theta / 2 (see _midpoints), within 1e-13 (b - a) + 4 eps |c| of the
     root. The result satisfies |action(a, c) - action(c, b)| <= 1e-10 * theta.
+    An energy that is not positive and finite, or an end that is not
+    finite, raises DomainError.
     """
-    a = float(a)
-    b = float(b)
+    energy, a, b = _judge(energy, a=a, b=b)
     if a > b:
         raise ValueError("a must be <= b, got %g > %g" % (a, b))
-    _, c, _, errors = _midpoints(pot, np.array([float(energy)]), np.array([a]), np.array([b]))
+    _, c, _, errors = _midpoints(pot, np.array([energy]), np.array([a]), np.array([b]))
     if errors:
         raise errors[0]
     return float(c[0])
@@ -486,13 +498,15 @@ def alpha_limit(pot, energy, x0, side):
     ``side`` is "left" for the entry point a (alpha < 0) or "right" for
     the exit point b (alpha > 0). A slope below 1e-10 of the energy scale
     means the turning point is degenerate (energy at the barrier top) and
-    the limit definition fails.
+    the limit definition fails. An energy that is not positive and finite,
+    or an x0 that is not finite, raises DomainError.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right', got %r" % side)
+    energy, x0 = _judge(energy, x0=x0)
     alpha = -pot.v_prime(x0)
     errors = {}
-    _alpha_errors(np.array([alpha]), np.array([float(energy)]), [x0], side, errors)
+    _alpha_errors(np.array([alpha]), np.array([energy]), [x0], side, errors)
     if errors:
         raise errors[0]
     return alpha
@@ -510,6 +524,16 @@ def _entry(record, i):
             value = value[i].item()
         values.append(value)
     return type(record)(*values)
+
+
+def _outcome(record, errors, energy):
+    """An entry point's result: raise the error of the lowest failing energy
+    (errors is keyed by energy index), as a loop of one-energy calls would;
+    else the record of arrays, or its one entry as a record of Python
+    scalars when energy is a scalar."""
+    if errors:
+        raise errors[min(errors)]
+    return _entry(record, 0) if np.ndim(energy) == 0 else record
 
 
 def _select(record, index):
@@ -535,10 +559,6 @@ def _check_geometry(geom, errors):
 def _analyze(pot, energies, window, n_scan, out):
     """The BarrierGeometry of arrays of the energies that pass every check,
     in order; the error of each other energy goes to out, keyed by its index."""
-    if not pot.smooth:
-        raise NonSmoothError(
-            "potential %r has jumps; turning-point slopes do not exist" % pot
-        )
     at, a, b = _turning_points(pot, energies, window, n_scan, out)
     if not at.size:
         return _EMPTY
@@ -558,11 +578,16 @@ def _analyze(pot, energies, window, n_scan, out):
 
 
 def _geometries(pot, energies, window=None, n_scan=DEFAULT_SCAN_POINTS):
-    """(geom, errors): analyze_barriers' outcomes as arrays.
+    """(geom, errors): the outcome of every energy of a scalar or a 1D array.
 
     geom is a BarrierGeometry of arrays with one entry per energy whose
     geometry passes every check, in order; errors maps the index of every
-    other energy to its exception.
+    other energy to its exception. The energies run in blocks of BLOCK, in
+    order, one pass per block. An error of a stage as a whole (a bad
+    window, a tabulated range the scan leaves, a root search that does not
+    converge) is the error of every energy of its block that had not
+    failed before it; the other blocks do not see it. energies beyond 1D
+    raise ValueError.
     """
     energies = energy_array(energies)
     parts, errors = [_EMPTY], {}
@@ -579,28 +604,14 @@ def _geometries(pot, energies, window=None, n_scan=DEFAULT_SCAN_POINTS):
     return geom, errors
 
 
-def analyze_barriers(pot, energies, window=None, n_scan=DEFAULT_SCAN_POINTS):
-    """Geometry of one barrier at each of an array of energies, in batched passes.
-
-    Returns one entry per energy: its BarrierGeometry, or the exception
-    that analyze_barrier raises at that energy. The energies run in
-    blocks of BLOCK, in order, one pass per block. An error of a stage as
-    a whole (a bad window, a tabulated range the scan leaves, a root
-    search that does not converge) is the error of every energy of its
-    block that had not failed before it; the other blocks do not see it.
-    energies beyond 1D raise ValueError.
-    """
-    geom, errors = _geometries(pot, energies, window, n_scan)
-    passed = iter(range(geom.energy.size))
-    return [
-        errors[i] if i in errors else _entry(geom, next(passed))
-        for i in range(geom.energy.size + len(errors))
-    ]
-
-
 def analyze_barrier(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
-    """Full per-energy analysis; the one-stop entry point for the rates."""
-    (result,) = analyze_barriers(pot, [energy], window, n_scan)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    """Geometry of one barrier at one energy or at each of an array of them.
+
+    A scalar energy (a float or a 0-d array) gives a BarrierGeometry of
+    floats, a 1D array or list one BarrierGeometry of arrays, one entry per
+    energy; a 2-D array raises ValueError. All energies run in one batched
+    pass (see _geometries), and a failure raises the error of the lowest
+    failing energy.
+    """
+    geom, errors = _geometries(pot, energy, window, n_scan)
+    return _outcome(geom, errors, energy)

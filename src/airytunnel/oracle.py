@@ -50,7 +50,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import AsymptoteMismatchError, DomainError, TunnelError, energy_array, energy_errors
+from .errors import AsymptoteMismatchError, TunnelError, energy_array, energy_errors
+from .geometry import _outcome
 
 #: Both domain endpoints must be within this of V = 0.
 ASYMPTOTE_TOLERANCE = 1e-9
@@ -76,25 +77,7 @@ class OracleResult:
     richardson_estimate: float
 
 
-_FIELDS = tuple(field.name for field in fields(OracleResult))
-_EMPTY = OracleResult(*[np.empty(0)] * len(_FIELDS))
-
-
-def square_barrier_closed_form(v0, length, energy):
-    """Textbook transmission through a rectangular barrier, 0 < E < V0.
-
-    T = 1 / (1 + V0**2 sinh(kappa L)**2 / (4 E (V0 - E))), kappa = sqrt(V0 - E).
-    """
-    v0 = float(v0)
-    length = float(length)
-    energy = float(energy)
-    if v0 <= 0.0 or length < 0.0:
-        raise ValueError("need v0 > 0 and length >= 0")
-    if not 0.0 < energy < v0:
-        raise DomainError("closed form requires 0 < E < V0, got E=%g, V0=%g" % (energy, v0))
-    kappa = math.sqrt(v0 - energy)
-    s = math.sinh(kappa * length)
-    return 1.0 / (1.0 + v0 ** 2 * s * s / (4.0 * energy * (v0 - energy)))
+_EMPTY = OracleResult(*[np.empty(0)] * len(fields(OracleResult)))
 
 
 def _slice_matrices(q, d):
@@ -245,11 +228,13 @@ def _passes(pot, energies, at, domain, slices, errors):
 
 
 def _transmissions(pot, energies, domain, slices):
-    """(result, errors): exact_transmissions' outcomes as arrays.
+    """(result, errors): the outcome of every energy of a scalar or a 1D array.
 
     result is an OracleResult of arrays with one entry per energy that
     passes, in order; errors maps the index of every other energy to its
-    exception.
+    exception. An error of the call as a whole (bad slices or domain, V
+    off the zero asymptote at a domain end) is the error of every energy
+    that had not failed before it. energies beyond 1D raise ValueError.
     """
     energies = energy_array(energies)
     errors = energy_errors(energies)
@@ -266,32 +251,20 @@ def _transmissions(pot, energies, domain, slices):
         return _EMPTY, errors
 
 
-def exact_transmissions(pot, energies, domain, slices=4000):
-    """Flux-normalized transmission of a plane wave at each of an array of energies.
-
-    Returns one entry per energy: its OracleResult, or the exception that
-    exact_transmission raises at that energy. An error of the call as a
-    whole (bad slices or domain, V off the zero asymptote at a domain end)
-    is the error of every energy that had not failed before it. energies
-    beyond 1D raise ValueError.
-    """
-    result, errors = _transmissions(pot, energies, domain, slices)
-    rows = zip(*(getattr(result, name).tolist() for name in _FIELDS))
-    return [
-        errors[i] if i in errors else OracleResult(*next(rows))
-        for i in range(result.t_exact.size + len(errors))
-    ]
-
-
 def exact_transmission(pot, energy, domain, slices=4000):
-    """Flux-normalized transmission of a plane wave through ``pot``.
+    """Flux-normalized transmission of a plane wave through ``pot``, at one
+    energy or at each of an array of them.
 
     Runs at ``slices`` and ``2 * slices``; reports the fine-grid values
     together with the Richardson extrapolation of the pair. The potential
     must have decayed to the common zero asymptote at both domain ends
     (checked, not assumed), which keeps T free of lead-wavenumber factors.
+
+    A scalar energy (a float or a 0-d array) gives an OracleResult of
+    Python scalars, a 1D array or list one OracleResult of arrays, one
+    entry per energy; a 2-D array raises ValueError. All energies share
+    the slices of one batched pass, and a failure raises the error of the
+    lowest failing energy.
     """
-    (result,) = exact_transmissions(pot, [energy], domain, slices)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    result, errors = _transmissions(pot, energy, domain, slices)
+    return _outcome(result, errors, energy)

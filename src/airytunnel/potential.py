@@ -9,9 +9,6 @@ Built-in families:
 * parabolic : V(x) = V0 - x**2 (inverted parabola, finite window only)
 * sech2     : V(x) = V0 * sech(x/w)**2
 * gaussian  : V(x) = V0 * exp(-x**2 / w**2)
-* square    : V(x) = V0 for |x| <= L/2, else 0 (oracle calibration only,
-              not offered by the CLI; it has no derivative at the edges,
-              so every Airy-method operation rejects it)
 
 Tabulated potentials come from two-column text files and are interpolated
 with a natural cubic spline, which is C2 and therefore smooth enough for
@@ -30,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, NonSmoothError, RangeError
+from .errors import FormatError, RangeError
 
 
 def _check_param(name, value):
@@ -52,16 +49,13 @@ class Potential(ABC):
     write the array kernels _v and _v_prime (any shape in, that shape out);
     v and v_prime run a scalar as an array of size one and return a float."""
 
-    #: False only for potentials with jump discontinuities.
-    smooth = True
-
     def v(self, x):
         """V(x): a float for a scalar x, else an array of x's shape."""
         x = np.asarray(x, dtype=float)
         return self._v(x) if x.ndim else float(self._v(x.reshape(1))[0])
 
     def v_prime(self, x):
-        """dV/dx, as v; raises NonSmoothError for non-differentiable families."""
+        """dV/dx, as v."""
         x = np.asarray(x, dtype=float)
         return self._v_prime(x) if x.ndim else float(self._v_prime(x.reshape(1))[0])
 
@@ -174,33 +168,6 @@ class GaussianBarrier(Potential):
 
     def __repr__(self):
         return "GaussianBarrier(v0=%g, w=%g)" % (self.v0, self.w)
-
-
-class SquareBarrier(Potential):
-    """Rectangular barrier V = V0 on |x| <= L/2.
-
-    Exists to calibrate the exact solver against the textbook closed form;
-    the slope limits at its edges do not exist, so the Airy-method
-    operations reject it via NonSmoothError.
-    """
-
-    smooth = False
-
-    def __init__(self, v0, length):
-        self.v0 = _check_positive("v0", v0)
-        self.length = _check_positive("length", length)
-
-    def _v(self, x):
-        return np.where(np.abs(x) <= 0.5 * self.length, self.v0, 0.0)
-
-    def _v_prime(self, x):
-        raise NonSmoothError("square barrier has no derivative at its edges")
-
-    def suggested_window(self):
-        return (-2.5 * self.length, 2.5 * self.length)
-
-    def __repr__(self):
-        return "SquareBarrier(v0=%g, length=%g)" % (self.v0, self.length)
 
 
 def _natural_spline(x, v):
@@ -371,7 +338,6 @@ _FAMILIES = {
     "parabolic": ParabolicBarrier,
     "sech2": Sech2Barrier,
     "gaussian": GaussianBarrier,
-    "square": SquareBarrier,
 }
 
 

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateTurningPointError
-from .geometry import BarrierGeometry, _entry, _geometries, _select
+from .geometry import BarrierGeometry, _geometries, _outcome, _select
 from .oracle import OracleResult, _transmissions
 from .specfun import log_bi_over_ai
 
@@ -131,7 +131,5 @@ def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000)
         if oracle_errors:
             raise oracle_errors[min(oracle_errors)]
         t_exact = oracle.t_exact
-    if failed is not None:
-        raise errors[failed]
     report = RateReport(geom.energy, geom, u, wkb, asymptotic, uniform, t_exact, oracle)
-    return _entry(report, 0) if np.ndim(energy) == 0 else report
+    return _outcome(report, errors, energy)

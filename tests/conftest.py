@@ -1,13 +1,56 @@
 """Shared builders for the test suite."""
 
+import math
 from dataclasses import fields, is_dataclass
 
 import mpmath
 import numpy as np
 import pytest
 
-from airytunnel import TabulatedPotential
+from airytunnel import DomainError, Potential, TabulatedPotential
 from airytunnel.oracle import _transfer_once
+
+
+class SquareBarrier(Potential):
+    """Rectangular barrier V = V0 on |x| <= L/2, else 0.
+
+    Calibrates the transfer-matrix oracle against the textbook closed form.
+    Its edges are jumps, so it has no turning-point slopes and no Airy
+    method applies to it.
+    """
+
+    def __init__(self, v0, length):
+        self.v0 = float(v0)
+        self.length = float(length)
+
+    def _v(self, x):
+        return np.where(np.abs(x) <= 0.5 * self.length, self.v0, 0.0)
+
+    def _v_prime(self, x):
+        raise NotImplementedError("square barrier has no derivative at its edges")
+
+    def suggested_window(self):
+        return (-2.5 * self.length, 2.5 * self.length)
+
+    def __repr__(self):
+        return "SquareBarrier(v0=%g, length=%g)" % (self.v0, self.length)
+
+
+def square_barrier_closed_form(v0, length, energy):
+    """Textbook transmission through a rectangular barrier, 0 < E < V0.
+
+    T = 1 / (1 + V0**2 sinh(kappa L)**2 / (4 E (V0 - E))), kappa = sqrt(V0 - E).
+    """
+    v0 = float(v0)
+    length = float(length)
+    energy = float(energy)
+    if v0 <= 0.0 or length < 0.0:
+        raise ValueError("need v0 > 0 and length >= 0")
+    if not 0.0 < energy < v0:
+        raise DomainError("closed form requires 0 < E < V0, got E=%g, V0=%g" % (energy, v0))
+    kappa = math.sqrt(v0 - energy)
+    s = math.sinh(kappa * length)
+    return 1.0 / (1.0 + v0 ** 2 * s * s / (4.0 * energy * (v0 - energy)))
 
 
 def tilted_gaussian_samples(n=1201, span=6.0):

@@ -14,19 +14,17 @@ from airytunnel import (
     BarrierGeometry,
     ParabolicBarrier,
     Sech2Barrier,
-    SquareBarrier,
     airy,
     analyze_barrier,
     exact_transmission,
     psi_basis,
     rate_report,
-    square_barrier_closed_form,
     t_asymptotic,
     t_uniform,
     t_wkb,
 )
 from airytunnel.cli import main
-from conftest import linear_potential, transfer_once
+from conftest import SquareBarrier, linear_potential, square_barrier_closed_form, transfer_once
 
 GAMMA_TWO_THIRDS_20_DIGITS = 1.3541179394264004170
 

@@ -3,24 +3,33 @@
 import math
 import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from airytunnel import (
+    BarrierGeometry,
     DomainError,
+    NoBarrierError,
+    OracleResult,
     ParabolicBarrier,
     RateReport,
     Sech2Barrier,
     TabulatedPotential,
-    analyze_barriers,
-    exact_transmissions,
+    action_integral,
+    alpha_limit,
+    analyze_barrier,
+    exact_transmission,
+    find_midpoint,
     find_turning_points,
     psi_basis,
     rate_report,
     sample_grid,
 )
 from airytunnel.cli import main
+from airytunnel.geometry import _geometries
+from airytunnel.oracle import _transmissions
 from conftest import entry_matches, tilted_gaussian_samples
 
 INF = math.inf
@@ -58,18 +67,20 @@ def test_every_entry_point_rejects_a_bad_window(window, message):
             rate_report(pot, energies, window, with_oracle=True)
         with pytest.raises(ValueError, match="^window must"):
             sample_grid(pot, 0.5, window, 41, 1.0, 0.0, -0.88)
-        for out in (analyze_barriers(pot, energies, window), exact_transmissions(pot, energies, window)):
-            assert [type(r) for r in out] == [ValueError, ValueError]
-            assert str(out[0]) == message
+        for result, errors in (_geometries(pot, energies, window),
+                               _transmissions(pot, energies, window, 4000)):
+            assert all(getattr(result, f.name).size == 0 for f in fields(result))
+            assert [type(errors[i]) for i in range(2)] == [ValueError, ValueError]
+            assert str(errors[0]) == message
 
 
 def test_energy_rule_runs_before_the_window_rule():
     # An energy that fails its own check keeps its error; the window then
     # fails the energies still in play.
     pot = Sech2Barrier(1.0, 1.0)
-    for out in (analyze_barriers(pot, [-1.0, 0.5], (3.0, -3.0)),
-                exact_transmissions(pot, [-1.0, 0.5], (3.0, -3.0))):
-        assert isinstance(out[0], DomainError) and type(out[1]) is ValueError
+    for _, errors in (_geometries(pot, [-1.0, 0.5], (3.0, -3.0)),
+                      _transmissions(pot, [-1.0, 0.5], (3.0, -3.0), 4000)):
+        assert isinstance(errors[0], DomainError) and type(errors[1]) is ValueError
 
 
 @pytest.mark.parametrize("energy", [0.0, -0.5, NAN, INF])
@@ -137,12 +148,44 @@ def test_rate_report_takes_a_scalar_or_a_1d_array():
     assert entry_matches(rate_report(pot, [0.5], with_oracle=True, oracle_slices=200), 0, with_oracle)
 
 
+STAGES = {
+    "geometry": (analyze_barrier, BarrierGeometry, [0.5, 1.5, -1.0], NoBarrierError),
+    "oracle": (lambda pot, e: exact_transmission(pot, e, pot.window(), slices=200),
+               OracleResult, [0.5, NAN, -1.0], DomainError),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_analyze_barrier_and_exact_transmission_take_a_scalar_or_a_1d_array(stage):
+    call, record, mixed, error = STAGES[stage]
+    pot = Sech2Barrier(1.0, 1.0)
+    one = call(pot, 0.5)
+    assert type(one) is record
+    if record is OracleResult:
+        assert type(one.slices) is int
+    assert entry_matches(call(pot, [0.5]), 0, one)
+    assert call(pot, np.array(0.5)) == one
+    for energies in ([0.3, 0.5], np.array([0.3, 0.5])):
+        swept = call(pot, energies)
+        assert type(swept) is record
+        assert entry_matches(swept, 0, call(pot, 0.3)) and entry_matches(swept, 1, one)
+    empty = call(pot, [])
+    assert all(getattr(empty, f.name).shape == (0,) for f in fields(empty))
+    # a mixed sweep raises the error of its lowest failing energy (in the
+    # geometry one that fails at a later stage than the energy after it)
+    with pytest.raises(error) as swept:
+        call(pot, mixed)
+    with pytest.raises(error) as alone:
+        call(pot, mixed[1])
+    assert str(swept.value) == str(alone.value)
+
+
 def test_energies_beyond_1d_are_rejected():
     pot = Sech2Barrier(1.0, 1.0)
     grid = np.array([[0.3, 0.5], [0.6, 0.7]])
     message = r"^energies must be a scalar or 1D, got shape \(2, 2\)$"
-    for call in (rate_report, analyze_barriers,
-                 lambda pot, e: exact_transmissions(pot, e, pot.window())):
+    for call in (rate_report, analyze_barrier,
+                 lambda pot, e: exact_transmission(pot, e, pot.window())):
         with pytest.raises(ValueError, match=message):
             call(pot, grid)
 
@@ -162,3 +205,28 @@ def test_cli_judges_energies_and_windows_before_numpy_sees_them(capsys, argv, co
         got = main([*argv, "--potential", "sech2", "--v0", "1", "--w", "1"])
     captured = capsys.readouterr()
     assert (got, captured.out, captured.err) == (code, "", "error: %s\n" % message)
+
+
+# The turning points of Sech2Barrier(1, 1) at E = 0.5 are -+arccosh(sqrt 2).
+B = math.acosh(math.sqrt(2.0))
+ENERGY = "energy must be positive and finite, got %r"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda pot: action_integral(pot, NAN, -B, B), ENERGY % NAN),
+    (lambda pot: action_integral(pot, -1.0, -B, B), ENERGY % -1.0),
+    (lambda pot: find_midpoint(pot, -1.0, -B, B), ENERGY % -1.0),
+    (lambda pot: alpha_limit(pot, NAN, -B, "left"), ENERGY % NAN),
+    (lambda pot: action_integral(pot, 0.5, -B, NAN), "x2 must be finite, got nan"),
+    (lambda pot: action_integral(pot, 0.5, -B, INF), "x2 must be finite, got inf"),
+    (lambda pot: find_midpoint(pot, 0.5, -INF, B), "a must be finite, got -inf"),
+    (lambda pot: alpha_limit(pot, 0.5, NAN, "left"), "x0 must be finite, got nan"),
+], ids=["action-energy-nan", "action-energy-negative", "midpoint-energy-negative",
+        "alpha-energy-nan", "action-end-nan", "action-end-inf", "midpoint-end-inf",
+        "alpha-point-nan"])
+def test_stage_functions_judge_their_energy_and_points(call, message):
+    # judged before numpy sees the value, so no warning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^%s$" % re.escape(message)):
+            call(Sech2Barrier(1.0, 1.0))

@@ -13,10 +13,8 @@ from airytunnel import (
     GaussianBarrier,
     MultiHumpUnsupported,
     NoBarrierError,
-    NonSmoothError,
     ParabolicBarrier,
     Sech2Barrier,
-    SquareBarrier,
     TabulatedPotential,
     action_integral,
     alpha_limit,
@@ -217,11 +215,6 @@ def test_analyze_near_top_small_action():
     assert 0.0 < geom.theta <= 0.01
 
 
-def test_analyze_square_rejected():
-    with pytest.raises(NonSmoothError):
-        analyze_barrier(SquareBarrier(1.0, 2.0), 0.5)
-
-
 def _random_cases(n, seed=11):
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -282,6 +275,6 @@ def test_parabolic_polish_takes_few_steps(monkeypatch, v0):
         return root
 
     monkeypatch.setattr(geometry, "solve_bracketed", counting)
-    geometry.analyze_barriers(ParabolicBarrier(v0), np.linspace(0.02, 0.97, 32) * v0)
+    analyze_barrier(ParabolicBarrier(v0), np.linspace(0.02, 0.97, 32) * v0)
     assert len(per_bracket) == 64
     assert max(per_bracket) <= 5, Counter(per_bracket)

@@ -12,14 +12,18 @@ from airytunnel import (
     GaussianBarrier,
     ParabolicBarrier,
     Sech2Barrier,
-    SquareBarrier,
     TabulatedPotential,
     exact_transmission,
-    exact_transmissions,
-    square_barrier_closed_form,
 )
-from airytunnel.oracle import _slice_matrices, _tree_product
-from conftest import midpoint_samples, tilted_gaussian_samples, transfer_once
+from airytunnel.oracle import _slice_matrices, _transmissions, _tree_product
+from conftest import (
+    SquareBarrier,
+    entry_matches,
+    midpoint_samples,
+    square_barrier_closed_form,
+    tilted_gaussian_samples,
+    transfer_once,
+)
 
 
 def reference_transfer_loop(pot, energy, x_left, x_right, n):
@@ -253,28 +257,35 @@ def test_energies_equal_single_energy_calls_bit_for_bit(tilted_barrier):
     energies = np.linspace(0.05, 1.2, 19)
     for pot, half_width in product_cases(tilted_barrier) + [(THICK, THICK_HALF_WIDTH)]:
         domain = (-half_width, half_width)
-        batched = exact_transmissions(pot, energies, domain, slices=1000)
-        assert batched == [exact_transmission(pot, e, domain, slices=1000) for e in energies]
+        batched = exact_transmission(pot, energies, domain, slices=1000)
+        assert all(
+            entry_matches(batched, i, exact_transmission(pot, e, domain, slices=1000))
+            for i, e in enumerate(energies.tolist())
+        )
 
 
 def test_failing_energy_fails_alone():
     pot = SquareBarrier(1.0, 2.0)
     domain = (-5.0, 5.0)
-    out = exact_transmissions(pot, [0.5, -0.5, 2.0, float("nan")], domain, slices=100)
-    assert out[0] == exact_transmission(pot, 0.5, domain, slices=100)
-    assert out[2] == exact_transmission(pot, 2.0, domain, slices=100)
-    assert isinstance(out[1], DomainError) and isinstance(out[3], DomainError)
+    result, errors = _transmissions(pot, [0.5, -0.5, 2.0, float("nan")], domain, 100)
+    assert sorted(errors) == [1, 3] and result.t_exact.size == 2
+    assert entry_matches(result, 0, exact_transmission(pot, 0.5, domain, slices=100))
+    assert entry_matches(result, 1, exact_transmission(pot, 2.0, domain, slices=100))
+    assert isinstance(errors[1], DomainError) and isinstance(errors[3], DomainError)
     # exp(kappa d) = exp(1000) per slice leaves double range below the
     # barrier top only; the energies above it share its block
     thick = SquareBarrier(1e8, 2.0)
-    out = exact_transmissions(thick, [2e8, 0.5, 3e8], domain, slices=100)
-    assert isinstance(out[1], ValueError) and "too coarse" in str(out[1])
-    assert [out[0], out[2]] == [exact_transmission(thick, e, domain, slices=100) for e in (2e8, 3e8)]
+    result, errors = _transmissions(thick, [2e8, 0.5, 3e8], domain, 100)
+    assert list(errors) == [1]
+    assert isinstance(errors[1], ValueError) and "too coarse" in str(errors[1])
+    for i, e in enumerate((2e8, 3e8)):
+        assert entry_matches(result, i, exact_transmission(thick, e, domain, slices=100))
     # an error of the call as a whole is that of every energy still in play
-    out = exact_transmissions(pot, [-1.0, 0.5, 0.7], domain, slices=50)
-    assert isinstance(out[0], DomainError)
-    assert isinstance(out[1], ValueError) and out[1] is out[2]
-    assert exact_transmissions(pot, [], domain) == []
+    result, errors = _transmissions(pot, [-1.0, 0.5, 0.7], domain, 50)
+    assert isinstance(errors[0], DomainError)
+    assert isinstance(errors[1], ValueError) and errors[1] is errors[2]
+    result, errors = _transmissions(pot, [], domain, 4000)
+    assert result.t_exact.size == 0 and not errors
 
 
 @pytest.mark.parametrize("energy", [0.1, 0.5, 0.95])

@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 from airytunnel import (
     FormatError,
     GaussianBarrier,
-    NonSmoothError,
     ParabolicBarrier,
     RangeError,
     Sech2Barrier,
-    SquareBarrier,
     TabulatedPotential,
     load_tabulated,
 )
+from conftest import SquareBarrier
 
 
 def central_diff(pot, x, h=1e-5):
@@ -60,11 +59,6 @@ def test_wide_gaussian_slope_is_finite():
     assert np.all(np.isfinite(pot.v_prime(np.array([-w, 0.0, w]))))
 
 
-def test_square_has_no_derivative():
-    with pytest.raises(NonSmoothError):
-        SquareBarrier(1.0, 2.0).v_prime(0.3)
-
-
 def test_wavenumber_sq_examples():
     assert Sech2Barrier(1.0, 1.0).wavenumber_sq(0.5, 0.0) == pytest.approx(-0.5, abs=1e-15)
     assert ParabolicBarrier(1.0).wavenumber_sq(0.5, 2.0) == pytest.approx(3.5, abs=1e-14)
@@ -79,7 +73,6 @@ def test_wavenumber_sq_is_bit_exact_difference():
         ParabolicBarrier(1.0),
         Sech2Barrier(1.3, 0.8),
         GaussianBarrier(2.0, 1.5),
-        SquareBarrier(1.0, 2.0),
     ]
     for _ in range(1000):
         for pot in pots:
@@ -108,14 +101,12 @@ def test_vectorized_evaluation_matches_scalar():
         ParabolicBarrier(1.3),
         Sech2Barrier(1.0, 1.0),
         GaussianBarrier(2.0, 1.5),
-        SquareBarrier(1.0, 2.0),
         TabulatedPotential(even, np.exp(-even * even / 4.0)),
         TabulatedPotential(graded, 1.0 / np.cosh(graded) ** 2),
     ]
     xs = np.concatenate(([-8.18, -1.0, 0.0, 3.0], np.random.default_rng(3).uniform(-9, 9, 400)))
     for pot in pots:
-        methods = [pot.v, pot.v_prime] if pot.smooth else [pot.v]
-        for method in methods:
+        for method in (pot.v, pot.v_prime):
             vec = method(xs)
             assert vec.shape == xs.shape
             assert method(xs.reshape(2, -1)).shape == (2, xs.size // 2)

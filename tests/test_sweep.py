@@ -13,12 +13,9 @@ from airytunnel import (
     GaussianBarrier,
     MultiHumpUnsupported,
     NoBarrierError,
-    NonSmoothError,
     ParabolicBarrier,
     Sech2Barrier,
-    SquareBarrier,
     TabulatedPotential,
-    analyze_barriers,
     log_bi_over_ai,
     rate_report,
 )
@@ -247,9 +244,8 @@ def assert_matches_reference(name, energies):
     energies = [float(e) for e in energies]
     want = reference_outcomes(pot, energies, window)
     failed = [i for i, w in enumerate(want) if isinstance(w, type)]
-    for i, geom in enumerate(analyze_barriers(pot, energies, window)):
-        if i in failed:
-            assert type(geom) is want[i]
+    _, errors = geometry._geometries(pot, energies, window)
+    assert {i: type(exc) for i, exc in errors.items()} == {i: want[i] for i in failed}
     if failed:
         # the sweep raises the lowest failing energy's error ...
         with pytest.raises(want[failed[0]]):
@@ -379,31 +375,32 @@ def test_sweep_longer_than_a_block_is_the_single_energy_loop(monkeypatch):
     swept = rate_report(pot, energies)
     assert all(entry_matches(swept, i, rate_report(pot, e)) for i, e in enumerate(energies.tolist()))
     energies[6] = 1.5  # a failure in the middle block stays its own
-    out = analyze_barriers(pot, energies)
-    assert isinstance(out[6], NoBarrierError)
-    assert all(entry_matches(swept.geometry, i, out[i]) for i in range(12) if i != 6)
+    geom, errors = geometry._geometries(pot, energies)
+    assert list(errors) == [6] and isinstance(errors[6], NoBarrierError)
+    passed = [i for i in range(12) if i != 6]
+    assert all(entry_matches(geom, k, geometry._entry(swept.geometry, i)) for k, i in enumerate(passed))
     # a stage-wide error reaches the energies of every block still in play
-    out = analyze_barriers(pot, [-1.0] * 5 + [0.5] * 3, window=(1.0, -1.0))
-    assert all(isinstance(r, DomainError) for r in out[:5])
-    assert all(isinstance(r, ValueError) and "xmin < xmax" in str(r) for r in out[5:])
+    geom, errors = geometry._geometries(pot, [-1.0] * 5 + [0.5] * 3, window=(1.0, -1.0))
+    assert geom.energy.size == 0 and sorted(errors) == list(range(8))
+    assert all(isinstance(errors[i], DomainError) for i in range(5))
+    assert all(isinstance(errors[i], ValueError) and "xmin < xmax" in str(errors[i]) for i in range(5, 8))
 
 
-def test_analyze_barriers_reports_each_energy_outcome(double_hump_barrier):
+def test_geometries_report_each_energy_outcome(double_hump_barrier):
     pot = Sech2Barrier(1.0, 1.0)
-    out = analyze_barriers(pot, [-0.5, 0.5, 1.5, float("nan"), 0.2])
-    assert [type(r).__name__ for r in out] == [
-        "DomainError", "BarrierGeometry", "NoBarrierError", "DomainError", "BarrierGeometry",
-    ]
-    assert out[1].energy == 0.5 and out[4].energy == 0.2
+    geom, errors = geometry._geometries(pot, [-0.5, 0.5, 1.5, float("nan"), 0.2])
+    assert {i: type(exc).__name__ for i, exc in errors.items()} == {
+        0: "DomainError", 2: "NoBarrierError", 3: "DomainError",
+    }
+    assert geom.energy.tolist() == [0.5, 0.2]
     # an error of a stage as a whole is that of every energy still in play
-    out = analyze_barriers(pot, [-1.0, 0.5, 0.7], window=(1.0, -1.0))
-    assert isinstance(out[0], DomainError)
-    assert isinstance(out[1], ValueError) and out[1] is out[2]
-    out = analyze_barriers(SquareBarrier(1.0, 2.0), [0.3, 0.6])
-    assert all(isinstance(r, NonSmoothError) for r in out)
-    out = analyze_barriers(double_hump_barrier, [0.5, 1.5], (-6.0, 6.0))
-    assert isinstance(out[0], MultiHumpUnsupported) and isinstance(out[1], NoBarrierError)
-    assert analyze_barriers(pot, []) == []
+    _, errors = geometry._geometries(pot, [-1.0, 0.5, 0.7], window=(1.0, -1.0))
+    assert isinstance(errors[0], DomainError)
+    assert isinstance(errors[1], ValueError) and errors[1] is errors[2]
+    _, errors = geometry._geometries(double_hump_barrier, [0.5, 1.5], (-6.0, 6.0))
+    assert isinstance(errors[0], MultiHumpUnsupported) and isinstance(errors[1], NoBarrierError)
+    geom, errors = geometry._geometries(pot, [])
+    assert geom.energy.size == 0 and not errors
 
 
 def test_sweep_raises_the_lowest_failing_energy(double_hump_barrier):
@@ -477,10 +474,10 @@ class FlatFarFlanks(GaussianBarrier):
 
 def test_lowest_energy_failing_last_is_raised():
     pot = FlatFarFlanks(1.0, 1.0)
-    out = analyze_barriers(pot, [0.05, 0.5, 2.0])
-    assert isinstance(out[0], DegenerateTurningPointError)
-    assert out[1].energy == 0.5
-    assert isinstance(out[2], NoBarrierError)
+    geom, errors = geometry._geometries(pot, [0.05, 0.5, 2.0])
+    assert isinstance(errors[0], DegenerateTurningPointError)
+    assert geom.energy.tolist() == [0.5]
+    assert isinstance(errors[2], NoBarrierError)
     with pytest.raises(DegenerateTurningPointError):
         rate_report(pot, [0.05, 0.5, 2.0])
     with pytest.raises(NoBarrierError):

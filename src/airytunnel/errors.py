@@ -36,10 +36,13 @@ def energy_error(energy):
     return DomainError("energy must be positive and finite, got %r" % energy)
 
 
-def energy_errors(energies):
-    """{index: energy_error(E)} for each energy of a 1D array that energy_error rejects."""
+def first_energy_error(energies):
+    """(i, energy_error(E_i)) for the first energy E_i of a 1D array that
+    energy_error rejects, or (energies.size, None) if it rejects none."""
     bad = np.flatnonzero(~_energy_ok(energies))
-    return {i: energy_error(e) for i, e in zip(bad.tolist(), energies[bad].tolist())}
+    if not bad.size:
+        return energies.size, None
+    return int(bad[0]), energy_error(energies[bad[0]])
 
 
 def energy_array(energies):
@@ -73,11 +76,9 @@ class AiryOverflowError(TunnelError, OverflowError):
     Carries the natural-log ``exponent`` so callers can move to log domain.
     """
 
-    def __init__(self, exponent, message=None):
+    def __init__(self, exponent):
         self.exponent = float(exponent)
-        if message is None:
-            message = (
-                "Bi(u) overflows double precision: exp(%.6g) out of range; "
-                "use log_bi_over_ai instead" % self.exponent
-            )
-        super().__init__(message)
+        super().__init__(
+            "Bi(u) overflows double precision: exp(%.6g) out of range; "
+            "use log_bi_over_ai instead" % self.exponent
+        )

@@ -29,12 +29,12 @@ midpoint is the search's last evaluated iterate, whose left half action
 is already summed, so an energy's geometry takes two action quadrature
 calls when its midpoint search takes one step.
 
-The pass keeps its results in arrays, one entry per energy still in
-play, and its checks are masks: Python runs per energy only to build
-the exception of an energy that fails. Each energy takes the same
-arithmetic steps as it would alone. An energy that fails a stage takes
-no part in later ones. A sweep longer than BLOCK energies runs in blocks
-of BLOCK, which bounds its memory.
+The pass keeps its results in arrays and its checks are masks. It ends
+at its first failing energy: after each check every array is cut to the
+energies before it, so an entry's position is its energy index, and
+Python builds one exception, that energy's. Each energy takes the same
+arithmetic steps as it would alone. A sweep longer than BLOCK energies
+runs in blocks of BLOCK, which bounds its memory.
 """
 
 from dataclasses import dataclass, fields, is_dataclass
@@ -49,7 +49,7 @@ from .errors import (
     TunnelError,
     energy_array,
     energy_error,
-    energy_errors,
+    first_energy_error,
 )
 from .quadrature import integrate_endpoint_singular
 
@@ -239,68 +239,73 @@ def find_crossings(pot, energy, lo, hi, n_scan=DEFAULT_SCAN_POINTS):
     return _polish(pot, e, xs[j], xs[j + 1], _regula_falsi(xs, v, e, j)).tolist()
 
 
-def _settle(out, at, errors):
-    """Record errors, keyed by position in at, in out, keyed by energy index.
+def _first(k, exc, *checks):
+    """(k, exc) lowered to the first position below k that a check rejects,
+    with that position's error; k is the length of the prefix still in
+    play and exc the error at k, or None.
 
-    Returns the mask of the positions still in play.
+    A check is a (mask, build_error) pair, build_error(p) giving the error
+    at position p, or a dict of errors keyed by position. The checks run
+    in order, so of two that reject one position the earlier one's error
+    stands.
     """
-    keep = np.ones(at.size, dtype=bool)
-    for j, exc in errors.items():
-        out[int(at[j])] = exc
-        keep[j] = False
-    return keep
+    for check in checks:
+        if isinstance(check, dict):
+            p = min(check, default=k)
+            if p < k:
+                k, exc = p, check[p]
+        else:
+            mask, build_error = check
+            bad = np.flatnonzero(mask[:k])
+            if bad.size:
+                k = int(bad[0])
+                exc = build_error(k)
+    return k, exc
 
 
-def _turning_points(pot, energies, window, n_scan, out):
-    """(at, a, b): the indices of the energies with one forbidden interval
-    [a, b] in the window, and its ends. The other energies' errors go to out.
+def _turning_points(pot, energies, window, n_scan):
+    """(a, b, exc): the forbidden interval [a, b] in the window of each
+    energy before the first that has not exactly one, and that energy's
+    exception, or None.
 
     An error that no energy alone causes (bad window or n_scan, V failing
-    on the scan) is raised, unless every energy has already failed.
+    on the scan) is raised, unless the first energy fails the energy rule.
     """
-    at = np.arange(energies.size)
-    at = at[_settle(out, at, energy_errors(energies))]
-    if not at.size:
-        return at, energies[at], energies[at]
+    k, exc = first_energy_error(energies)
+    if not k:
+        return energies[:0], energies[:0], exc
     lo, hi = pot.window(window)
     if int(n_scan) < 3:
         raise ValueError("n_scan must be >= 3 to bracket two turning points, got %d" % n_scan)
 
     xs = np.linspace(lo, hi, int(n_scan))
-    e = energies[at]
+    e = energies[:k]
     v = pot.v(xs)
     which, j = _sign_changes(v, e)
-    counts = np.bincount(which, minlength=at.size)
+    counts = np.bincount(which, minlength=k)
     # One crossing, or none with V >= E on the whole scan (fmin skips a nan
     # V as `v < E` does): a window inside the forbidden region.
     unclosed = (counts == 1) | ((counts == 0) & ~(np.fmin.reduce(v) < e))
-    errors = {
-        p: NoBarrierError("forbidden region is not closed inside the window (%g, %g)" % (lo, hi))
-        for p in np.flatnonzero(unclosed).tolist()
-    }
-    for p in np.flatnonzero((counts == 0) & ~unclosed).tolist():
-        errors[p] = NoBarrierError(
+    k, exc = _first(
+        k, exc,
+        (unclosed, lambda p: NoBarrierError(
+            "forbidden region is not closed inside the window (%g, %g)" % (lo, hi)
+        )),
+        (counts == 0, lambda p: NoBarrierError(
             "no barrier at E=%g: k2 does not change sign in (%g, %g)" % (e[p], lo, hi)
-        )
-    for p in np.flatnonzero(counts > 2).tolist():
-        errors[p] = MultiHumpUnsupported(
+        )),
+        (counts > 2, lambda p: MultiHumpUnsupported(
             "%d sign changes of k2 in (%g, %g); single-hump barriers only" % (counts[p], lo, hi)
-        )
-    keep = _settle(out, at, errors)
-    j = j[keep[which]]  # two brackets per remaining energy: a's, then b's
-    at, e = at[keep], e[keep]
-    e2 = np.repeat(e, 2)
+        )),
+    )
+    e2 = np.repeat(e[:k], 2)
+    j = j[:2 * k]  # two brackets per energy before k: a's, then b's
     roots = _polish(pot, e2, xs[j], xs[j + 1], _regula_falsi(xs, v, e2, j))
     a, b = roots[0::2], roots[1::2]
-    inside = e - pot.v(0.5 * (a + b)) >= 0.0
-    errors = {
-        p: NoBarrierError(
-            "window (%g, %g) does not bracket a forbidden interval at E=%g" % (lo, hi, e[p])
-        )
-        for p in np.flatnonzero(inside).tolist()
-    }
-    keep = _settle(out, at, errors)
-    return at[keep], a[keep], b[keep]
+    k, exc = _first(k, exc, (e[:k] - pot.v(0.5 * (a + b)) >= 0.0, lambda p: NoBarrierError(
+        "window (%g, %g) does not bracket a forbidden interval at E=%g" % (lo, hi, e[p])
+    )))
+    return a[:k], b[:k], exc
 
 
 def find_turning_points(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
@@ -311,10 +316,9 @@ def find_turning_points(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
     closed forbidden interval lies inside the window and
     MultiHumpUnsupported when the window contains more than one.
     """
-    out = {}
-    _, a, b = _turning_points(pot, np.array([float(energy)]), window, n_scan, out)
-    if out:
-        raise out[0]
+    a, b, exc = _turning_points(pot, np.array([float(energy)]), window, n_scan)
+    if exc is not None:
+        raise exc
     return float(a[0]), float(b[0])
 
 
@@ -360,14 +364,14 @@ def action_integral(pot, energy, x1, x2, rel_tol=1e-12):
 
 
 def _midpoints(pot, energies, a, b):
-    """(theta, c, left, errors) for barriers [a, b], each at its own energy.
+    """(theta, c, left, exc) for the barriers [a, b], each at its own
+    energy, before the first without a midpoint, and that barrier's
+    exception, or None.
 
     theta is the action over [a, b], c splits it into equal halves,
-    |left - right| <= 1e-10 theta, and left = action(a, c). errors maps a
-    position to the exception of a barrier without a midpoint; its c and
-    left are meaningless. A barrier keeps the error of its first failing
-    step: theta, then each iterate of the search in turn, then the right
-    half and the balance.
+    |left - right| <= 1e-10 theta, and left = action(a, c). A barrier
+    fails at its first failing step: theta, then each iterate of the
+    search in turn, then the right half and the balance.
 
     g(c) = action(a, c) - theta/2 rises from -theta/2 at a to theta/2 at b
     with the closed-form slope sqrt(V(c) - E), which Newton steps use. All
@@ -390,60 +394,53 @@ def _midpoints(pot, energies, a, b):
     s, errs = _actions(
         pot, np.concatenate((energies, energies)), np.concatenate((a, a)), np.concatenate((b, mid))
     )
-    theta, first = s[:m], s[m:]
-    errors = {r: exc for r, exc in errs.items() if r < m}
-    for j in np.flatnonzero(theta <= 0.0).tolist():
-        errors.setdefault(j, DegenerateTurningPointError(
-            "vanishing barrier action between %g and %g" % (a[j], b[j])
-        ))
-    searched = np.ones(m, dtype=bool)
-    searched[list(errors)] = False
-    # the first iterate's errors, which the search would meet first
-    for r, exc in errs.items():
-        if r >= m and searched[r - m]:
-            errors.setdefault(r - m, exc)
-    go = np.flatnonzero(searched)
+    theta = s[:m]
+    # errs holds theta's errors below m, which _first reads, and the first
+    # iterate's from m on, which count after theta's checks
+    k, exc = _first(
+        m, None,
+        errs,
+        (theta <= 0.0, lambda p: DegenerateTurningPointError(
+            "vanishing barrier action between %g and %g" % (a[p], b[p])
+        )),
+        {r - m: e for r, e in errs.items() if r >= m},
+    )
+    energies, a, b, theta = energies[:k], a[:k], b[:k], theta[:k]
     half = 0.5 * theta
     # The last interior iterate evaluated and its left action; the first is
     # (a + b)/2, which the theta call integrated.
-    c, left = mid, first
-    rows = []
+    c, left = mid[:k], s[m:m + k]
+    rows, search = [], {}
 
     def imbalance(x):
-        j = go[rows]
+        j = np.array(rows)
         # action(a, a) = 0 and action(a, b) = theta. An interior iterate adds
         # the signed segment from the last one to that one's left action.
         inside = (x != a[j]) & (x != b[j])
         s = np.where(inside, left[j], np.where(x == b[j], theta[j], 0.0))
         new = inside & (x != c[j])
         if new.any():
-            k = j[new]
-            step, errs = _actions(pot, energies[k], c[k], x[new])
+            i = j[new]
+            step, errs = _actions(pot, energies[i], c[i], x[new])
             s[new] += step
-            for r, exc in errs.items():
-                errors.setdefault(int(k[r]), exc)
+            for r, e in errs.items():
+                search.setdefault(int(i[r]), e)
         # Ends come only in the first call, both under one bracket index;
         # recording interior iterates alone leaves no write order to matter.
         c[j[inside]], left[j[inside]] = x[inside], s[inside]
         return s - half[j]
 
     def slope(x):
-        return np.sqrt(np.maximum(pot.v(x) - energies[go[rows]], 0.0))
+        return np.sqrt(np.maximum(pot.v(x) - energies[rows], 0.0))
 
-    solve_bracketed(imbalance, slope, a[go], b[go], 1e-13 * (b[go] - a[go]), rows=rows)
+    solve_bracketed(imbalance, slope, a, b, 1e-13 * (b - a), rows=rows)
 
-    fine = np.ones(m, dtype=bool)
-    fine[list(errors)] = False
-    fine = np.flatnonzero(fine)
-    right, errs = _actions(pot, energies[fine], c[fine], b[fine])
-    for r, exc in errs.items():
-        errors.setdefault(int(fine[r]), exc)
-    lh = left[fine]
-    for r in np.flatnonzero(np.abs(lh - right) > 1e-10 * theta[fine]).tolist():
-        errors.setdefault(int(fine[r]), DomainError(
-            "midpoint search failed to balance actions (%g vs %g)" % (lh[r], right[r])
-        ))
-    return theta, c, left, errors
+    k, exc = _first(k, exc, search)
+    right, errs = _actions(pot, energies[:k], c[:k], b[:k])
+    k, exc = _first(k, exc, errs, (np.abs(left[:k] - right) > 1e-10 * theta[:k], lambda p: DomainError(
+        "midpoint search failed to balance actions (%g vs %g)" % (left[p], right[p])
+    )))
+    return theta[:k], c[:k], left[:k], exc
 
 
 def find_midpoint(pot, energy, a, b):
@@ -458,9 +455,9 @@ def find_midpoint(pot, energy, a, b):
     energy, a, b = _judge(energy, a=a, b=b)
     if a > b:
         raise ValueError("a must be <= b, got %g > %g" % (a, b))
-    _, c, _, errors = _midpoints(pot, np.array([energy]), np.array([a]), np.array([b]))
-    if errors:
-        raise errors[0]
+    _, c, _, exc = _midpoints(pot, np.array([energy]), np.array([a]), np.array([b]))
+    if exc is not None:
+        raise exc
     return float(c[0])
 
 
@@ -471,25 +468,19 @@ def _degenerate(alpha, energy):
     return np.abs(alpha) < 1e-10 * np.maximum(1.0, np.abs(energy))
 
 
-def _alpha_errors(alpha, energies, x0, side, errors):
-    """Add to errors, keyed by position, the error alpha_limit raises for
-    each slope alpha at its turning point x0 (arrays) that it rejects."""
-    degenerate = _degenerate(alpha, energies)
-    for p in np.flatnonzero(degenerate).tolist():
-        errors.setdefault(p, DegenerateTurningPointError(
-            "|dk2/dx| = %g at x=%g: degenerate turning point (barrier top)"
-            % (abs(alpha[p]), x0[p])
-        ))
+def _alpha_checks(alpha, energies, x0, side):
+    """The checks, for _first, that alpha_limit runs on each slope alpha at
+    its turning point x0 (arrays)."""
+    degenerate = _degenerate(alpha, energies), lambda p: DegenerateTurningPointError(
+        "|dk2/dx| = %g at x=%g: degenerate turning point (barrier top)" % (abs(alpha[p]), x0[p])
+    )
     if side == "left":
-        for p in np.flatnonzero(~degenerate & (alpha >= 0.0)).tolist():
-            errors.setdefault(p, DomainError(
-                "left turning point at %g has alpha >= 0; not a barrier entry" % x0[p]
-            ))
-    else:
-        for p in np.flatnonzero(~degenerate & (alpha <= 0.0)).tolist():
-            errors.setdefault(p, DomainError(
-                "right turning point at %g has alpha <= 0; not a barrier exit" % x0[p]
-            ))
+        return degenerate, (alpha >= 0.0, lambda p: DomainError(
+            "left turning point at %g has alpha >= 0; not a barrier entry" % x0[p]
+        ))
+    return degenerate, (alpha <= 0.0, lambda p: DomainError(
+        "right turning point at %g has alpha <= 0; not a barrier exit" % x0[p]
+    ))
 
 
 def alpha_limit(pot, energy, x0, side):
@@ -505,10 +496,9 @@ def alpha_limit(pot, energy, x0, side):
         raise ValueError("side must be 'left' or 'right', got %r" % side)
     energy, x0 = _judge(energy, x0=x0)
     alpha = -pot.v_prime(x0)
-    errors = {}
-    _alpha_errors(np.array([alpha]), np.array([energy]), [x0], side, errors)
-    if errors:
-        raise errors[0]
+    _, exc = _first(1, None, *_alpha_checks(np.array([alpha]), np.array([energy]), [x0], side))
+    if exc is not None:
+        raise exc
     return alpha
 
 
@@ -526,82 +516,76 @@ def _entry(record, i):
     return type(record)(*values)
 
 
-def _outcome(record, errors, energy):
-    """An entry point's result: raise the error of the lowest failing energy
-    (errors is keyed by energy index), as a loop of one-energy calls would;
-    else the record of arrays, or its one entry as a record of Python
-    scalars when energy is a scalar."""
-    if errors:
-        raise errors[min(errors)]
+def _outcome(record, exc, energy):
+    """An entry point's result: raise exc, the error of the first failing
+    energy, as a loop of one-energy calls would; else the record of arrays,
+    or its one entry as a record of Python scalars when energy is a scalar."""
+    if exc is not None:
+        raise exc
     return _entry(record, 0) if np.ndim(energy) == 0 else record
 
 
-def _select(record, index):
-    """The entries of a record (a dataclass) of arrays that index selects."""
-    return type(record)(*(getattr(record, field.name)[index] for field in fields(record)))
-
-
-def _check_geometry(geom, errors):
-    """Add to errors, keyed by position, the DomainError of each entry of
-    a BarrierGeometry of arrays that is inconsistent: c must lie strictly
-    between a and b, theta and s_half must be positive, and, since c
-    splits theta equally, s_half must be (3/4) theta."""
+def _geometry_checks(geom):
+    """The checks, for _first, of a BarrierGeometry of arrays: c must lie
+    strictly between a and b, theta and s_half must be positive, and,
+    since c splits theta equally, s_half must be (3/4) theta."""
     a, c, b, theta, s_half = geom.a, geom.c, geom.b, geom.theta, geom.s_half
-    bad = ~((a < c) & (c < b)) | (theta <= 0.0) | (s_half <= 0.0)
-    for p in np.flatnonzero(bad).tolist():
-        errors.setdefault(p, DomainError("inconsistent barrier geometry: %r" % (_entry(geom, p),)))
-    for p in np.flatnonzero(~bad & (np.abs(s_half - 0.75 * theta) > 1e-9 * theta)).tolist():
-        errors.setdefault(p, DomainError(
+    return (
+        (~((a < c) & (c < b)) | (theta <= 0.0) | (s_half <= 0.0), lambda p: DomainError(
+            "inconsistent barrier geometry: %r" % (_entry(geom, p),)
+        )),
+        (np.abs(s_half - 0.75 * theta) > 1e-9 * theta, lambda p: DomainError(
             "half action %g inconsistent with theta %g" % (s_half[p], theta[p])
-        ))
+        )),
+    )
 
 
-def _analyze(pot, energies, window, n_scan, out):
-    """The BarrierGeometry of arrays of the energies that pass every check,
-    in order; the error of each other energy goes to out, keyed by its index."""
-    at, a, b = _turning_points(pot, energies, window, n_scan, out)
-    if not at.size:
-        return _EMPTY
-    e = energies[at]
-    theta, c, left, errors = _midpoints(pot, e, a, b)
-    keep = _settle(out, at, errors)
-    at, e, a, b, c, theta, left = (arr[keep] for arr in (at, e, a, b, c, theta, left))
-
-    m = at.size
+def _analyze(pot, energies, window, n_scan):
+    """(geom, exc): the BarrierGeometry of arrays of the energies before the
+    first that fails a check, and that energy's exception, or None."""
+    a, b, exc = _turning_points(pot, energies, window, n_scan)
+    if not a.size:
+        return _EMPTY, exc
+    theta, c, left, failed = _midpoints(pot, energies[:a.size], a, b)
+    k = theta.size
+    if failed is not None:
+        exc = failed
+    e, a, b = energies[:k], a[:k], b[:k]
     alpha = -pot.v_prime(np.concatenate((a, b)))
-    geom = BarrierGeometry(a, b, c, theta, 1.5 * left, alpha[:m], alpha[m:], e)
-    errors = {}
-    _alpha_errors(geom.alpha_plus, e, a, "left", errors)
-    _alpha_errors(geom.alpha_minus, e, b, "right", errors)
-    _check_geometry(geom, errors)
-    return _select(geom, _settle(out, at, errors))
+    columns = (a, b, c, theta, 1.5 * left, alpha[:k], alpha[k:], e)
+    geom = BarrierGeometry(*columns)
+    k, exc = _first(
+        k, exc,
+        *_alpha_checks(geom.alpha_plus, e, a, "left"),
+        *_alpha_checks(geom.alpha_minus, e, b, "right"),
+        *_geometry_checks(geom),
+    )
+    return BarrierGeometry(*(column[:k] for column in columns)), exc
 
 
 def _geometries(pot, energies, window=None, n_scan=DEFAULT_SCAN_POINTS):
-    """(geom, errors): the outcome of every energy of a scalar or a 1D array.
+    """(geom, exc): the geometry of a scalar or a 1D array of energies
+    before the first that fails, and that energy's exception, or None.
 
-    geom is a BarrierGeometry of arrays with one entry per energy whose
-    geometry passes every check, in order; errors maps the index of every
-    other energy to its exception. The energies run in blocks of BLOCK, in
-    order, one pass per block. An error of a stage as a whole (a bad
-    window, a tabulated range the scan leaves, a root search that does not
-    converge) is the error of every energy of its block that had not
-    failed before it; the other blocks do not see it. energies beyond 1D
-    raise ValueError.
+    geom is a BarrierGeometry of arrays, entry i that of energy i. The
+    energies run in blocks of BLOCK, in order, one pass per block, and the
+    sweep ends with the block of its first failing energy. An error of a
+    stage as a whole (a bad window, a tabulated range the scan leaves, a
+    root search that does not converge) is the error of the first energy
+    of its block. energies beyond 1D raise ValueError.
     """
     energies = energy_array(energies)
-    parts, errors = [_EMPTY], {}
+    parts, exc = [_EMPTY], None
     for i in range(0, energies.size, BLOCK):
-        block = energies[i:i + BLOCK]
-        out = {}
         try:
-            parts.append(_analyze(pot, block, window, n_scan, out))
-        except (TunnelError, ValueError, ArithmeticError) as exc:
-            for j in range(block.size):
-                out.setdefault(j, exc)
-        errors.update((i + j, exc) for j, exc in out.items())
+            geom, exc = _analyze(pot, energies[i:i + BLOCK], window, n_scan)
+        except (TunnelError, ValueError, ArithmeticError) as error:
+            geom, exc = _EMPTY, error
+        parts.append(geom)
+        if exc is not None:
+            break
     geom = BarrierGeometry(*(np.concatenate([getattr(p, name) for p in parts]) for name in _FIELDS))
-    return geom, errors
+    return geom, exc
 
 
 def analyze_barrier(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
@@ -613,5 +597,5 @@ def analyze_barrier(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
     pass (see _geometries), and a failure raises the error of the lowest
     failing energy.
     """
-    geom, errors = _geometries(pot, energy, window, n_scan)
-    return _outcome(geom, errors, energy)
+    geom, exc = _geometries(pot, energy, window, n_scan)
+    return _outcome(geom, exc, energy)

@@ -50,8 +50,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import AsymptoteMismatchError, TunnelError, energy_array, energy_errors
-from .geometry import _outcome
+from .errors import AsymptoteMismatchError, TunnelError, energy_array, first_energy_error
+from .geometry import _first, _outcome
 
 #: Both domain endpoints must be within this of V = 0.
 ASYMPTOTE_TOLERANCE = 1e-9
@@ -181,12 +181,13 @@ def _transfer_once(v_mid, energies, x_left, x_right, n):
     return t, r
 
 
-def _passes(pot, energies, at, domain, slices, errors):
-    """The OracleResult of arrays of the energies at that pass, in order;
-    the error of each other one goes to errors, keyed by its index.
+def _passes(pot, energies, domain, slices):
+    """(result, exc): the OracleResult of arrays of the energies before the
+    first whose pass fails, and that energy's exception, or None.
 
-    Two passes, at slices and 2 * slices; an energy whose coarse pass fails
-    takes no part in the fine one.
+    Two passes, at slices and 2 * slices, each ending with the block of its
+    first failing energy; the fine pass takes the energies before the first
+    whose coarse pass fails.
     """
     slices = int(slices)
     if slices < 100:
@@ -200,55 +201,54 @@ def _passes(pot, energies, at, domain, slices, errors):
             % (x_left, v_l, x_right, v_r, ASYMPTOTE_TOLERANCE)
         )
 
-    passes = []
+    passes, exc = [], None
     for n in (slices, 2 * slices):
         d = (x_right - x_left) / n
         v_mid = pot.v(x_left + (np.arange(n) + 0.5) * d)
+        # an entry left nan failed, or comes after the block of one that did
         t, r = np.full(energies.size, np.nan), np.full(energies.size, np.nan)
         per_block = max(1, BLOCK // n)
-        for i in range(0, at.size, per_block):
-            block = at[i:i + per_block]
+        for i in range(0, energies.size, per_block):
+            block = slice(i, i + per_block)
             t[block], r[block] = _transfer_once(v_mid, energies[block], x_left, x_right, n)
-        for i in at[np.isnan(t[at])].tolist():
-            errors[i] = ValueError(
-                "%d slices on [%g, %g] are too coarse for this barrier at E=%g"
-                % (n, x_left, x_right, energies[i])
-            )
-        at = at[~np.isnan(t[at])]
-        passes.append((t, r))
+            if np.isnan(t[block]).any():
+                break
+        k, exc = _first(energies.size, exc, (np.isnan(t), lambda p: ValueError(
+            "%d slices on [%g, %g] are too coarse for this barrier at E=%g"
+            % (n, x_left, x_right, energies[p])
+        )))
+        energies = energies[:k]
+        passes.append((t[:k], r[:k]))
     (t_coarse, _), (t_fine, r_fine) = passes
-    t_fine, r_fine, t_coarse = t_fine[at], r_fine[at], t_coarse[at]
+    t_coarse = t_coarse[:t_fine.size]
     return OracleResult(
         t_exact=t_fine,
         r_exact=r_fine,
-        slices=np.full(at.size, 2 * slices),
+        slices=np.full(t_fine.size, 2 * slices),
         flux_defect=np.abs(t_fine + r_fine - 1.0),
         richardson_estimate=(4.0 * t_fine - t_coarse) / 3.0,
-    )
+    ), exc
 
 
 def _transmissions(pot, energies, domain, slices):
-    """(result, errors): the outcome of every energy of a scalar or a 1D array.
+    """(result, exc): the transmission of a scalar or a 1D array of
+    energies before the first that fails, and that energy's exception, or
+    None.
 
-    result is an OracleResult of arrays with one entry per energy that
-    passes, in order; errors maps the index of every other energy to its
-    exception. An error of the call as a whole (bad slices or domain, V
-    off the zero asymptote at a domain end) is the error of every energy
-    that had not failed before it. energies beyond 1D raise ValueError.
+    result is an OracleResult of arrays, entry i that of energy i. An error
+    of the call as a whole (bad slices or domain, V off the zero asymptote
+    at a domain end) is the error of the first energy, unless that one
+    fails the energy rule. energies beyond 1D raise ValueError.
     """
     energies = energy_array(energies)
-    errors = energy_errors(energies)
-    keep = np.ones(energies.size, dtype=bool)
-    keep[list(errors)] = False
-    at = np.flatnonzero(keep)
-    if not at.size:
-        return _EMPTY, errors
+    k, exc = first_energy_error(energies)
+    if not k:
+        return _EMPTY, exc
     try:
-        return _passes(pot, energies, at, domain, slices, errors), errors
-    except (TunnelError, ValueError, ArithmeticError) as exc:
-        for i in at.tolist():
-            errors.setdefault(i, exc)
-        return _EMPTY, errors
+        result, failed = _passes(pot, energies[:k], domain, slices)
+    except (TunnelError, ValueError, ArithmeticError) as error:
+        return _EMPTY, error
+    return result, (exc if failed is None else failed)
 
 
 def exact_transmission(pot, energy, domain, slices=4000):
@@ -266,5 +266,5 @@ def exact_transmission(pot, energy, domain, slices=4000):
     the slices of one batched pass, and a failure raises the error of the
     lowest failing energy.
     """
-    result, errors = _transmissions(pot, energy, domain, slices)
-    return _outcome(result, errors, energy)
+    result, exc = _transmissions(pot, energy, domain, slices)
+    return _outcome(result, exc, energy)

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateTurningPointError
-from .geometry import BarrierGeometry, _geometries, _outcome, _select
+from .geometry import BarrierGeometry, _geometries, _outcome
 from .oracle import OracleResult, _transmissions
 from .specfun import log_bi_over_ai
 
@@ -120,16 +120,13 @@ def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000)
     Fails as a loop of one-energy reports would: with the error of the
     lowest energy whose geometry or oracle fails.
     """
-    geom, errors = _geometries(pot, energy, window)
-    failed = min(errors, default=None)
-    if failed is not None:
-        geom = _select(geom, slice(failed))
+    geom, exc = _geometries(pot, energy, window)
     u, wkb, asymptotic, uniform = _estimates(geom)
     oracle = t_exact = None
     if with_oracle:
-        oracle, oracle_errors = _transmissions(pot, geom.energy, window, oracle_slices)
-        if oracle_errors:
-            raise oracle_errors[min(oracle_errors)]
+        oracle, oracle_exc = _transmissions(pot, geom.energy, window, oracle_slices)
+        if oracle_exc is not None:
+            raise oracle_exc
         t_exact = oracle.t_exact
     report = RateReport(geom.energy, geom, u, wkb, asymptotic, uniform, t_exact, oracle)
-    return _outcome(report, errors, energy)
+    return _outcome(report, exc, energy)

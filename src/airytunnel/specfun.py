@@ -43,8 +43,6 @@ GAMMA_TWO_THIRDS = 1.3541179394264004170
 
 #: Ai(0) = 1 / (9^(1/3) Gamma(2/3))
 AI_ZERO = 1.0 / (9.0 ** (1.0 / 3.0) * GAMMA_TWO_THIRDS)
-#: Ai'(0) = -1 / (3^(1/3) Gamma(1/3))
-AIP_ZERO = -1.0 / (3.0 ** (1.0 / 3.0) * GAMMA_ONE_THIRD)
 #: Bi(0) = 1 / (3^(1/6) Gamma(2/3)) = sqrt(3) Ai(0)
 BI_ZERO = 1.0 / (3.0 ** (1.0 / 6.0) * GAMMA_TWO_THIRDS)
 #: Bi'(0) = 3^(1/6) / Gamma(1/3) = sqrt(3) |Ai'(0)|

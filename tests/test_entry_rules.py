@@ -67,20 +67,20 @@ def test_every_entry_point_rejects_a_bad_window(window, message):
             rate_report(pot, energies, window, with_oracle=True)
         with pytest.raises(ValueError, match="^window must"):
             sample_grid(pot, 0.5, window, 41, 1.0, 0.0, -0.88)
-        for result, errors in (_geometries(pot, energies, window),
-                               _transmissions(pot, energies, window, 4000)):
+        for result, exc in (_geometries(pot, energies, window),
+                            _transmissions(pot, energies, window, 4000)):
             assert all(getattr(result, f.name).size == 0 for f in fields(result))
-            assert [type(errors[i]) for i in range(2)] == [ValueError, ValueError]
-            assert str(errors[0]) == message
+            assert type(exc) is ValueError and str(exc) == message
 
 
 def test_energy_rule_runs_before_the_window_rule():
-    # An energy that fails its own check keeps its error; the window then
-    # fails the energies still in play.
+    # A first energy that fails its own check keeps its error; the window is
+    # judged only when the first energy passes, and then fails it.
     pot = Sech2Barrier(1.0, 1.0)
-    for _, errors in (_geometries(pot, [-1.0, 0.5], (3.0, -3.0)),
-                      _transmissions(pot, [-1.0, 0.5], (3.0, -3.0), 4000)):
-        assert isinstance(errors[0], DomainError) and type(errors[1]) is ValueError
+    for energies, error in (([-1.0, 0.5], DomainError), ([0.5, -1.0], ValueError)):
+        for _, exc in (_geometries(pot, energies, (3.0, -3.0)),
+                       _transmissions(pot, energies, (3.0, -3.0), 4000)):
+            assert type(exc) is error
 
 
 @pytest.mark.parametrize("energy", [0.0, -0.5, NAN, INF])

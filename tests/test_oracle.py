@@ -264,28 +264,29 @@ def test_energies_equal_single_energy_calls_bit_for_bit(tilted_barrier):
         )
 
 
-def test_failing_energy_fails_alone():
+def test_transmissions_end_at_the_first_failing_energy():
     pot = SquareBarrier(1.0, 2.0)
     domain = (-5.0, 5.0)
-    result, errors = _transmissions(pot, [0.5, -0.5, 2.0, float("nan")], domain, 100)
-    assert sorted(errors) == [1, 3] and result.t_exact.size == 2
+    result, exc = _transmissions(pot, [0.5, 2.0, -0.5, float("nan")], domain, 100)
+    assert result.t_exact.size == 2
+    assert isinstance(exc, DomainError) and str(exc).endswith("got -0.5")
     assert entry_matches(result, 0, exact_transmission(pot, 0.5, domain, slices=100))
     assert entry_matches(result, 1, exact_transmission(pot, 2.0, domain, slices=100))
-    assert isinstance(errors[1], DomainError) and isinstance(errors[3], DomainError)
     # exp(kappa d) = exp(1000) per slice leaves double range below the
-    # barrier top only; the energies above it share its block
+    # barrier top only; the energy before it in its block is unharmed
     thick = SquareBarrier(1e8, 2.0)
-    result, errors = _transmissions(thick, [2e8, 0.5, 3e8], domain, 100)
-    assert list(errors) == [1]
-    assert isinstance(errors[1], ValueError) and "too coarse" in str(errors[1])
-    for i, e in enumerate((2e8, 3e8)):
-        assert entry_matches(result, i, exact_transmission(thick, e, domain, slices=100))
-    # an error of the call as a whole is that of every energy still in play
-    result, errors = _transmissions(pot, [-1.0, 0.5, 0.7], domain, 50)
-    assert isinstance(errors[0], DomainError)
-    assert isinstance(errors[1], ValueError) and errors[1] is errors[2]
-    result, errors = _transmissions(pot, [], domain, 4000)
-    assert result.t_exact.size == 0 and not errors
+    result, exc = _transmissions(thick, [2e8, 0.5, 3e8], domain, 100)
+    assert isinstance(exc, ValueError) and "too coarse for this barrier at E=0.5" in str(exc)
+    assert result.t_exact.size == 1
+    assert entry_matches(result, 0, exact_transmission(thick, 2e8, domain, slices=100))
+    # an error of the call as a whole is that of the first energy, unless
+    # the energy rule rejects that one first
+    result, exc = _transmissions(pot, [-1.0, 0.5, 0.7], domain, 50)
+    assert isinstance(exc, DomainError) and result.t_exact.size == 0
+    result, exc = _transmissions(pot, [0.5, 0.7, -1.0], domain, 50)
+    assert type(exc) is ValueError and "100 slices" in str(exc) and result.t_exact.size == 0
+    result, exc = _transmissions(pot, [], domain, 4000)
+    assert result.t_exact.size == 0 and exc is None
 
 
 @pytest.mark.parametrize("energy", [0.1, 0.5, 0.95])

@@ -19,12 +19,12 @@ from airytunnel import (
     log_bi_over_ai,
     rate_report,
 )
-from airytunnel import geometry
+from airytunnel import geometry, oracle
 from airytunnel.cli import main
 from airytunnel.geometry import solve_bracketed
 from airytunnel.quadrature import integrate_endpoint_singular
 from airytunnel.specfun import SERIES_ASYMPTOTIC_SWITCH, _airy_grid
-from conftest import double_hump_samples, entry_matches, tilted_gaussian_samples
+from conftest import SquareBarrier, double_hump_samples, entry_matches, tilted_gaussian_samples
 
 # The per-energy loop that the batched sweep replaced, kept as its reference:
 # scalar root steps, one quadrature per action, one report per energy.
@@ -244,13 +244,16 @@ def assert_matches_reference(name, energies):
     energies = [float(e) for e in energies]
     want = reference_outcomes(pot, energies, window)
     failed = [i for i, w in enumerate(want) if isinstance(w, type)]
-    _, errors = geometry._geometries(pot, energies, window)
-    assert {i: type(exc) for i, exc in errors.items()} == {i: want[i] for i in failed}
+    # the pass ends at the loop's first failure, with its error ...
+    k = failed[0] if failed else len(energies)
+    geom, exc = geometry._geometries(pot, energies, window)
+    assert geom.energy.size == k
+    assert type(exc) is (want[k] if failed else type(None))
     if failed:
-        # the sweep raises the lowest failing energy's error ...
-        with pytest.raises(want[failed[0]]):
+        # ... which the sweep raises ...
+        with pytest.raises(want[k]):
             rate_report(pot, energies, window)
-    # ... and reports every energy below it as the loop did
+    # ... and the passing energies, those after it too, sweep as the loop did
     ok = [i for i in range(len(energies)) if i not in failed]
     report = rate_report(pot, [energies[i] for i in ok], window)
     got = report_rows(report)
@@ -258,6 +261,7 @@ def assert_matches_reference(name, energies):
     for k, (row, i) in enumerate(zip(got, ok)):
         assert_rows_match(name, row, want[i])
         assert entry_matches(report, k, rate_report(pot, energies[i], window))
+    assert all(entry_matches(geom, i, geometry._entry(report.geometry, i)) for i in range(geom.energy.size))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -363,8 +367,13 @@ def test_theta_decreases_with_energy(name, fractions):
     for e in sorted(np.array(fractions) * top):
         if not energies or e - energies[-1] >= 1e-6 * top:
             energies.append(e)
-    # energies that fail (the tabulated table's balance check) drop out
-    theta = geometry._geometries(pot, energies, window)[0].theta
+    # an energy that fails (the tabulated table's balance check) ends a
+    # pass, and the energies after it run in a pass of their own
+    theta = []
+    while energies:
+        geom, _ = geometry._geometries(pot, energies, window)
+        theta += geom.theta.tolist()
+        energies = energies[geom.energy.size + 1:]
     assert np.all(np.diff(theta) < 0.0)
 
 
@@ -374,33 +383,36 @@ def test_sweep_longer_than_a_block_is_the_single_energy_loop(monkeypatch):
     energies = np.linspace(0.05, 0.95, 12)
     swept = rate_report(pot, energies)
     assert all(entry_matches(swept, i, rate_report(pot, e)) for i, e in enumerate(energies.tolist()))
-    energies[6] = 1.5  # a failure in the middle block stays its own
-    geom, errors = geometry._geometries(pot, energies)
-    assert list(errors) == [6] and isinstance(errors[6], NoBarrierError)
-    passed = [i for i in range(12) if i != 6]
-    assert all(entry_matches(geom, k, geometry._entry(swept.geometry, i)) for k, i in enumerate(passed))
-    # a stage-wide error reaches the energies of every block still in play
-    geom, errors = geometry._geometries(pot, [-1.0] * 5 + [0.5] * 3, window=(1.0, -1.0))
-    assert geom.energy.size == 0 and sorted(errors) == list(range(8))
-    assert all(isinstance(errors[i], DomainError) for i in range(5))
-    assert all(isinstance(errors[i], ValueError) and "xmin < xmax" in str(errors[i]) for i in range(5, 8))
+    energies[6] = 1.5  # a failure in the middle block ends the sweep there
+    geom, exc = geometry._geometries(pot, energies)
+    assert isinstance(exc, NoBarrierError) and geom.energy.size == 6
+    assert all(entry_matches(geom, i, geometry._entry(swept.geometry, i)) for i in range(6))
+    # a stage-wide error is that of the first energy of its block ...
+    geom, exc = geometry._geometries(pot, [0.5] * 3 + [-1.0] * 5, window=(1.0, -1.0))
+    assert geom.energy.size == 0
+    assert type(exc) is ValueError and "xmin < xmax" in str(exc)
+    # ... unless the energy rule rejects that one first
+    geom, exc = geometry._geometries(pot, [-1.0] * 5 + [0.5] * 3, window=(1.0, -1.0))
+    assert geom.energy.size == 0 and isinstance(exc, DomainError)
 
 
-def test_geometries_report_each_energy_outcome(double_hump_barrier):
+def test_geometries_end_at_the_first_failing_energy(double_hump_barrier):
     pot = Sech2Barrier(1.0, 1.0)
-    geom, errors = geometry._geometries(pot, [-0.5, 0.5, 1.5, float("nan"), 0.2])
-    assert {i: type(exc).__name__ for i, exc in errors.items()} == {
-        0: "DomainError", 2: "NoBarrierError", 3: "DomainError",
-    }
+    geom, exc = geometry._geometries(pot, [0.5, 0.2, 1.5, float("nan"), -0.5])
     assert geom.energy.tolist() == [0.5, 0.2]
-    # an error of a stage as a whole is that of every energy still in play
-    _, errors = geometry._geometries(pot, [-1.0, 0.5, 0.7], window=(1.0, -1.0))
-    assert isinstance(errors[0], DomainError)
-    assert isinstance(errors[1], ValueError) and errors[1] is errors[2]
-    _, errors = geometry._geometries(double_hump_barrier, [0.5, 1.5], (-6.0, 6.0))
-    assert isinstance(errors[0], MultiHumpUnsupported) and isinstance(errors[1], NoBarrierError)
-    geom, errors = geometry._geometries(pot, [])
-    assert geom.energy.size == 0 and not errors
+    assert isinstance(exc, NoBarrierError) and "E=1.5" in str(exc)
+    # the energy rule comes before the scan
+    geom, exc = geometry._geometries(pot, [0.5, 0.2, float("nan"), 1.5])
+    assert geom.energy.tolist() == [0.5, 0.2] and isinstance(exc, DomainError)
+    # an error of a stage as a whole is that of the first energy
+    geom, exc = geometry._geometries(pot, [0.5, 0.7, -1.0], window=(1.0, -1.0))
+    assert geom.energy.size == 0 and type(exc) is ValueError
+    geom, exc = geometry._geometries(double_hump_barrier, [0.5, 1.5], (-6.0, 6.0))
+    assert geom.energy.size == 0 and isinstance(exc, MultiHumpUnsupported)
+    geom, exc = geometry._geometries(double_hump_barrier, [1.5, 0.5], (-6.0, 6.0))
+    assert geom.energy.size == 0 and isinstance(exc, NoBarrierError)
+    geom, exc = geometry._geometries(pot, [])
+    assert geom.energy.size == 0 and exc is None
 
 
 def test_sweep_raises_the_lowest_failing_energy(double_hump_barrier):
@@ -473,15 +485,52 @@ class FlatFarFlanks(GaussianBarrier):
 
 
 def test_lowest_energy_failing_last_is_raised():
+    # 0.05 fails at the last (slope) stage, 2.0 at the first (the scan)
     pot = FlatFarFlanks(1.0, 1.0)
-    geom, errors = geometry._geometries(pot, [0.05, 0.5, 2.0])
-    assert isinstance(errors[0], DegenerateTurningPointError)
-    assert geom.energy.tolist() == [0.5]
-    assert isinstance(errors[2], NoBarrierError)
+    geom, exc = geometry._geometries(pot, [0.5, 0.05, 2.0])
+    assert isinstance(exc, DegenerateTurningPointError) and geom.energy.tolist() == [0.5]
+    geom, exc = geometry._geometries(pot, [0.5, 2.0, 0.05])
+    assert isinstance(exc, NoBarrierError) and geom.energy.tolist() == [0.5]
     with pytest.raises(DegenerateTurningPointError):
         rate_report(pot, [0.05, 0.5, 2.0])
     with pytest.raises(NoBarrierError):
         rate_report(pot, [0.5, 2.0, 0.05])
+
+
+def test_no_work_past_the_first_failing_energy(monkeypatch):
+    searched, blocks, passes = [], [], []
+    midpoints, analyze, transfer = geometry._midpoints, geometry._analyze, oracle._transfer_once
+
+    def spy_midpoints(pot, energies, *args):
+        searched.append(energies.tolist())
+        return midpoints(pot, energies, *args)
+
+    def spy_analyze(pot, energies, *args):
+        blocks.append(energies.tolist())
+        return analyze(pot, energies, *args)
+
+    def spy_transfer(v_mid, energies, x_left, x_right, n):
+        passes.append((n, energies.tolist()))
+        return transfer(v_mid, energies, x_left, x_right, n)
+
+    monkeypatch.setattr(geometry, "_midpoints", spy_midpoints)
+    monkeypatch.setattr(geometry, "_analyze", spy_analyze)
+    monkeypatch.setattr(oracle, "_transfer_once", spy_transfer)
+    pot = Sech2Barrier(1.0, 1.0)
+    # energy 2 has no barrier: the midpoint search sees energies 0 and 1 only
+    with pytest.raises(NoBarrierError):
+        rate_report(pot, [0.2, 0.4, 1.5, 0.6, 0.8])
+    assert searched == [[0.2, 0.4]]
+    # a failure in the first block: the later blocks do not run
+    monkeypatch.setattr(geometry, "BLOCK", 5)
+    blocks.clear()
+    geom, exc = geometry._geometries(pot, [0.2, 0.4, 1.5] + [0.5] * 9)
+    assert isinstance(exc, NoBarrierError) and geom.energy.size == 2
+    assert blocks == [[0.2, 0.4, 1.5, 0.5, 0.5]]
+    # the coarse pass fails at E = 0.5, so the fine pass takes 2e8 alone
+    result, exc = oracle._transmissions(SquareBarrier(1e8, 2.0), [2e8, 0.5, 3e8], (-5.0, 5.0), 100)
+    assert isinstance(exc, ValueError) and result.t_exact.size == 1
+    assert [energies for n, energies in passes if n == 200] == [[2e8]]
 
 
 @pytest.mark.parametrize("potential", ["sech2", "gaussian", "parabolic", "tabulated"])

@@ -201,7 +201,7 @@ def _run_wavefunction(args):
     a, b = find_turning_points(pot, args.energy, window)
     anchor = a if args.anchor == "left" else b
     xs = _grid(pot, window, args.n)
-    # The scan above already found every crossing in the window: (a, b).
+    # find_turning_points already took every crossing in the window: (a, b).
     psi_ai, psi_bi, ksq, arg = _basis_arrays(pot, args.energy, anchor, xs, (a, b))
     return _csv("x,ksq,airy_arg,psi_ai,psi_bi", (xs, ksq, arg, psi_ai, psi_bi))
 

@@ -17,17 +17,15 @@ the root.
 
 analyze_barrier takes one energy or an array of them, and the geometry
 of all of them is one batched pass; the one-energy stage functions are
-that pass at a single energy. V is sampled once on the scan grid and
-each energy's brackets come from comparing E against it; every
-turning-point bracket is polished by one array call of solve_bracketed,
-which starts from the regula-falsi point of the scan's own samples.
-theta and the action up to (a + b)/2, the midpoint search's first
-iterate, are one quadrature call. Each later step of the search is one
-more, over the segments from each barrier's last iterate to its next,
-which hold no turning point; the right half actions are one more. The
-midpoint is the search's last evaluated iterate, whose left half action
-is already summed, so an energy's geometry takes two action quadrature
-calls when its midpoint search takes one step.
+that pass at a single energy. The turning points of all energies are
+one Potential.crossings call. theta and the action up to (a + b)/2, the
+midpoint search's first iterate, are one quadrature call. Each later
+step of the search is one more, over the segments from each barrier's
+last iterate to its next, which hold no turning point; the right half
+actions are one more. The midpoint is the search's last evaluated
+iterate, whose left half action is already summed, so an energy's
+geometry takes two action quadrature calls when its midpoint search
+takes one step.
 
 The pass keeps its results in arrays and its checks are masks. It ends
 at its first failing energy: after each check every array is cut to the
@@ -52,11 +50,6 @@ from .errors import (
     first_energy_error,
 )
 from .quadrature import integrate_endpoint_singular
-
-#: Uniform samples used to bracket sign changes of k2 before root polishing.
-#: Narrow humps (energy within ~1e-4 of the barrier top for unit-width
-#: barriers) may need a finer scan or a tighter window.
-DEFAULT_SCAN_POINTS = 2048
 
 #: Energies in one batched geometry pass. A longer sweep runs in blocks of
 #: this many, which caps the memory its arrays take (several KB per
@@ -176,69 +169,6 @@ def _judge(energy, **points):
     return (float(energy), *map(float, points.values()))
 
 
-def _sign_changes(v, energies):
-    """(energy index, j) of every scan interval [xs[j], xs[j+1]] on which
-    k2 = E - V changes sign, given v = V(xs); sorted by energy, then j."""
-    allowed = v < energies[:, None]  # k2 > 0, without forming E - V
-    change = allowed[:, 1:] != allowed[:, :-1]
-    # divmod of the flat indices: the pairs of np.nonzero, ~10x faster
-    return np.divmod(np.flatnonzero(change), change.shape[1])
-
-
-def _regula_falsi(xs, v, energies, j):
-    """The regula-falsi point of k2 = E - V in each scan interval
-    [xs[j], xs[j+1]] at its own energy, given v = V(xs): the start of its
-    root polish."""
-    k_lo, k_hi = energies - v[j], energies - v[j + 1]
-    # k_lo and k_hi differ in sign, so the fraction lies in [0, 1] unless
-    # their difference overflows; solve_bracketed then starts at the midpoint.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return xs[j] + (xs[j + 1] - xs[j]) * (k_lo / (k_lo - k_hi))
-
-
-def _polish(pot, energies, lo, hi, x0):
-    """Zeros of k2 = E - V in the brackets [lo, hi], each at its own energy,
-    starting from x0.
-
-    An iterate where |k2| is within 4 eps max(|E|, |V|, |x V'(x)|) counts
-    as a root: its computed sign says nothing, and a wrong one would send
-    the solver into a long bisection. |E| and |V| bound the rounding noise
-    of E - V; |x V'| that of V itself from the rounding of x, which on
-    V = v0 - x^2 is the cancellation of x^2.
-
-    k2 evaluates V' with V, and k2_prime returns it: solve_bracketed asks
-    for the slope at the points of the f call just before.
-    """
-    rows, dv = [], None
-
-    def k2(x):
-        nonlocal dv
-        e = energies[rows]
-        v, dv = pot.v(x), pot.v_prime(x)
-        g = e - v
-        noise = np.maximum(np.maximum(np.abs(e), np.abs(v)), np.abs(x * dv))
-        g[np.abs(g) <= _EPS4 * noise] = 0.0
-        return g
-
-    def k2_prime(x):
-        return -dv
-
-    return solve_bracketed(k2, k2_prime, lo, hi, 1e-14, rows=rows, x0=x0)
-
-
-def find_crossings(pot, energy, lo, hi, n_scan=DEFAULT_SCAN_POINTS):
-    """Sorted simple zeros of k2 in [lo, hi].
-
-    Scans n_scan uniform samples for sign changes of k2 and polishes all
-    brackets together by solve_bracketed on the potential's own derivative.
-    """
-    xs = np.linspace(lo, hi, n_scan)
-    v = pot.v(xs)
-    _, j = _sign_changes(v, np.array([float(energy)]))
-    e = np.full(j.size, float(energy))
-    return _polish(pot, e, xs[j], xs[j + 1], _regula_falsi(xs, v, e, j)).tolist()
-
-
 def _first(k, exc, *checks):
     """(k, exc) lowered to the first position below k that a check rejects,
     with that position's error; k is the length of the prefix still in
@@ -263,29 +193,25 @@ def _first(k, exc, *checks):
     return k, exc
 
 
-def _turning_points(pot, energies, window, n_scan):
+def _turning_points(pot, energies, window):
     """(a, b, exc): the forbidden interval [a, b] in the window of each
     energy before the first that has not exactly one, and that energy's
-    exception, or None.
-
-    An error that no energy alone causes (bad window or n_scan, V failing
-    on the scan) is raised, unless the first energy fails the energy rule.
+    exception, or None. An error that no energy alone causes (a bad window,
+    V failing there) is raised, unless the first energy fails the energy rule.
     """
     k, exc = first_energy_error(energies)
     if not k:
         return energies[:0], energies[:0], exc
     lo, hi = pot.window(window)
-    if int(n_scan) < 3:
-        raise ValueError("n_scan must be >= 3 to bracket two turning points, got %d" % n_scan)
-
-    xs = np.linspace(lo, hi, int(n_scan))
     e = energies[:k]
-    v = pot.v(xs)
-    which, j = _sign_changes(v, e)
+    which, x = pot.crossings(e, lo, hi)
     counts = np.bincount(which, minlength=k)
-    # One crossing, or none with V >= E on the whole scan (fmin skips a nan
-    # V as `v < E` does): a window inside the forbidden region.
-    unclosed = (counts == 1) | ((counts == 0) & ~(np.fmin.reduce(v) < e))
+    # One crossing, or none with V >= E at lo, so on the whole window: a window
+    # inside the forbidden region. A parabola's V(lo) may overflow to -inf.
+    unclosed = counts == 1
+    if not counts.all():
+        with np.errstate(over="ignore"):
+            unclosed |= (counts == 0) & ~(pot.v(lo) < e)
     k, exc = _first(
         k, exc,
         (unclosed, lambda p: NoBarrierError(
@@ -298,25 +224,20 @@ def _turning_points(pot, energies, window, n_scan):
             "%d sign changes of k2 in (%g, %g); single-hump barriers only" % (counts[p], lo, hi)
         )),
     )
-    e2 = np.repeat(e[:k], 2)
-    j = j[:2 * k]  # two brackets per energy before k: a's, then b's
-    roots = _polish(pot, e2, xs[j], xs[j + 1], _regula_falsi(xs, v, e2, j))
-    a, b = roots[0::2], roots[1::2]
+    a, b = x[0:2 * k:2], x[1:2 * k:2]  # two crossings per energy before k
     k, exc = _first(k, exc, (e[:k] - pot.v(0.5 * (a + b)) >= 0.0, lambda p: NoBarrierError(
         "window (%g, %g) does not bracket a forbidden interval at E=%g" % (lo, hi, e[p])
     )))
     return a[:k], b[:k], exc
 
 
-def find_turning_points(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
+def find_turning_points(pot, energy, window=None):
     """Locate the forbidden interval (a, b) with k2(a) = k2(b) = 0.
 
-    Scans the window for sign changes of k2 (find_crossings; n_scan must
-    be at least 3 to bracket two of them). Raises NoBarrierError when no
-    closed forbidden interval lies inside the window and
-    MultiHumpUnsupported when the window contains more than one.
+    Raises NoBarrierError when no closed forbidden interval lies inside
+    the window and MultiHumpUnsupported when the window contains more than one.
     """
-    a, b, exc = _turning_points(pot, np.array([float(energy)]), window, n_scan)
+    a, b, exc = _turning_points(pot, np.array([float(energy)]), window)
     if exc is not None:
         raise exc
     return float(a[0]), float(b[0])
@@ -540,10 +461,10 @@ def _geometry_checks(geom):
     )
 
 
-def _analyze(pot, energies, window, n_scan):
+def _analyze(pot, energies, window):
     """(geom, exc): the BarrierGeometry of arrays of the energies before the
     first that fails a check, and that energy's exception, or None."""
-    a, b, exc = _turning_points(pot, energies, window, n_scan)
+    a, b, exc = _turning_points(pot, energies, window)
     if not a.size:
         return _EMPTY, exc
     theta, c, left, failed = _midpoints(pot, energies[:a.size], a, b)
@@ -563,14 +484,14 @@ def _analyze(pot, energies, window, n_scan):
     return BarrierGeometry(*(column[:k] for column in columns)), exc
 
 
-def _geometries(pot, energies, window=None, n_scan=DEFAULT_SCAN_POINTS):
+def _geometries(pot, energies, window=None):
     """(geom, exc): the geometry of a scalar or a 1D array of energies
     before the first that fails, and that energy's exception, or None.
 
     geom is a BarrierGeometry of arrays, entry i that of energy i. The
     energies run in blocks of BLOCK, in order, one pass per block, and the
     sweep ends with the block of its first failing energy. An error of a
-    stage as a whole (a bad window, a tabulated range the scan leaves, a
+    stage as a whole (a bad window, a window beyond a table's range, a
     root search that does not converge) is the error of the first energy
     of its block. energies beyond 1D raise ValueError.
     """
@@ -578,7 +499,7 @@ def _geometries(pot, energies, window=None, n_scan=DEFAULT_SCAN_POINTS):
     parts, exc = [_EMPTY], None
     for i in range(0, energies.size, BLOCK):
         try:
-            geom, exc = _analyze(pot, energies[i:i + BLOCK], window, n_scan)
+            geom, exc = _analyze(pot, energies[i:i + BLOCK], window)
         except (TunnelError, ValueError, ArithmeticError) as error:
             geom, exc = _EMPTY, error
         parts.append(geom)
@@ -588,7 +509,7 @@ def _geometries(pot, energies, window=None, n_scan=DEFAULT_SCAN_POINTS):
     return geom, exc
 
 
-def analyze_barrier(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
+def analyze_barrier(pot, energy, window=None):
     """Geometry of one barrier at one energy or at each of an array of them.
 
     A scalar energy (a float or a 0-d array) gives a BarrierGeometry of
@@ -597,5 +518,5 @@ def analyze_barrier(pot, energy, window=None, n_scan=DEFAULT_SCAN_POINTS):
     pass (see _geometries), and a failure raises the error of the lowest
     failing energy.
     """
-    geom, exc = _geometries(pot, energy, window, n_scan)
+    geom, exc = _geometries(pot, energy, window)
     return _outcome(geom, exc, energy)

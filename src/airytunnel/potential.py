@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, RangeError
+from .geometry import _EPS4, solve_bracketed
 
 
 def _check_param(name, value):
@@ -44,10 +45,19 @@ def _check_positive(name, value):
     return value
 
 
+def _mirrored(half, lo, hi):
+    """The crossings -half and half of an even barrier inside (lo, hi); none
+    where half is nan, or 0: at the top k2 touches 0 without changing sign."""
+    x = np.where(half > 0.0, half, np.nan)[:, None] * np.array([-1.0, 1.0])
+    which, side = np.nonzero((lo < x) & (x < hi))
+    return which, x[which, side]
+
+
 class Potential(ABC):
     """A 1D barrier potential. Subclasses are immutable and stateless, and
-    write the array kernels _v and _v_prime (any shape in, that shape out);
-    v and v_prime run a scalar as an array of size one and return a float."""
+    write suggested_window, crossings and the array kernels _v and _v_prime
+    (any shape in, that shape out); v and v_prime run a scalar as an array
+    of size one and return a float."""
 
     def v(self, x):
         """V(x): a float for a scalar x, else an array of x's shape."""
@@ -74,6 +84,12 @@ class Potential(ABC):
     @abstractmethod
     def suggested_window(self):
         """Default (xmin, xmax) bracketing the barrier for this potential."""
+
+    @abstractmethod
+    def crossings(self, energies, lo, hi):
+        """(which, x): every crossing of k2 = E - V through 0 strictly inside
+        (lo, hi) for a 1D array of positive, finite energies, as the energy
+        index and the point of each, sorted by energy, then by x."""
 
     def window(self, window=None):
         """The x-window (lo, hi) as floats, judged once for every entry point.
@@ -115,6 +131,10 @@ class ParabolicBarrier(Potential):
         half = 1.5 * math.sqrt(self.v0)
         return (-half, half)
 
+    def crossings(self, energies, lo, hi):
+        with np.errstate(invalid="ignore"):  # nan above the top
+            return _mirrored(np.sqrt(self.v0 - energies), lo, hi)
+
     def __repr__(self):
         return "ParabolicBarrier(v0=%g)" % self.v0
 
@@ -143,6 +163,12 @@ class Sech2Barrier(Potential):
     def suggested_window(self):
         return (-20.0 * self.w, 20.0 * self.w)
 
+    def crossings(self, energies, lo, hi):
+        # sinh(x/w)**2 = (v0 - E)/E; nan above the top, inf past the float range
+        with np.errstate(invalid="ignore", over="ignore"):
+            ratio = np.sqrt(self.v0 - energies) / np.sqrt(energies)
+            return _mirrored(self.w * np.arcsinh(ratio), lo, hi)
+
     def __repr__(self):
         return "Sech2Barrier(v0=%g, w=%g)" % (self.v0, self.w)
 
@@ -165,6 +191,14 @@ class GaussianBarrier(Potential):
 
     def suggested_window(self):
         return (-20.0 * self.w, 20.0 * self.w)
+
+    def crossings(self, energies, lo, hi):
+        # (x/w)**2 = -log(E/v0), from log1p where E/v0 is near 1 (E - v0 is
+        # then exact); nan above the top, inf past the float range
+        with np.errstate(all="ignore"):
+            r = energies / self.v0
+            z = np.where(r < 0.5, -np.log(r), -np.log1p((energies - self.v0) / self.v0))
+            return _mirrored(self.w * np.sqrt(z), lo, hi)
 
     def __repr__(self):
         return "GaussianBarrier(v0=%g, w=%g)" % (self.v0, self.w)
@@ -225,6 +259,15 @@ class TabulatedPotential(Potential):
         self._lower = np.concatenate(([-np.inf], x[1:-1]))
         self._upper = np.concatenate((x[1:-1], [np.inf]))
         self._per_unit = (x.size - 1) / (x[-1] - x[0])
+        # Breakpoints: the knots and each piece's stationary points, the roots
+        # t in (0, h) of b + 2 c t + 3 d t**2. V is monotone between them.
+        breaks, b, c, d = [x], self._b, self._c, self._d
+        with np.errstate(all="ignore"):  # no real root, or d = 0: nan or inf
+            q = -(c + np.copysign(np.sqrt(c * c - 3.0 * b * d), c))
+            for t in (q / (3.0 * d), b / q):
+                inside = (0.0 < t) & (t < np.diff(x))
+                breaks.append(x[:-1][inside] + t[inside])
+        self._breaks = np.sort(np.concatenate(breaks))
 
     def _piece(self, x):
         """Spline interval index i and offset t = x - x_samples[i] of an array x.
@@ -265,12 +308,47 @@ class TabulatedPotential(Potential):
     def suggested_window(self):
         return (float(self.x_samples[0]), float(self.x_samples[-1]))
 
+    def crossings(self, energies, lo, hi):
+        # A bracket per sign change of k2 between neighbouring breakpoints or
+        # ends, from its regula-falsi point (nan, so the midpoint, on overflow).
+        inner = self._breaks[(lo < self._breaks) & (self._breaks < hi)]
+        xs = np.concatenate(([lo], inner, [hi]))
+        v = self.v(xs)
+        change = np.diff(v < energies[:, None])  # k2 > 0, without forming E - V
+        # divmod of the flat indices: the pairs of np.nonzero, ~10x faster
+        which, j = np.divmod(np.flatnonzero(change), change.shape[1])
+        e = energies[which]
+        k_lo, k_hi = e - v[j], e - v[j + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x0 = xs[j] + (xs[j + 1] - xs[j]) * (k_lo / (k_lo - k_hi))
+        return which, _polish(self, e, xs[j], xs[j + 1], x0)
+
     def __repr__(self):
         return "TabulatedPotential(%d samples on [%g, %g])" % (
             self.x_samples.size,
             self.x_samples[0],
             self.x_samples[-1],
         )
+
+
+def _polish(pot, energies, lo, hi, x0):
+    """Zeros of k2 = E - V in the brackets [lo, hi], each at its own energy,
+    from x0. An iterate where |k2| is within 4 eps max(|E|, |V|, |x V'(x)|),
+    the rounding noise of E - V and of V at a rounded x, counts as a root:
+    a wrong-signed k2 there would start a long bisection. The slope is the
+    -V' that k2 evaluated with V: the solver asks for it at those points."""
+    rows, dv = [], None
+
+    def k2(x):
+        nonlocal dv
+        e = energies[rows]
+        v, dv = pot.v(x), pot.v_prime(x)
+        g = e - v
+        noise = np.maximum(np.maximum(np.abs(e), np.abs(v)), np.abs(x * dv))
+        g[np.abs(g) <= _EPS4 * noise] = 0.0
+        return g
+
+    return solve_bracketed(k2, lambda x: -dv, lo, hi, 1e-14, rows=rows, x0=x0)
 
 
 def load_tabulated(source):

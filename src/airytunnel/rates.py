@@ -113,7 +113,7 @@ def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000)
     2-D array raises ValueError. The geometry is one batched pass over all
     energies, t_uniform one log_bi_over_ai call and the exact
     transfer-matrix values, included when ``with_oracle`` is set, one
-    batched oracle pass over the same window as the geometry scan, so the
+    batched oracle pass over the same window as the geometry, so the
     window must then reach far enough that V has decayed to its zero
     asymptote.
 

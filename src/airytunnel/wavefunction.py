@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTurningPointError, DomainError, energy_error
-from .geometry import _degenerate, find_crossings
+from .geometry import _degenerate
 from .quadrature import integrate_endpoint_singular
 from .specfun import AI_ZERO, BI_ZERO, airy
 
@@ -61,11 +61,8 @@ class WavefunctionGrid:
 
 
 def _basis_arrays(pot, energy, anchor, xs, crossings):
-    """(psi_ai, psi_bi, ksq, airy_arg) arrays at the points xs, given every
-    sign change of k2 between the anchor and the points (find_crossings)."""
-    exc = energy_error(energy)
-    if exc is not None:
-        raise exc
+    """(psi_ai, psi_bi, ksq, airy_arg) arrays at the points xs, given a valid
+    energy and every crossing of k2 between the anchor and the points."""
     alpha = -pot.v_prime(anchor)
     if _degenerate(alpha, energy):
         raise DegenerateTurningPointError("anchor %g is a degenerate turning point" % anchor)
@@ -109,8 +106,8 @@ def _basis_arrays(pot, energy, anchor, xs, crossings):
 
 
 def _scanned_basis(pot, energy, anchor, x):
-    """_basis_arrays at x (a scalar or 1D) after one crossing scan; a
-    DomainError names an anchor or point that is not finite before it."""
+    """_basis_arrays at x (a scalar or 1D) from one Potential.crossings call;
+    a DomainError names a bad anchor, point or energy before it."""
     anchor, xs = float(anchor), np.array(x, dtype=float, ndmin=1)
     if xs.ndim > 1:
         raise ValueError("x must be a scalar or 1D, got shape %s" % (xs.shape,))
@@ -119,13 +116,17 @@ def _scanned_basis(pot, energy, anchor, x):
     finite = np.isfinite(xs)
     if not finite.all():
         raise DomainError("x must be finite, got %r" % float(xs[~finite][0]))
+    exc = energy_error(energy)
+    if exc is not None:
+        raise exc
     ends = np.append(xs, anchor)
-    return _basis_arrays(pot, energy, anchor, xs, find_crossings(pot, energy, ends.min(), ends.max()))
+    _, crossings = pot.crossings(np.array([float(energy)]), ends.min(), ends.max())
+    return _basis_arrays(pot, energy, anchor, xs, crossings)
 
 
 def psi_basis(pot, energy, anchor, x):
     """The (Ai-based, Bi-based) uniform basis pair at x, anchored at a turning
-    point: two floats at a scalar x, two arrays at a 1D x from one scan."""
+    point: two floats at a scalar x, two arrays at a 1D x."""
     ai_part, bi_part, _, _ = _scanned_basis(pot, energy, anchor, x)
     if np.ndim(x) == 0:
         return float(ai_part[0]), float(bi_part[0])

@@ -29,6 +29,9 @@ class SquareBarrier(Potential):
     def _v_prime(self, x):
         raise NotImplementedError("square barrier has no derivative at its edges")
 
+    def crossings(self, energies, lo, hi):
+        raise NotImplementedError("square barrier has no simple zeros of k2 at its edges")
+
     def suggested_window(self):
         return (-2.5 * self.length, 2.5 * self.length)
 

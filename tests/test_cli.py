@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import airytunnel
-from airytunnel import cli, geometry
+from airytunnel import Sech2Barrier, cli
 from airytunnel.cli import main
 from conftest import double_hump_samples
 
@@ -182,6 +182,29 @@ def test_extreme_barriers_end_with_one_error_line(capsys, argv, code, message):
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("window", [("--xmin=-3e3", "--xmax", "3e3"),
+                                    ("--xmin=-1e300", "--xmax", "1e300")])
+def test_wide_window_finds_the_barrier(capsys, window):
+    # the crossings do not depend on the window's width: the row is the
+    # one of the window +-1e3, to the last printed digit
+    sech2 = ("report", "--potential", "sech2", "--v0", "1", "--w", "1", "--energy", "0.5")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_cli(capsys, *sech2, *window)
+    assert got == run_cli(capsys, *sech2, "--xmin=-1e3", "--xmax", "1e3")
+    assert got[0] == 0 and got[2] == ""
+
+
+def test_parabola_on_a_window_reaching_1e300(capsys):
+    # V = v0 - x**2 would overflow at the far end; nothing evaluates it there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "report", "--potential", "parabolic", "--v0", "1",
+                                 "--energy", "0.5", "--xmax", "1e300")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[1:3] == ["-0.707106781187", "0.707106781187"]
+
+
 def test_arithmetic_error_is_a_bad_argument(capsys, monkeypatch):
     def overflow(*args, **kwargs):
         raise OverflowError("(34, 'Numerical result out of range')")
@@ -285,22 +308,18 @@ def test_wavefunction_rows_equal_sample_grid_records(capsys, family, params, ene
         assert "\n-0.5,0,0.7026959166,inf,inf\n" in out
 
 
-def test_wavefunction_scans_for_turning_points_once(capsys, monkeypatch):
-    # the turning-point scan already finds every crossing in the window
-    scans = []
-    sign_changes = geometry._sign_changes
-
-    def counted(v, energies):
-        scans.append(v.size)
-        return sign_changes(v, energies)
-
-    monkeypatch.setattr(geometry, "_sign_changes", counted)
+def test_wavefunction_takes_crossings_once(capsys, monkeypatch):
+    # the turning points already give every crossing in the window
+    calls = []
+    crossings = Sech2Barrier.crossings
+    monkeypatch.setattr(Sech2Barrier, "crossings",
+                        lambda self, *args: calls.append(args) or crossings(self, *args))
     code, _, _ = run_cli(
         capsys, "wavefunction", "--potential", "sech2", "--v0", "1.0", "--w", "1.0",
         "--energy", "0.5", "--n", "41",
     )
     assert code == 0
-    assert scans == [geometry.DEFAULT_SCAN_POINTS]
+    assert len(calls) == 1
 
 
 def test_wavefunction_right_anchor(capsys):

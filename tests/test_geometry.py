@@ -22,7 +22,7 @@ from airytunnel import (
     find_midpoint,
     find_turning_points,
 )
-from airytunnel import geometry
+from airytunnel import potential
 from airytunnel.geometry import solve_bracketed
 
 SQRT_HALF = math.sqrt(0.5)
@@ -65,9 +65,9 @@ def test_multi_hump_rejected(double_hump_barrier):
         find_turning_points(double_hump_barrier, 0.5, (-6.0, 6.0))
 
 
-def test_narrow_hump_needs_finer_scan():
+def test_narrow_hump_just_below_the_top():
     pot = Sech2Barrier(1.0, 1.0)
-    a, b = find_turning_points(pot, 0.9999, (-1.0, 1.0), n_scan=8192)
+    a, b = find_turning_points(pot, 0.9999, (-1.0, 1.0))
     assert 0.0 < b < 0.05
     assert a == pytest.approx(-b, abs=1e-9)
 
@@ -97,12 +97,6 @@ def test_turning_points_far_from_origin():
 def test_energy_must_be_positive():
     with pytest.raises(DomainError):
         find_turning_points(Sech2Barrier(1.0, 1.0), -0.5)
-    # Fewer than 3 scan points can never bracket two turning points.
-    for n_scan in (0, 1, 2):
-        with pytest.raises(ValueError):
-            find_turning_points(Sech2Barrier(1.0, 1.0), 0.5, n_scan=n_scan)
-    _, b = find_turning_points(Sech2Barrier(1.0, 1.0), 0.5, n_scan=3)
-    assert b == pytest.approx(ACOSH_SQRT2, abs=1e-12)
 
 
 def test_action_parabolic_semicircle():
@@ -256,14 +250,19 @@ def test_theta_strictly_decreasing_in_energy():
 
 
 @pytest.mark.parametrize("v0", [1.0, 2.0, 500.0 / math.pi])
-def test_parabolic_polish_takes_few_steps(monkeypatch, v0):
-    # V = v0 - x^2 cancels in x^2 itself; the polish's noise floor covers
-    # that through |x V'(x)|, so no bracket bisects down to 1e-14.
+def test_parabolic_turning_points_are_the_closed_form(v0):
+    energies = np.linspace(0.02, 0.97, 32) * v0
+    geom = analyze_barrier(ParabolicBarrier(v0), energies)
+    half = np.sqrt(v0 - energies)
+    assert geom.a.tolist() == (-half).tolist() and geom.b.tolist() == half.tolist()
+
+
+def test_tabulated_polish_takes_few_steps(monkeypatch, tilted_barrier):
+    # The polish starts at each bracket's regula-falsi point and stops within
+    # the rounding noise of k2, so no bracket bisects down to 1e-14.
     per_bracket = []
 
     def counting(f, fprime, lo, hi, xtol, rows=None, x0=None):
-        if f.__name__ != "k2":
-            return solve_bracketed(f, fprime, lo, hi, xtol, rows=rows, x0=x0)
         calls = Counter()
 
         def g(x):
@@ -274,7 +273,7 @@ def test_parabolic_polish_takes_few_steps(monkeypatch, v0):
         per_bracket.extend(calls.values())
         return root
 
-    monkeypatch.setattr(geometry, "solve_bracketed", counting)
-    analyze_barrier(ParabolicBarrier(v0), np.linspace(0.02, 0.97, 32) * v0)
+    monkeypatch.setattr(potential, "solve_bracketed", counting)
+    analyze_barrier(tilted_barrier, np.linspace(0.02, 0.97, 32), (-4.0, 4.0))
     assert len(per_bracket) == 64
     assert max(per_bracket) <= 5, Counter(per_bracket)

@@ -17,6 +17,7 @@ from airytunnel import (
     RangeError,
     Sech2Barrier,
     TabulatedPotential,
+    find_turning_points,
     load_tabulated,
 )
 from conftest import SquareBarrier
@@ -322,3 +323,64 @@ def test_load_tabulated_rejects_bad_input():
 def test_load_tabulated_names_the_first_bad_line(text, message):
     with pytest.raises(FormatError, match="^%s$" % re.escape(message)):
         load_tabulated(text)
+
+
+CLOSED_FORMS = {
+    "parabolic": (lambda v0, w: ParabolicBarrier(v0),
+                  lambda v0, w, e: mpmath.sqrt(v0 - e)),
+    "sech2": (Sech2Barrier, lambda v0, w, e: w * mpmath.asinh(mpmath.sqrt((v0 - e) / e))),
+    "gaussian": (GaussianBarrier, lambda v0, w, e: w * mpmath.sqrt(-mpmath.log(e / v0))),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(sorted(CLOSED_FORMS)),
+    v0=st.floats(1e-3, 1e3),
+    w=st.floats(1e-3, 1e3),
+    fraction=st.floats(1e-300, 1.0, exclude_max=True),
+)
+def test_analytic_crossings_are_the_closed_form(family, v0, w, fraction):
+    # -b and b, each within a few ulps of the 40-digit closed form at the
+    # float energy itself
+    energy = v0 * fraction
+    if not 0.0 < energy < v0:
+        return
+    build, half_width = CLOSED_FORMS[family]
+    which, x = build(v0, w).crossings(np.array([0.25 * v0, energy]), -math.inf, math.inf)
+    assert which.tolist() == [0, 0, 1, 1]
+    assert x[2] == -x[3] < 0.0
+    with mpmath.workdps(40):
+        b = half_width(mpmath.mpf(v0), mpmath.mpf(w), mpmath.mpf(energy))
+        assert abs(x[3] - b) <= 4 * math.ulp(float(b))
+
+
+def test_analytic_crossings_keep_to_the_window():
+    # none outside the window, above the top, or at the top, where k2
+    # touches 0 but keeps its sign
+    for pot in (ParabolicBarrier(1.0), Sech2Barrier(1.0, 1.0), GaussianBarrier(1.0, 1.0)):
+        which, x = pot.crossings(np.array([0.5, 1.5, 1.0]), -0.5, 0.5)
+        assert which.size == 0 and x.size == 0
+    pot = Sech2Barrier(1.0, 1.0)
+    # none on a window end either: the window is open
+    _, (a, b) = pot.crossings(np.array([0.5]), -1.0, 1.0)
+    assert a == -b == pytest.approx(-math.acosh(math.sqrt(2.0)), rel=1e-15)
+    which, x = pot.crossings(np.array([1.5, 0.5, 0.5]), a, 2.0)
+    assert which.tolist() == [1, 2] and x.tolist() == [b, b]
+
+
+def test_table_hump_between_knots_has_two_crossings():
+    # Knots at the half-integers put the top of this hump between two of
+    # them; just below the top both crossings lie within 1e-4 of it, far
+    # closer together than the window's width over a few thousand.
+    x = np.arange(-10.5, 11.0)
+    pot = TabulatedPotential(x, 1.0 / (1.0 + x * x))
+    top = pot.v(0.0)
+    assert pot.v_prime(0.0) == 0.0 and top > pot.v_samples.max()
+    energy = top * (1.0 - 1e-9)
+    a, b = find_turning_points(pot, energy)
+    assert -1e-4 < a < 0.0 < b < 1e-4
+    which, roots = pot.crossings(np.array([energy]), -10.5, 10.5)
+    assert which.tolist() == [0, 0] and roots.tolist() == [a, b]
+    assert abs(pot.wavenumber_sq(energy, a)) <= 1e-15
+    assert abs(pot.wavenumber_sq(energy, b)) <= 1e-15

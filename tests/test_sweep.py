@@ -56,19 +56,6 @@ def reference_solve(f, fprime, lo, hi, xtol, x0=None):
     raise DomainError("no root")
 
 
-def reference_k2(pot, energy):
-    """k2 = E - V at one energy as the root polish sees it: 0 within its
-    rounding noise, 4 eps max(|E|, |V|, |x V'(x)|)."""
-
-    def k2(x):
-        v = float(pot.v(x))
-        g = energy - v
-        noise = max(abs(energy), abs(v), abs(x * float(pot.v_prime(x))))
-        return 0.0 if abs(g) <= 4.0 * np.finfo(float).eps * noise else g
-
-    return k2
-
-
 def reference_action(pot, energy, x1, x2):
     if x1 == x2:
         return 0.0
@@ -87,18 +74,8 @@ def reference_geometry(pot, energy, window):
     """(a, b, c, theta, s_half, alpha_plus, alpha_minus) by the per-energy loop."""
     if energy <= 0.0:
         raise DomainError("energy")
-    lo, hi = window
-    xs = np.linspace(lo, hi, 2048).tolist()
-    k2 = pot.wavenumber_sq(energy, np.array(xs)).tolist()
-    roots = [
-        reference_solve(
-            reference_k2(pot, energy), lambda x: -float(pot.v_prime(x)),
-            xs[i], xs[i + 1], 1e-14,
-            # regula falsi on the scan's own k2 values
-            x0=xs[i] + (xs[i + 1] - xs[i]) * (k2[i] / (k2[i] - k2[i + 1])),
-        )
-        for i in range(len(xs) - 1) if (k2[i] > 0.0) != (k2[i + 1] > 0.0)
-    ]
+    # the crossings come from the potential, one energy at a time
+    roots = pot.crossings(np.array([energy]), *window)[1].tolist()
     if len(roots) > 2:
         raise MultiHumpUnsupported("hump")
     if len(roots) < 2:

@@ -23,8 +23,6 @@ from airytunnel import (
     sample_grid,
     superpose,
 )
-from airytunnel import geometry
-from airytunnel.geometry import find_crossings
 from airytunnel.specfun import AI_ZERO, BI_ZERO
 from conftest import linear_potential
 
@@ -243,25 +241,20 @@ def test_far_turning_point_keeps_its_action_in_the_airy_argument(anchor, far):
     assert grid.airy_arg[far] == pytest.approx((3.0 * math.pi / 16.0) ** (2.0 / 3.0), rel=1e-12)
 
 
-def test_array_psi_basis_scans_once_and_matches_scalar_calls(monkeypatch, tilted_barrier):
-    # one crossing scan covers every point of an array call; each point
-    # then agrees with its own scalar call, whose scan and cuts differ
+def test_array_psi_basis_takes_crossings_once_and_matches_scalar_calls(monkeypatch, tilted_barrier):
+    # one crossings call covers every point of an array call; each point
+    # then agrees with its own scalar call, whose crossings and cuts differ
     energy = 0.5
-    scans = []
-    sign_changes = geometry._sign_changes
-
-    def counted(v, energies):
-        scans.append(v.size)
-        return sign_changes(v, energies)
-
     xs = np.linspace(-2.0, 2.0, 41)
     for pot, side in ((Sech2Barrier(1.0, 1.0), 0), (tilted_barrier, 1)):
         anchor = find_turning_points(pot, energy)[side]
-        scans.clear()
-        monkeypatch.setattr(geometry, "_sign_changes", counted)
+        calls = []
+        crossings = type(pot).crossings
+        monkeypatch.setattr(type(pot), "crossings",
+                            lambda self, *args: calls.append(args) or crossings(self, *args))
         ai_part, bi_part = psi_basis(pot, energy, anchor, xs)
         monkeypatch.undo()
-        assert scans == [geometry.DEFAULT_SCAN_POINTS]
+        assert len(calls) == 1
         assert ai_part.shape == bi_part.shape == xs.shape
         singles = np.array([psi_basis(pot, energy, anchor, x) for x in xs.tolist()])
         assert ai_part == pytest.approx(singles[:, 0], rel=1e-9, abs=1e-12)
@@ -299,7 +292,7 @@ def _mp_spline_action(pot, energy, x0, points):
     lo, hi = min(min(points), x0), max(max(points), x0)
     roots = [
         mpmath.findroot(lambda x: k2(x, piece(r)), mpmath.mpf(r))
-        for r in find_crossings(pot, energy, lo, hi)
+        for r in pot.crossings(np.array([energy]), lo, hi)[1].tolist()
     ]
     cuts = sorted({mpmath.mpf(x) for x in [x0, *points, *roots]}
                   | {mpmath.mpf(k) for k in knots if lo < k < hi})

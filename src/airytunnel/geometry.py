@@ -18,14 +18,17 @@ the root.
 analyze_barrier takes one energy or an array of them, and the geometry
 of all of them is one batched pass; the one-energy stage functions are
 that pass at a single energy. The turning points of all energies are
-one Potential.crossings call. theta and the action up to (a + b)/2, the
-midpoint search's first iterate, are one quadrature call. Each later
-step of the search is one more, over the segments from each barrier's
-last iterate to its next, which hold no turning point; the right half
-actions are one more. The midpoint is the search's last evaluated
-iterate, whose left half action is already summed, so an energy's
-geometry takes two action quadrature calls when its midpoint search
-takes one step.
+one Potential.crossings call. An even barrier (Potential.even) has
+mirrored turning points -b, b and its midpoint at 0 by symmetry, so
+theta and the right half action over [0, b] are its one quadrature call,
+and the balance of the halves is checked, not assumed. For any other
+barrier, theta and the action up to (a + b)/2, the midpoint search's
+first iterate, are one quadrature call. Each later step of the search is
+one more, over the segments from each barrier's last iterate to its
+next, which hold no turning point; the right half actions are one more.
+The midpoint is the search's last evaluated iterate, whose left half
+action is already summed, so an energy's geometry takes two action
+quadrature calls when its midpoint search takes one step.
 
 The pass keeps its results in arrays and its checks are masks. It ends
 at its first failing energy: after each check every array is cut to the
@@ -294,6 +297,11 @@ def _midpoints(pot, energies, a, b):
     fails at its first failing step: theta, then each iterate of the
     search in turn, then the right half and the balance.
 
+    An even barrier (Potential.even) whose crossings are mirrors, a = -b,
+    has c = (a + b)/2 = 0 and left = theta/2 by symmetry: one quadrature
+    call integrates [a, b] and the right half [c, b], and there is no
+    search. Every other barrier searches for c, as follows.
+
     g(c) = action(a, c) - theta/2 rises from -theta/2 at a to theta/2 at b
     with the closed-form slope sqrt(V(c) - E), which Newton steps use. All
     barriers step together. The search's first interior iterate is always
@@ -307,17 +315,22 @@ def _midpoints(pot, energies, a, b):
     solver stopped because the step from that iterate is below
     1e-13 (b - a) + 4 eps |c|, so c is within that tolerance of the root.
     The right halves action(c, b) take one more quadrature call from the
-    turning point b, not a sum of the steps, so the balance check
-    verifies c independently of the search.
+    turning point b, not a sum of the steps.
+
+    Either way the balance check compares left with a right half
+    integrated on its own, so it verifies c, and for an even barrier the
+    symmetry that gave it.
     """
     m = a.size
     mid = 0.5 * (a + b)
+    even = pot.even and np.array_equal(a, -b)
+    x1, x2 = (mid, b) if even else (a, mid)
     s, errs = _actions(
-        pot, np.concatenate((energies, energies)), np.concatenate((a, a)), np.concatenate((b, mid))
+        pot, np.concatenate((energies, energies)), np.concatenate((a, x1)), np.concatenate((b, x2))
     )
     theta = s[:m]
-    # errs holds theta's errors below m, which _first reads, and the first
-    # iterate's from m on, which count after theta's checks
+    # errs holds theta's errors below m, which _first reads, and the second
+    # segment's from m on, which count after theta's checks
     k, exc = _first(
         m, None,
         errs,
@@ -328,37 +341,42 @@ def _midpoints(pot, energies, a, b):
     )
     energies, a, b, theta = energies[:k], a[:k], b[:k], theta[:k]
     half = 0.5 * theta
-    # The last interior iterate evaluated and its left action; the first is
-    # (a + b)/2, which the theta call integrated.
-    c, left = mid[:k], s[m:m + k]
-    rows, search = [], {}
+    c = mid[:k]
+    if even:
+        left, right = half, s[m:m + k]
+    else:
+        # The last interior iterate evaluated and its left action; the first
+        # is (a + b)/2, which the theta call integrated.
+        left = s[m:m + k]
+        rows, search = [], {}
 
-    def imbalance(x):
-        j = np.array(rows)
-        # action(a, a) = 0 and action(a, b) = theta. An interior iterate adds
-        # the signed segment from the last one to that one's left action.
-        inside = (x != a[j]) & (x != b[j])
-        s = np.where(inside, left[j], np.where(x == b[j], theta[j], 0.0))
-        new = inside & (x != c[j])
-        if new.any():
-            i = j[new]
-            step, errs = _actions(pot, energies[i], c[i], x[new])
-            s[new] += step
-            for r, e in errs.items():
-                search.setdefault(int(i[r]), e)
-        # Ends come only in the first call, both under one bracket index;
-        # recording interior iterates alone leaves no write order to matter.
-        c[j[inside]], left[j[inside]] = x[inside], s[inside]
-        return s - half[j]
+        def imbalance(x):
+            j = np.array(rows)
+            # action(a, a) = 0 and action(a, b) = theta. An interior iterate
+            # adds the signed segment from the last one to that one's left action.
+            inside = (x != a[j]) & (x != b[j])
+            s = np.where(inside, left[j], np.where(x == b[j], theta[j], 0.0))
+            new = inside & (x != c[j])
+            if new.any():
+                i = j[new]
+                step, errs = _actions(pot, energies[i], c[i], x[new])
+                s[new] += step
+                for r, e in errs.items():
+                    search.setdefault(int(i[r]), e)
+            # Ends come only in the first call, both under one bracket index;
+            # recording interior iterates alone leaves no write order to matter.
+            c[j[inside]], left[j[inside]] = x[inside], s[inside]
+            return s - half[j]
 
-    def slope(x):
-        return np.sqrt(np.maximum(pot.v(x) - energies[rows], 0.0))
+        def slope(x):
+            return np.sqrt(np.maximum(pot.v(x) - energies[rows], 0.0))
 
-    solve_bracketed(imbalance, slope, a, b, 1e-13 * (b - a), rows=rows)
+        solve_bracketed(imbalance, slope, a, b, 1e-13 * (b - a), rows=rows)
 
-    k, exc = _first(k, exc, search)
-    right, errs = _actions(pot, energies[:k], c[:k], b[:k])
-    k, exc = _first(k, exc, errs, (np.abs(left[:k] - right) > 1e-10 * theta[:k], lambda p: DomainError(
+        k, exc = _first(k, exc, search)
+        right, errs = _actions(pot, energies[:k], c[:k], b[:k])
+        k, exc = _first(k, exc, errs)
+    k, exc = _first(k, exc, (np.abs(left[:k] - right[:k]) > 1e-10 * theta[:k], lambda p: DomainError(
         "midpoint search failed to balance actions (%g vs %g)" % (left[p], right[p])
     )))
     return theta[:k], c[:k], left[:k], exc
@@ -369,7 +387,7 @@ def find_midpoint(pot, energy, a, b):
 
     c is the last iterate of a Newton-bisection search on action(a, c) =
     theta / 2 (see _midpoints), within 1e-13 (b - a) + 4 eps |c| of the
-    root. The result satisfies |action(a, c) - action(c, b)| <= 1e-10 * theta.
+    root; on an even barrier with a = -b it is 0. The result satisfies |action(a, c) - action(c, b)| <= 1e-10 * theta.
     An energy that is not positive and finite, or an end that is not
     finite, raises DomainError.
     """

@@ -41,6 +41,15 @@ times slices (4 energies at 4000 slices, 2 at 8000), which bounds its
 memory however many energies a sweep has. Each energy takes the same
 arithmetic steps as it would alone.
 
+An even barrier (Potential.even) on a window [-L, L], at an even slice
+count n, forms and multiplies only the n/2 slices of [-L, 0]. Their
+width and midpoints are those of the whole window's first n/2 slices, bit
+for bit, and V(-x) = V(x), so the right half's slices are the left
+half's in reverse order. Each slice matrix A has S A^-1 S = A with
+S = diag(1, -1), so the whole product is P = S adj(P_L) S P_L from the
+left half's product P_L, and its log scale is twice P_L's. Tables,
+asymmetric windows and odd slice counts multiply all n slices.
+
 Transfer matrices were chosen over shooting integration because the
 rescaled product is unconditionally stable in the evanescent region.
 """
@@ -155,11 +164,18 @@ def _tree_product(m, top):
         top = 2.0 * top * top
 
 
-def _transfer_once(v_mid, energies, x_left, x_right, n):
+def _transfer_once(v_mid, energies, x_left, x_right, n, mirrored=False):
     """One transfer-matrix pass at n slices for a block of energies.
 
     v_mid holds V at the n slice midpoints of [x_left, x_right]. Returns
     arrays (T, R), nan for an energy with a slice too thick to represent.
+
+    mirrored: [x_left, x_right] = [x_left, 0] is the left half of the
+    window [x_left, -x_left] of an even barrier, and T and R are those of
+    the whole window. Its right half holds the left half's slices in
+    reverse order, and every slice matrix A has S A^-1 S = A with
+    S = diag(1, -1), so the left half's product P_L completes the whole
+    window's product as P = S adj(P_L) S P_L (det P_L = 1).
     """
     d = (x_right - x_left) / n
     m = _slice_matrices(v_mid - energies[:, None], d)
@@ -169,6 +185,13 @@ def _transfer_once(v_mid, energies, x_left, x_right, n):
     # nan entries cannot reach the rescaling test of the others.
     m[:, :, ~ok] = np.eye(2)[:, :, None, None]
     p, exponent = _tree_product(m, float(top[ok].max(initial=1.0)))
+    if mirrored:
+        # P_L's largest entry brought into [0.5, 1) keeps P's entries below 2.
+        _, e = np.frexp(np.abs(p).max(axis=(0, 1)))
+        (p11, p12), (p21, p22) = p * np.ldexp(1.0, -e)
+        diagonal = p11 * p22 + p12 * p21
+        p = (diagonal, 2.0 * p12 * p22), (2.0 * p11 * p21, diagonal)
+        exponent = 2 * (exponent + e)
     (p11, p12), (p21, p22) = p
     k = np.sqrt(energies)
     m22 = np.hypot(p11 + p22, p21 / k - k * p12)  # 2 |M22| 2**-exponent
@@ -201,16 +224,24 @@ def _passes(pot, energies, domain, slices):
             % (x_left, v_l, x_right, v_r, ASYMPTOTE_TOLERANCE)
         )
 
+    centred = pot.even and x_left == -x_right
     passes, exc = [], None
     for n in (slices, 2 * slices):
-        d = (x_right - x_left) / n
-        v_mid = pot.v(x_left + (np.arange(n) + 0.5) * d)
+        # An even barrier on a centred window forms only the left half's
+        # slices, [x_left, 0] at n/2: the same width and midpoints as the
+        # first n/2 of the whole window's.
+        mirrored = centred and n % 2 == 0
+        end, formed = (0.0, n // 2) if mirrored else (x_right, n)
+        d = (end - x_left) / formed
+        v_mid = pot.v(x_left + (np.arange(formed) + 0.5) * d)
         # an entry left nan failed, or comes after the block of one that did
         t, r = np.full(energies.size, np.nan), np.full(energies.size, np.nan)
-        per_block = max(1, BLOCK // n)
+        per_block = max(1, BLOCK // formed)
         for i in range(0, energies.size, per_block):
             block = slice(i, i + per_block)
-            t[block], r[block] = _transfer_once(v_mid, energies[block], x_left, x_right, n)
+            t[block], r[block] = _transfer_once(
+                v_mid, energies[block], x_left, end, formed, mirrored=mirrored
+            )
             if np.isnan(t[block]).any():
                 break
         k, exc = _first(energies.size, exc, (np.isnan(t), lambda p: ValueError(

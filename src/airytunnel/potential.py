@@ -57,7 +57,17 @@ class Potential(ABC):
     """A 1D barrier potential. Subclasses are immutable and stateless, and
     write suggested_window, crossings and the array kernels _v and _v_prime
     (any shape in, that shape out); v and v_prime run a scalar as an array
-    of size one and return a float."""
+    of size one and return a float.
+
+    A subclass that sets ``even`` promises that V(-x) == V(x) bit for bit
+    and that crossings returns exact mirrors -b, b. The midpoint search
+    then takes c = 0 from symmetry (its balance check still verifies it),
+    and the oracle multiplies only the left half of a window [-L, L],
+    trusting the promise.
+    """
+
+    #: Whether V is mirror-symmetric about x = 0 (see the class docstring).
+    even = False
 
     def v(self, x):
         """V(x): a float for a scalar x, else an array of x's shape."""
@@ -118,6 +128,8 @@ class ParabolicBarrier(Potential):
     top; the scattering oracle cannot be applied to it.
     """
 
+    even = True
+
     def __init__(self, v0):
         self.v0 = _check_positive("v0", v0)
 
@@ -149,6 +161,8 @@ def _sech(z):
 class Sech2Barrier(Potential):
     """Poschl-Teller barrier V(x) = V0 * sech(x/w)**2."""
 
+    even = True
+
     def __init__(self, v0, w):
         self.v0 = _check_positive("v0", v0)
         self.w = _check_positive("w", w)
@@ -175,6 +189,8 @@ class Sech2Barrier(Potential):
 
 class GaussianBarrier(Potential):
     """Gaussian bump V(x) = V0 * exp(-x**2 / w**2)."""
+
+    even = True
 
     def __init__(self, v0, w):
         self.v0 = _check_positive("v0", v0)

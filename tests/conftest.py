@@ -39,6 +39,12 @@ class SquareBarrier(Potential):
         return "SquareBarrier(v0=%g, length=%g)" % (self.v0, self.length)
 
 
+def not_even(cls):
+    """A subclass of cls with even = False, so that the oracle and the
+    midpoint search take their general paths on its barriers."""
+    return type("NotEven" + cls.__name__, (cls,), {"even": False})
+
+
 def square_barrier_closed_form(v0, length, energy):
     """Textbook transmission through a rectangular barrier, 0 < E < V0.
 

@@ -22,8 +22,9 @@ from airytunnel import (
     find_midpoint,
     find_turning_points,
 )
-from airytunnel import potential
+from airytunnel import potential, rate_report
 from airytunnel.geometry import solve_bracketed
+from conftest import not_even
 
 SQRT_HALF = math.sqrt(0.5)
 ACOSH_SQRT2 = math.log(1.0 + math.sqrt(2.0))  # arccosh(sqrt(2))
@@ -238,6 +239,49 @@ def test_even_potentials_symmetric_geometry():
         geom = analyze_barrier(pot, 0.37 * pot.v0)
         assert abs(geom.c) <= 1e-10
         assert abs(geom.alpha_plus + geom.alpha_minus) <= 1e-9 * abs(geom.alpha_minus)
+
+
+EVEN_CASES = [(ParabolicBarrier, (2.0,)), (Sech2Barrier, (1.0, 1.4)), (GaussianBarrier, (1.5, 0.9))]
+
+
+@pytest.mark.parametrize("cls, args", EVEN_CASES)
+def test_even_barrier_takes_its_midpoint_from_symmetry(cls, args):
+    energies = np.linspace(0.02, 0.95, 24) * args[0]
+    geom = analyze_barrier(cls(*args), energies)
+    searched = analyze_barrier(not_even(cls)(*args), energies)
+    assert [t.hex() for t in geom.theta.tolist()] == [t.hex() for t in searched.theta.tolist()]
+    assert np.all(geom.c == 0.0)
+    assert np.all(geom.s_half == 0.75 * geom.theta)
+    # the search finds the same midpoint within its stop test
+    assert np.all(np.abs(searched.c) <= 1e-13 * (searched.b - searched.a))
+
+
+class TiltedClaimingEven(GaussianBarrier):
+    """A tilted gaussian that keeps the even family's mirrored crossings:
+    V < E inside [a, b] near a."""
+
+    def _v(self, x):
+        return super()._v(x) * (1.0 + 0.3 * np.tanh(x / self.w))
+
+
+class BumpedClaimingEven(GaussianBarrier):
+    """A gaussian with a bump right of 0, V >= E on [a, b]: its half
+    actions do not balance at c = 0."""
+
+    def _v(self, x):
+        z = (x - 0.3 * self.w) / (0.2 * self.w)
+        return super()._v(x) * (1.0 + 0.3 * np.exp(-z * z))
+
+
+@pytest.mark.parametrize("cls, message", [
+    (TiltedClaimingEven, "inconsistent turning points"),
+    (BumpedClaimingEven, "failed to balance actions"),
+])
+def test_broken_even_promise_is_a_domain_error(cls, message):
+    pot = cls(1.0, 1.0)
+    for energy in (0.05, 0.5, 0.9, [0.2, 0.5, 0.8]):
+        with pytest.raises(DomainError, match=message):
+            rate_report(pot, energy)
 
 
 def test_theta_strictly_decreasing_in_energy():

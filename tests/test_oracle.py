@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airytunnel import (
     AsymptoteMismatchError,
@@ -15,11 +17,13 @@ from airytunnel import (
     TabulatedPotential,
     exact_transmission,
 )
+from airytunnel import oracle
 from airytunnel.oracle import _slice_matrices, _transmissions, _tree_product
 from conftest import (
     SquareBarrier,
     entry_matches,
     midpoint_samples,
+    not_even,
     square_barrier_closed_form,
     tilted_gaussian_samples,
     transfer_once,
@@ -297,3 +301,63 @@ def test_mirrored_barrier_has_same_transmission(energy):
     t = exact_transmission(pot, energy, (-6.0, 6.0)).t_exact
     t_mirrored = exact_transmission(mirrored, energy, (-6.0, 6.0)).t_exact
     assert t_mirrored == pytest.approx(t, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scale=st.sampled_from([1.0, 3.0, 8.0]),
+    fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6),
+)
+def test_transmission_is_invariant_under_x_to_minus_x(scale, fractions):
+    # the tilted table and its mirror TabulatedPotential(-x[::-1], v[::-1])
+    x, v = tilted_gaussian_samples()
+    pot, mirrored = TabulatedPotential(scale * x, v), TabulatedPotential(-scale * x[::-1], v[::-1])
+    domain = (-6.0 * scale, 6.0 * scale)
+    energies = np.array(fractions)
+    t = exact_transmission(pot, energies, domain, slices=1000).t_exact
+    t_mirrored = exact_transmission(mirrored, energies, domain, slices=1000).t_exact
+    assert np.all(np.abs(t_mirrored - t) <= 1e-12 * t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from([Sech2Barrier, GaussianBarrier]),
+    v0=st.floats(0.1, 20.0),
+    w=st.floats(0.3, 3.0),
+    fraction=st.floats(0.01, 0.99),
+    slices=st.integers(100, 800),
+)
+def test_mirrored_pass_equals_the_full_pass(family, v0, w, fraction, slices):
+    # An even barrier multiplies the left half's slices and completes the
+    # product by parity; the same barrier with even = False multiplies all.
+    # An odd slice count mirrors the fine pass only.
+    energy = fraction * v0
+    got = exact_transmission(family(v0, w), energy, None, slices=slices)
+    want = exact_transmission(not_even(family)(v0, w), energy, None, slices=slices)
+    for name in ("t_exact", "r_exact", "richardson_estimate"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
+    assert got.flux_defect <= 1e-10
+    assert got.slices == want.slices == 2 * slices
+
+
+def test_mirrored_pass_forms_half_the_slices(monkeypatch):
+    formed = []
+    transfer = oracle._transfer_once
+
+    def spy(v_mid, energies, x_left, x_right, n, **kwargs):
+        formed.append((n, v_mid.size, x_right))
+        return transfer(v_mid, energies, x_left, x_right, n, **kwargs)
+
+    monkeypatch.setattr(oracle, "_transfer_once", spy)
+    pot = Sech2Barrier(1.0, 1.0)
+    # the default window (-20, 20) is centred: each pass forms n/2, on [-20, 0]
+    exact_transmission(pot, [0.3, 0.6], None, slices=400)
+    assert formed == [(200, 200, 0.0), (400, 400, 0.0)]
+    # an asymmetric window forms all n
+    formed.clear()
+    exact_transmission(pot, 0.3, (-20.0, 21.0), slices=400)
+    assert formed == [(400, 400, 21.0), (800, 800, 21.0)]
+    # an odd count: the coarse pass forms all 401, the fine pass half of 802
+    formed.clear()
+    exact_transmission(pot, 0.3, None, slices=401)
+    assert formed == [(401, 401, 20.0), (401, 401, 0.0)]

@@ -87,6 +87,12 @@ def reference_geometry(pot, energy, window):
     if theta <= 0.0:
         raise DegenerateTurningPointError("theta")
     half = 0.5 * theta
+    if pot.even and a == -b:
+        # mirrored crossings: c = 0 and the left half theta/2 by symmetry
+        right = reference_action(pot, energy, 0.0, b)
+        if abs(half - right) > 1e-10 * theta:
+            raise DomainError("balance")
+        return (a, b, 0.0, theta, 1.5 * half) + slopes(pot, energy, a, b)
     # the last interior iterate evaluated and its left action, first (a + b)/2
     mid = 0.5 * (a + b)
     last = {"c": mid, "left": reference_action(pot, energy, a, mid)}
@@ -107,10 +113,14 @@ def reference_geometry(pot, energy, window):
     right = reference_action(pot, energy, c, b)
     if abs(left - right) > 1e-10 * theta:
         raise DomainError("balance")
+    return (a, b, c, theta, 1.5 * left) + slopes(pot, energy, a, b)
+
+
+def slopes(pot, energy, a, b):
     alphas = (-float(pot.v_prime(a)), -float(pot.v_prime(b)))
     if min(abs(x) for x in alphas) < 1e-10 * max(1.0, energy):
         raise DegenerateTurningPointError("alpha")
-    return (a, b, c, theta, 1.5 * left) + alphas
+    return alphas
 
 
 def reference_report(pot, energy, window):
@@ -267,10 +277,9 @@ def test_single_energy_is_the_batched_pass():
         assert entry_matches(batched, i, rate_report(pot, e))
 
 
-def test_sweep_integrates_three_action_segments_per_energy(monkeypatch):
-    # theta and the left half at the search's first iterate (a + b)/2 in one
-    # call, then the right half from that iterate: the first iterate of a
-    # symmetric barrier is its midpoint, and the left half is not redone.
+def test_sweep_integrates_two_action_segments_per_energy(monkeypatch):
+    # An even barrier: theta and the right half from its midpoint 0 in one
+    # call; the left half is theta/2 by symmetry, and no search runs.
     segments = []
 
     def counting(f, x1, x2, **kwargs):
@@ -280,8 +289,7 @@ def test_sweep_integrates_three_action_segments_per_energy(monkeypatch):
     monkeypatch.setattr(geometry, "integrate_endpoint_singular", counting)
     report = rate_report(Sech2Barrier(1.0, 1.0), np.linspace(0.01, 0.99, 32))
     assert report.energy.size == 32
-    # the search's bracket ends and first iterate need no quadrature
-    assert segments == [64, 32]
+    assert segments == [64]
 
 
 def test_midpoint_steps_integrate_from_the_last_iterate(monkeypatch):
@@ -486,9 +494,9 @@ def test_no_work_past_the_first_failing_energy(monkeypatch):
         blocks.append(energies.tolist())
         return analyze(pot, energies, *args)
 
-    def spy_transfer(v_mid, energies, x_left, x_right, n):
+    def spy_transfer(v_mid, energies, x_left, x_right, n, **kwargs):
         passes.append((n, energies.tolist()))
-        return transfer(v_mid, energies, x_left, x_right, n)
+        return transfer(v_mid, energies, x_left, x_right, n, **kwargs)
 
     monkeypatch.setattr(geometry, "_midpoints", spy_midpoints)
     monkeypatch.setattr(geometry, "_analyze", spy_analyze)

@@ -59,8 +59,9 @@ from .quadrature import integrate_endpoint_singular
 #: energy); each energy's result is the same in any block.
 BLOCK = 1024
 
+_EPS = np.finfo(float).eps
 # Relative part of the root solver's stop test, 4 eps.
-_EPS4 = 4.0 * np.finfo(float).eps
+_EPS4 = 4.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -293,7 +294,9 @@ def _midpoints(pot, energies, a, b):
     exception, or None.
 
     theta is the action over [a, b], c splits it into equal halves,
-    |left - right| <= 1e-10 theta, and left = action(a, c). A barrier
+    |left - right| <= (1e-10 + eps E ((b - a)/theta)**2) theta, and
+    left = action(a, c). The second term of that tolerance is the rounding
+    noise of E - V, which matters only next to the barrier top. A barrier
     fails at its first failing step: theta, then each iterate of the
     search in turn, then the right half and the balance.
 
@@ -376,7 +379,11 @@ def _midpoints(pot, energies, a, b):
         k, exc = _first(k, exc, search)
         right, errs = _actions(pot, energies[:k], c[:k], b[:k])
         k, exc = _first(k, exc, errs)
-    k, exc = _first(k, exc, (np.abs(left[:k] - right[:k]) > 1e-10 * theta[:k], lambda p: DomainError(
+    # E - V rounds at ~eps E and V - E ~ (theta/(b - a))**2, so each half
+    # carries a relative error of ~eps E ((b - a)/theta)**2, a noise floor
+    # that is invariant under x -> lambda x, V -> V/lambda**2.
+    tol = (1e-10 + _EPS * energies[:k] * ((b[:k] - a[:k]) / theta[:k]) ** 2) * theta[:k]
+    k, exc = _first(k, exc, (np.abs(left[:k] - right[:k]) > tol, lambda p: DomainError(
         "midpoint search failed to balance actions (%g vs %g)" % (left[p], right[p])
     )))
     return theta[:k], c[:k], left[:k], exc
@@ -387,7 +394,8 @@ def find_midpoint(pot, energy, a, b):
 
     c is the last iterate of a Newton-bisection search on action(a, c) =
     theta / 2 (see _midpoints), within 1e-13 (b - a) + 4 eps |c| of the
-    root; on an even barrier with a = -b it is 0. The result satisfies |action(a, c) - action(c, b)| <= 1e-10 * theta.
+    root; on an even barrier with a = -b it is 0. The result satisfies
+    |action(a, c) - action(c, b)| <= (1e-10 + eps E ((b - a)/theta)**2) theta.
     An energy that is not positive and finite, or an end that is not
     finite, raises DomainError.
     """

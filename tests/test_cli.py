@@ -205,6 +205,15 @@ def test_parabola_on_a_window_reaching_1e300(capsys):
     assert out.splitlines()[1].split(",")[1:3] == ["-0.707106781187", "0.707106781187"]
 
 
+@pytest.mark.parametrize("family", [("sech2", "--v0", "1", "--w", "1"), ("parabolic", "--v0", "1")])
+def test_report_next_to_the_barrier_top(capsys, family):
+    # the midpoint balance check allows for the rounding of E - V there
+    code, out, err = run_cli(capsys, "report", "--potential", *family, "--energy", "0.99999999")
+    assert code == 0 and err == ""
+    t_uniform = float(out.strip().split("\n")[1].split(",")[8])
+    assert 0.9 < t_uniform <= 1.0
+
+
 def test_arithmetic_error_is_a_bad_argument(capsys, monkeypatch):
     def overflow(*args, **kwargs):
         raise OverflowError("(34, 'Numerical result out of range')")

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from airytunnel import (
     BarrierGeometry,
@@ -164,3 +166,52 @@ def test_product_factorization_reproduces_uniform_rate(tilted_barrier):
     psi_minus_at_c = psi_basis(tilted_barrier, energy, geom.b, geom.c)[1]
     product = (psi_minus_at_b / psi_minus_at_c) ** 2 * (psi_plus_at_c / psi_plus_at_a) ** 2
     assert product == pytest.approx(t_uniform(geom), rel=1e-8)
+
+
+with mpmath.workdps(30):
+    # d(1 - t_uniform)/du at u = 0: 2 (|Ai'(0)|/Ai(0) + Bi'(0)/Bi(0)), ~2.92
+    TOP_SLOPE = float(2 * (-mpmath.airyai(0, 1) / mpmath.airyai(0) + mpmath.airybi(0, 1) / mpmath.airybi(0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["sech2", "gaussian", "parabolic"]),
+    v0=st.floats(0.5, 4.0),
+    w=st.floats(0.5, 2.0),
+    log_depth=st.floats(-12.0, -2.0),
+)
+@example(family="sech2", v0=1.0, w=1.0, log_depth=-8.0)
+@example(family="sech2", v0=1.0, w=1.0, log_depth=-10.0)
+@example(family="sech2", v0=1.0, w=1.0, log_depth=-12.0)
+@example(family="gaussian", v0=1.0, w=1.0, log_depth=-8.0)
+@example(family="gaussian", v0=1.0, w=1.0, log_depth=-10.0)
+@example(family="gaussian", v0=1.0, w=1.0, log_depth=-12.0)
+@example(family="parabolic", v0=1.0, w=1.0, log_depth=-8.0)
+@example(family="parabolic", v0=1.0, w=1.0, log_depth=-10.0)
+@example(family="parabolic", v0=1.0, w=1.0, log_depth=-12.0)
+def test_uniform_rate_tends_to_one_at_the_barrier_top(family, v0, w, log_depth):
+    # E = v0 (1 - d), d log-uniform in [1e-12, 1e-2]: u = airy_arg reaches
+    # ~1e-8 at the low end and ~0.13 at the high end. The examples failed
+    # the midpoint's balance check while its tolerance was a fixed 1e-10 theta.
+    pot = {"sech2": Sech2Barrier(v0, w), "gaussian": GaussianBarrier(v0, w), "parabolic": ParabolicBarrier(v0)}[family]
+    energy = v0 * (1.0 - 10.0 ** log_depth)
+    report = rate_report(pot, energy)
+    g, u, t = report.geometry, report.airy_argument, report.t_uniform
+    # 1 - t = K u - (K u)**2 / 2 + ..., K = TOP_SLOPE, since |alpha+/alpha-| = 1
+    # here. The second-order term measures at most 1.458 K u**2, its limit
+    # (K u)**2 / 2 as u -> 0, and the rounding of t next to 1 adds 5.3e-15.
+    assert 0.0 < 1.0 - t
+    assert abs(1.0 - t - TOP_SLOPE * u) <= 1.46 * TOP_SLOPE * u * u + 6e-15
+    if family == "gaussian":
+        return
+    # theta is within the rounding noise of E - V that the balance check
+    # allows, eps E ((b - a)/theta)**2, of the closed form (measured: at most
+    # 0.16 of it)
+    with mpmath.workdps(30):
+        e = mpmath.mpf(energy)
+        if family == "sech2":
+            exact = mpmath.pi * w * (mpmath.sqrt(v0) - mpmath.sqrt(e))
+        else:
+            exact = mpmath.pi * (v0 - e) / 2
+        noise = np.finfo(float).eps * energy * ((g.b - g.a) / g.theta) ** 2
+        assert abs(g.theta - exact) <= noise * exact

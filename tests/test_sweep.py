@@ -1,7 +1,24 @@
-"""Batched sweeps: equal to the per-energy loop, failing as it failed."""
+"""Batched sweeps: each entry is its own one-energy call, and the geometry is the truth.
+
+The batched geometry pass is tested two ways, and neither re-implements it.
+
+Self-consistency: every entry of a batched sweep has the bits of the
+package's own one-energy call at that energy, across BLOCK boundaries and
+in sweeps that hold failing energies; a sweep ends where a loop of
+one-energy calls first fails, with the same error; each bracket of an
+array root solve visits the iterates of its own size-one solve; and every
+rate of a report is the package's scalar rate function of its geometry.
+
+Truth: a, b, theta, c and s_half against the closed forms of the sech2
+barrier and the parabola (Landau & Lifshitz, Quantum Mechanics, section 25),
+with c exactly 0 on even barriers; against mpmath.quad on the gaussian; and
+against a knot-split mpmath integral of the same spline on tables. Each
+bound is the worst case measured on this code, rounded up to one digit.
+"""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,147 +33,23 @@ from airytunnel import (
     ParabolicBarrier,
     Sech2Barrier,
     TabulatedPotential,
+    TunnelError,
+    analyze_barrier,
     log_bi_over_ai,
     rate_report,
 )
-from airytunnel import geometry, oracle
+from airytunnel import geometry, oracle, rates
 from airytunnel.cli import main
 from airytunnel.geometry import solve_bracketed
 from airytunnel.quadrature import integrate_endpoint_singular
-from airytunnel.specfun import SERIES_ASYMPTOTIC_SWITCH, _airy_grid
-from conftest import SquareBarrier, double_hump_samples, entry_matches, tilted_gaussian_samples
-
-# The per-energy loop that the batched sweep replaced, kept as its reference:
-# scalar root steps, one quadrature per action, one report per energy.
-
-
-def reference_solve(f, fprime, lo, hi, xtol, x0=None):
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0 or f_hi == 0.0:
-        return lo if f_lo == 0.0 else hi
-    assert (f_lo < 0.0) != (f_hi < 0.0)
-    if f_lo > 0.0:
-        lo, hi = hi, lo
-    x = 0.5 * (lo + hi)
-    if x0 is not None and min(lo, hi) < x0 < max(lo, hi):
-        x = x0
-    step = step_before = abs(hi - lo)
-    for _ in range(100):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        lo, hi = (x, hi) if fx < 0.0 else (lo, x)
-        slope = fprime(x)
-        step_before, step = step, fx / slope if slope else math.inf
-        if not min(lo, hi) < x - step < max(lo, hi) or abs(step) > 0.5 * abs(step_before):
-            step = x - 0.5 * (lo + hi)
-        x -= step
-        if abs(step) <= xtol + 4.0 * np.finfo(float).eps * abs(x):
-            return x
-    raise DomainError("no root")
-
-
-def reference_action(pot, energy, x1, x2):
-    if x1 == x2:
-        return 0.0
-    neg_tol = 1e-10 * max(1.0, abs(energy))
-
-    def integrand(x):
-        g = np.asarray(pot.v(x), dtype=float) - energy
-        if np.any(g < -neg_tol):
-            raise DomainError("V < E inside [%g, %g]: inconsistent turning points" % (x1, x2))
-        return np.sqrt(np.maximum(g, 0.0))
-
-    return integrate_endpoint_singular(integrand, x1, x2)
-
-
-def reference_geometry(pot, energy, window):
-    """(a, b, c, theta, s_half, alpha_plus, alpha_minus) by the per-energy loop."""
-    if energy <= 0.0:
-        raise DomainError("energy")
-    # the crossings come from the potential, one energy at a time
-    roots = pot.crossings(np.array([energy]), *window)[1].tolist()
-    if len(roots) > 2:
-        raise MultiHumpUnsupported("hump")
-    if len(roots) < 2:
-        raise NoBarrierError("roots")
-    a, b = roots
-    if energy - float(pot.v(0.5 * (a + b))) >= 0.0:
-        raise NoBarrierError("mid")
-    theta = reference_action(pot, energy, a, b)
-    if theta <= 0.0:
-        raise DegenerateTurningPointError("theta")
-    half = 0.5 * theta
-    if pot.even and a == -b:
-        # mirrored crossings: c = 0 and the left half theta/2 by symmetry
-        right = reference_action(pot, energy, 0.0, b)
-        if abs(half - right) > 1e-10 * theta:
-            raise DomainError("balance")
-        return (a, b, 0.0, theta, 1.5 * half) + slopes(pot, energy, a, b)
-    # the last interior iterate evaluated and its left action, first (a + b)/2
-    mid = 0.5 * (a + b)
-    last = {"c": mid, "left": reference_action(pot, energy, a, mid)}
-
-    def imbalance(c):
-        if c == a or c == b:
-            return half if c == b else -half
-        # the signed segment from the last iterate, added to its left action
-        last["left"] += reference_action(pot, energy, last["c"], c)
-        last["c"] = c
-        return last["left"] - half
-
-    def slope(c):
-        return math.sqrt(max(float(pot.v(c)) - energy, 0.0))
-
-    reference_solve(imbalance, slope, a, b, 1e-13 * (b - a))
-    c, left = last["c"], last["left"]
-    right = reference_action(pot, energy, c, b)
-    if abs(left - right) > 1e-10 * theta:
-        raise DomainError("balance")
-    return (a, b, c, theta, 1.5 * left) + slopes(pot, energy, a, b)
-
-
-def slopes(pot, energy, a, b):
-    alphas = (-float(pot.v_prime(a)), -float(pot.v_prime(b)))
-    if min(abs(x) for x in alphas) < 1e-10 * max(1.0, energy):
-        raise DegenerateTurningPointError("alpha")
-    return alphas
-
-
-def reference_report(pot, energy, window):
-    """(E, a, b, c, theta, s_half, alpha+, alpha-, u, t_wkb, t_asym, t_uniform) by the loop."""
-    geo = reference_geometry(pot, energy, window)
-    theta, s_half, ap, am = geo[3], geo[4], geo[5], geo[6]
-    u = s_half ** (2.0 / 3.0)
-    ratio = abs(ap / am)
-    t_wkb = math.exp(-2.0 * theta)
-    t_asym = 0.75 * ratio ** (1.0 / 3.0) * t_wkb
-    if u <= SERIES_ASYMPTOTIC_SWITCH:
-        ai, bi, _, _ = _airy_grid(u)
-        log_ratio = math.log(bi / ai)
-    else:
-        log_ratio = log_bi_over_ai(u)
-    t_uni = math.exp(math.log(3.0) - 2.0 * log_ratio + math.log(ratio) / 3.0)
-    return (energy,) + geo + (u, t_wkb, t_asym, t_uni)
-
-
-def reference_outcomes(pot, energies, window):
-    """One reference row per energy, or the type of the error the loop raised there."""
-    out = []
-    for energy in energies:
-        try:
-            out.append(reference_report(pot, energy, window))
-        except (DomainError, NoBarrierError, DegenerateTurningPointError) as exc:
-            out.append(type(exc))
-    return out
-
-
-def report_rows(report):
-    """The rows of a report of arrays, in the layout of reference_report."""
-    g = report.geometry
-    columns = (report.energy, g.a, g.b, g.c, g.theta, g.s_half, g.alpha_plus, g.alpha_minus,
-               report.airy_argument, report.t_wkb, report.t_asymptotic, report.t_uniform)
-    return list(zip(*(column.tolist() for column in columns)))
+from conftest import (
+    SquareBarrier,
+    double_hump_samples,
+    entry_matches,
+    mp_spline_action,
+    mp_spline_roots,
+    tilted_gaussian_samples,
+)
 
 
 def tabulated_sech2():
@@ -164,24 +57,23 @@ def tabulated_sech2():
     return TabulatedPotential(x, 1.5 / np.cosh(x / 1.3) ** 2)
 
 
-# name -> (potential, window, top of the energy range, exact?)
+# name -> (potential, window, top of the energy range)
 FAMILIES = {
-    "parabolic": (ParabolicBarrier(2.0), (-2.2, 2.2), 2.0, True),
-    "sech2": (Sech2Barrier(1.0, 1.7), (-34.0, 34.0), 1.0, False),
-    "gaussian": (GaussianBarrier(3.0, 0.6), (-12.0, 12.0), 3.0, False),
-    "tilted": (TabulatedPotential(*tilted_gaussian_samples()), (-4.0, 4.0), 1.0, True),
-    "tabulated": (tabulated_sech2(), (-8.0, 8.0), 1.5, True),
+    "parabolic": (ParabolicBarrier(2.0), (-2.2, 2.2), 2.0),
+    "sech2": (Sech2Barrier(1.0, 1.7), (-34.0, 34.0), 1.0),
+    "gaussian": (GaussianBarrier(3.0, 0.6), (-12.0, 12.0), 3.0),
+    "tilted": (TabulatedPotential(*tilted_gaussian_samples()), (-4.0, 4.0), 1.0),
+    "tabulated": (tabulated_sech2(), (-8.0, 8.0), 1.5),
 }
-SYMMETRIC = ("parabolic", "sech2", "gaussian", "tabulated")
 
 
 @pytest.mark.parametrize("name", ["tilted", "tabulated"])
 def test_solver_brackets_take_their_scalar_steps(name):
-    # Every bracket of one array call visits the iterates the scalar loop
-    # visits on it alone, in order, including long bisection tails. (Spline
-    # potentials evaluate identically on floats and arrays; exp-based ones
-    # may differ in the last bit between the two.)
-    pot, window, top, _ = FAMILIES[name]
+    # Every bracket of one array call visits the iterates that a size-one
+    # call on it alone visits, in order, including long bisection tails.
+    # (Spline potentials evaluate identically on arrays of any length;
+    # exp-based ones may differ in the last bit between lengths.)
+    pot, window, top = FAMILIES[name]
     energies = np.linspace(0.02, 0.9, 40) * top
     xs = np.linspace(window[0], window[1], 2048)
     e, lo, hi = [], [], []
@@ -205,68 +97,138 @@ def test_solver_brackets_take_their_scalar_steps(name):
         steps = []
 
         def g(x):
-            steps.append(x)
-            return energy - float(pot.v(x))
+            steps.extend(x.tolist())
+            return energy - pot.v(x)
 
-        assert roots[k] == reference_solve(g, lambda x: -float(pot.v_prime(x)), lo[k], hi[k], 1e-14)
+        assert solve_bracketed(g, lambda x: -pot.v_prime(x), lo[k], hi[k], 1e-14) == roots[k]
         assert seen[k] == steps
 
 
-def assert_rows_match(name, got, want):
-    exact, width = FAMILIES[name][3], want[2] - want[1]
-    if exact:
-        assert got == want
-        return
-    for j, (x, y) in enumerate(zip(got, want)):
-        if j == 3 and name in SYMMETRIC:
-            # c of a symmetric barrier is 0 up to its own 1e-13 (b - a) stop test
-            assert abs(x - y) <= 1e-13 * width
-        else:
-            assert abs(x - y) <= 1e-13 * abs(y)
+def scalar_outcomes(pot, energies, window):
+    """The package's one-energy report at each energy, or the error it raised there."""
+    out = []
+    for energy in energies:
+        try:
+            out.append(rate_report(pot, energy, window))
+        except (TunnelError, ValueError) as exc:
+            out.append(exc)
+    return out
 
 
-def assert_matches_reference(name, energies):
-    """The batched sweep equals the loop at every energy, failures included."""
-    pot, window, _, _ = FAMILIES[name]
+def assert_rates_are_the_scalar_functions(report):
+    """The rates of a one-energy report are, bit for bit, the package's
+    scalar rate functions of its geometry."""
+    g = report.geometry
+    assert report.airy_argument == g.s_half ** (2.0 / 3.0)
+    assert report.t_wkb == rates.t_wkb(g.theta)
+    assert report.t_asymptotic == rates.t_asymptotic(g.theta, g.alpha_plus, g.alpha_minus)
+    assert report.t_uniform == rates.t_uniform(g)
+
+
+def assert_matches_scalar_calls(name, energies):
+    """The batched sweep equals the loop of one-energy calls at every energy, failures included."""
+    pot, window, _ = FAMILIES[name]
     energies = [float(e) for e in energies]
-    want = reference_outcomes(pot, energies, window)
-    failed = [i for i, w in enumerate(want) if isinstance(w, type)]
+    want = scalar_outcomes(pot, energies, window)
+    failed = [i for i, w in enumerate(want) if isinstance(w, Exception)]
     # the pass ends at the loop's first failure, with its error ...
     k = failed[0] if failed else len(energies)
     geom, exc = geometry._geometries(pot, energies, window)
     assert geom.energy.size == k
-    assert type(exc) is (want[k] if failed else type(None))
     if failed:
+        assert type(exc) is type(want[k]) and str(exc) == str(want[k])
         # ... which the sweep raises ...
-        with pytest.raises(want[k]):
+        with pytest.raises(type(want[k])):
             rate_report(pot, energies, window)
-    # ... and the passing energies, those after it too, sweep as the loop did
+    else:
+        assert exc is None
+    assert all(entry_matches(geom, i, want[i].geometry) for i in range(k))
+    # ... and the passing energies, those after it too, sweep as their own calls
     ok = [i for i in range(len(energies)) if i not in failed]
     report = rate_report(pot, [energies[i] for i in ok], window)
-    got = report_rows(report)
-    assert len(got) == len(ok)
-    for k, (row, i) in enumerate(zip(got, ok)):
-        assert_rows_match(name, row, want[i])
-        assert entry_matches(report, k, rate_report(pot, energies[i], window))
-    assert all(entry_matches(geom, i, geometry._entry(report.geometry, i)) for i in range(geom.energy.size))
+    assert report.energy.size == len(ok)
+    for j, i in enumerate(ok):
+        assert entry_matches(report, j, want[i])
+        assert_rates_are_the_scalar_functions(want[i])
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_sweep_matches_per_energy_loop(name):
     top = FAMILIES[name][2]
-    assert_matches_reference(name, np.linspace(0.03 * top, 0.9 * top, 24))
+    assert_matches_scalar_calls(name, np.linspace(0.03 * top, 0.9 * top, 24))
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     name=st.sampled_from(sorted(FAMILIES)),
-    fractions=st.lists(st.floats(0.01, 0.93), min_size=1, max_size=12),
+    # fractions of the top: inside the barrier, above it (no barrier), and
+    # not positive or not finite (the energy rule)
+    fractions=st.lists(
+        st.one_of(st.floats(0.01, 0.93), st.sampled_from([1.2, 0.0, -0.5, math.nan])),
+        min_size=1, max_size=12,
+    ),
+    block=st.sampled_from([1, 3, geometry.BLOCK]),
 )
 # scalar and array V of the parabola once differed by 1 ulp here (pow vs x * x)
-@example(name="parabolic", fractions=[0.7470163879521478])
-def test_sweep_matches_per_energy_loop_property(name, fractions):
+@example(name="parabolic", fractions=[0.7470163879521478], block=geometry.BLOCK)
+@example(name="tilted", fractions=[0.3, 0.5, 1.2, 0.7, -0.5, 0.2, 0.4], block=3)
+def test_sweep_matches_per_energy_loop_property(name, fractions, block):
     top = FAMILIES[name][2]
-    assert_matches_reference(name, np.array(fractions) * top)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "BLOCK", block)
+        assert_matches_scalar_calls(name, np.array(fractions) * top)
+
+
+def even_truth(name, pot, e):
+    """(b, theta) of an even barrier at the energy e, an mpf; a = -b, c = 0."""
+    v0 = mpmath.mpf(pot.v0)
+    if name == "parabolic":  # V = v0 - x**2
+        return mpmath.sqrt(v0 - e), mpmath.pi * (v0 - e) / 2
+    w = mpmath.mpf(pot.w)
+    if name == "sech2":
+        return w * mpmath.acosh(mpmath.sqrt(v0 / e)), mpmath.pi * w * (mpmath.sqrt(v0) - mpmath.sqrt(e))
+    # the gaussian: theta by tanh-sinh, whose nodes crowd the square-root ends
+    b = w * mpmath.sqrt(mpmath.log(v0 / e))
+    return b, mpmath.quad(lambda x: mpmath.sqrt(max(v0 * mpmath.exp(-(x / w) ** 2) - e, 0)), [-b, b])
+
+
+@pytest.mark.parametrize("name", ["sech2", "parabolic", "gaussian"])
+def test_even_geometry_is_the_truth(name):
+    # bounds: the worst case measured on this code, rounded up to one digit
+    pot, window, top = FAMILIES[name]
+    g = analyze_barrier(pot, np.linspace(0.03, 0.9, 24) * top, window)
+    with mpmath.workdps(20):
+        for a, b, theta, e in zip(g.a.tolist(), g.b.tolist(), g.theta.tolist(), g.energy.tolist()):
+            b_true, theta_true = even_truth(name, pot, mpmath.mpf(e))
+            assert abs(a + b_true) <= 2e-16 * b_true and abs(b - b_true) <= 2e-16 * b_true
+            assert abs(theta - theta_true) <= 2e-15 * theta_true
+    assert np.all(g.c == 0.0) and np.all(g.s_half == 0.75 * g.theta)
+
+
+# name -> bounds on |a - a*| and |b - b*| in units of b* - a*, and on
+# |theta - theta*|, |action*(a*, c) - theta*/2| and |s_half - 1.5 action*(a*, c)|
+# in units of theta*, the starred values from the spline in mpmath
+TABLE_BOUNDS = {
+    "tilted": (2e-16, 7e-12, 4e-12, 7e-13),
+    "tabulated": (6e-16, 8e-11, 4e-11, 3e-12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_BOUNDS))
+def test_table_geometry_matches_a_knot_split_spline_integral(name):
+    # The bounds hold today's quadrature error on a C2 spline, whose Gauss
+    # convergence stalls at the knots; near the top few knots keep it cheap.
+    pot, window, top = FAMILIES[name]
+    ends, theta_tol, c_tol, s_tol = TABLE_BOUNDS[name]
+    g = analyze_barrier(pot, np.array([0.6, 0.75, 0.85, 0.95]) * top, window)
+    with mpmath.workdps(20):
+        for i, e in enumerate(g.energy.tolist()):
+            a, b = mp_spline_roots(pot, e, *window)
+            left, theta = mp_spline_action(pot, e, a, [g.c[i], b])
+            assert abs(g.a[i] - a) <= ends * (b - a) and abs(g.b[i] - b) <= ends * (b - a)
+            assert abs(g.theta[i] - theta) <= theta_tol * theta
+            assert abs(left - theta / 2) <= c_tol * theta
+            assert abs(g.s_half[i] - 1.5 * left) <= s_tol * theta
 
 
 def test_single_energy_is_the_batched_pass():
@@ -310,7 +272,7 @@ def test_midpoint_steps_integrate_from_the_last_iterate(monkeypatch):
         return value
 
     monkeypatch.setattr(geometry, "integrate_endpoint_singular", counting)
-    pot, window, top, _ = FAMILIES["tilted"]
+    pot, window, top = FAMILIES["tilted"]
     energies = np.linspace(0.03 * top, 0.9 * top, 24)
     g = rate_report(pot, energies, window).geometry
     turning = set(g.a.tolist()) | set(g.b.tolist())
@@ -330,7 +292,7 @@ MIRRORED = TabulatedPotential(-TILTED.x_samples[::-1], TILTED.v_samples[::-1])
 def test_mirrored_table_mirrors_the_geometry(fractions):
     # x -> -x swaps the turning points and the half actions. c is found from
     # the other side, within its stop test, and s_half is the other half.
-    _, window, top, _ = FAMILIES["tilted"]
+    _, window, top = FAMILIES["tilted"]
     energies = np.array(fractions) * top
     g, errors = geometry._geometries(TILTED, energies, window)
     h, mirrored_errors = geometry._geometries(MIRRORED, energies, window)
@@ -347,7 +309,7 @@ def test_mirrored_table_mirrors_the_geometry(fractions):
 )
 @example(name="parabolic", fractions=[0.5, 0.5 + 1.5e-6])
 def test_theta_decreases_with_energy(name, fractions):
-    pot, window, top, _ = FAMILIES[name]
+    pot, window, top = FAMILIES[name]
     energies = []
     for e in sorted(np.array(fractions) * top):
         if not energies or e - energies[-1] >= 1e-6 * top:

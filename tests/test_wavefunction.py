@@ -24,7 +24,7 @@ from airytunnel import (
     superpose,
 )
 from airytunnel.specfun import AI_ZERO, BI_ZERO
-from conftest import linear_potential
+from conftest import linear_potential, mp_spline_action
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -272,41 +272,6 @@ def test_deep_window_names_the_worst_airy_argument():
         psi_basis(pot, 0.5, a, -9.0)
 
 
-def _mp_spline_action(pot, energy, x0, points):
-    """mpmath action integral of |k| from x0 to each point of a tabulated barrier.
-
-    The spline pieces are cubics in mpmath arithmetic, integrated piece by
-    piece between knots and the turning points, and summed outward from x0.
-    """
-    knots = pot.x_samples
-    e = mpmath.mpf(energy)
-
-    def k2(x, i):
-        v, b, c, d = (mpmath.mpf(float(arr[i])) for arr in (pot.v_samples, pot._b, pot._c, pot._d))
-        t = x - mpmath.mpf(float(knots[i]))
-        return e - (v + t * (b + t * (c + t * d)))
-
-    def piece(x):
-        return int(np.searchsorted(knots[1:-1], float(x), side="right"))
-
-    lo, hi = min(min(points), x0), max(max(points), x0)
-    roots = [
-        mpmath.findroot(lambda x: k2(x, piece(r)), mpmath.mpf(r))
-        for r in pot.crossings(np.array([energy]), lo, hi)[1].tolist()
-    ]
-    cuts = sorted({mpmath.mpf(x) for x in [x0, *points, *roots]}
-                  | {mpmath.mpf(k) for k in knots if lo < k < hi})
-    start = cuts.index(mpmath.mpf(x0))
-    action = {cuts[start]: mpmath.mpf(0)}
-    for step, stop in ((1, len(cuts)), (-1, -1)):
-        for j in range(start + step, stop, step):
-            p, q = sorted((cuts[j - step], cuts[j]))
-            i = piece((p + q) / 2)
-            seg = mpmath.quad(lambda x: mpmath.sqrt(abs(k2(x, i))), [p, q])
-            action[cuts[j]] = action[cuts[j - step]] + seg
-    return [action[mpmath.mpf(x)] for x in points]
-
-
 def test_action_on_tabulated_barrier_matches_mpmath(tilted_barrier):
     # the grid action read back from airy_arg, (2/3)|u|**1.5, against a
     # 30-digit integral of the same spline
@@ -316,7 +281,7 @@ def test_action_on_tabulated_barrier_matches_mpmath(tilted_barrier):
     xs, args = grid.x[::8], grid.airy_arg[::8]
     probe = np.abs(args) > 0.01
     with mpmath.workdps(30):
-        want = _mp_spline_action(tilted_barrier, energy, a, xs[probe].tolist())
+        want = mp_spline_action(tilted_barrier, energy, a, xs[probe].tolist())
     for x, u, ref in zip(xs[probe], args[probe], want):
         got = (2.0 / 3.0) * abs(u) ** 1.5
         assert abs(got - float(ref)) <= 1e-12 * float(ref), x

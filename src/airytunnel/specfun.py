@@ -13,12 +13,15 @@ evaluation regimes:
   stepping is neutral). A query is evaluated by one short Taylor step from
   the nearest node, whose derivatives are computed once at import. This
   sidesteps the catastrophic cancellation that a single Maclaurin sum from
-  u = 0 suffers for 4 < |u| <= 10 in double precision.
+  u = 0 suffers for 4 < |u| <= 10 in double precision. The step sums the
+  17 terms h^0 .. h^16: with |h| <= 1/8 no later term changes a double on
+  the grid, while 16 terms already change bits, a margin of one term.
 
 * ``u > SERIES_ASYMPTOTIC_SWITCH``: standard asymptotic expansions in
   zeta = (2/3) u^(3/2), truncated at the smallest term. At the switch
   point the smallest term is already below 1e-15 relative, so the two
-  regimes agree to machine precision in the overlap window.
+  regimes agree to machine precision in the overlap window. No u > 9 keeps
+  more than 30 terms, so a table of 31 coefficients decides every stop.
 
 Oscillatory arguments are supported down to u = -10, which is all the
 tunneling formulas and wavefunction plotting need.
@@ -136,19 +139,19 @@ def _coefficients(max_terms):
     return np.array(u)[:, None], np.array(v)[:, None]
 
 
-_U_K, _V_K = _coefficients(60)
+#: u_k and v_k for k = 1 .. 31 (DLMF 9.7). No u > 9 keeps more than 30
+#: terms, the most at u -> 9+, so the 31st coefficient only ever ends a sum:
+#: every stop is the stop rule's, never the end of the table.
+_U_K, _V_K = _coefficients(32)
 
 
-def _asymptotic_sums(zeta):
-    """Truncated asymptotic correction sums for (Ai, Bi, Ai', Bi') at each
-    entry of the 1D array zeta, as the rows of a (4, zeta.size) array.
+def _asymptotic_terms(zeta):
+    """(t, tv, stop) at each entry of the 1D array zeta: the terms
+    u_k / zeta^k and v_k / zeta^k, k = 1 .. _U_K.size, as rows, and the
+    number of them each entry keeps.
 
-    Each sum stops at its smallest term, the standard rule for divergent
+    Each entry stops at its smallest term, the standard rule for divergent
     asymptotic series, or earlier once the terms no longer change any sum.
-    All entries run in one pass along a term axis: the powers zeta^k are
-    one running product, every term is formed, and the terms past an
-    entry's stop are set to 0. The sums add the terms in order
-    k = 0, 1, ..., so each entry gets the bits of a loop over its terms.
     """
     # Past an entry's stop zeta^k may overflow to inf; its terms are then 0.
     with np.errstate(over="ignore"):
@@ -163,7 +166,20 @@ def _asymptotic_sums(zeta):
     np.less(t[1:], t[:-1], out=go[1:-1])
     go[:-1] &= tv <= -_QUARTER_ULP_OF_ONE_HALF
     go[-1] = False
-    stop = go.argmin(axis=0)  # the number of terms each entry keeps
+    return t, tv, go.argmin(axis=0)
+
+
+def _asymptotic_sums(zeta):
+    """Truncated asymptotic correction sums for (Ai, Bi, Ai', Bi') at each
+    entry of the 1D array zeta, as the rows of a (4, zeta.size) array.
+
+    Each sum stops where _asymptotic_terms says. All entries run in one
+    pass along a term axis: the powers zeta^k are one running product,
+    every term is formed, and the terms past an entry's stop are set to 0.
+    The sums add the terms in order k = 0, 1, ..., so each entry gets the
+    bits of a loop over its terms.
+    """
+    t, tv, stop = _asymptotic_terms(zeta)
     n = int(stop.max(initial=0))
     keep = np.arange(n)[:, None] < stop
     terms = np.empty((n + 1, 4, zeta.size))
@@ -225,8 +241,10 @@ def _build_seed_tables():
 
 _AI_SEEDS, _BI_SEEDS = _build_seed_tables()
 _N_NODES = len(_AI_SEEDS)
-#: Terms in a query's Taylor step from its node.
-_GRID_ORDER = 24
+#: A query's Taylor step from its node sums the terms h^0 .. h^_GRID_ORDER.
+#: With |h| <= 1/8 no term past h^16 changes a double on the grid, and a
+#: step to h^15 already changes bits: the margin is one term.
+_GRID_ORDER = 16
 # Taylor derivatives y^(n), n = 0 .. _GRID_ORDER + 1, of Ai and Bi at every
 # node, computed once as one array indexed [n, Ai/Bi, node].
 _DERIVS = np.ascontiguousarray(np.array([

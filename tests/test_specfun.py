@@ -12,10 +12,16 @@ from hypothesis import strategies as st
 from airytunnel import AiryOverflowError, DomainError, airy, log_bi_over_ai
 from airytunnel.specfun import (
     SERIES_ASYMPTOTIC_SWITCH,
+    _AI_SEEDS,
+    _BI_SEEDS,
     _DERIVS,
+    _GRID_LO,
+    _GRID_STEP,
+    _U_K,
     _airy_asymptotic,
     _airy_grid,
     _asymptotic_sums,
+    _asymptotic_terms,
     _taylor_derivs,
     _taylor_sum,
 )
@@ -320,3 +326,33 @@ def test_taylor_sum_equals_term_loop_bit_for_bit(size):
         d = _taylor_derivs(x0, y, yp, 30)
         assert tuple(_taylor_sum(d, 0.25)) == reference_taylor_sum(d, 0.25)
         assert tuple(_taylor_sum(d, -0.25)) == reference_taylor_sum(d, -0.25)
+
+
+# The grid's Taylor derivatives to h^40, from the same seeds as _DERIVS.
+LONG_DERIVS = np.array([
+    [_taylor_derivs(_GRID_LO + i * _GRID_STEP, y, yp, 40) for y, yp in pair]
+    for i, pair in enumerate(zip(_AI_SEEDS, _BI_SEEDS))
+]).transpose(2, 1, 0)
+
+
+def test_grid_step_is_as_long_as_a_double_needs():
+    # The 17-term step equals a 41-term one bit for bit: at every node at
+    # the longest steps a query takes, and densely over the supported range.
+    nodes = np.arange(_DERIVS.shape[2])
+    for h in (0.125, -0.125, np.nextafter(0.125, 0.0), -np.nextafter(0.125, 0.0)):
+        step = np.full(nodes.size, h)
+        short = _taylor_sum(_DERIVS[:, :, nodes], step)
+        long = _taylor_sum(LONG_DERIVS[:, :, nodes], step)
+        assert np.array_equal(short, long)
+    u = np.linspace(-10.0, SERIES_ASYMPTOTIC_SWITCH, 200001)
+    idx = np.rint((u - _GRID_LO) / _GRID_STEP).astype(int)
+    (ai, bi), (ai_prime, bi_prime) = _taylor_sum(LONG_DERIVS[:, :, idx], u - (_GRID_LO + idx * _GRID_STEP))
+    assert all(np.array_equal(g, w) for g, w in zip(_airy_grid(u), (ai, bi, ai_prime, bi_prime)))
+
+
+def test_asymptotic_table_end_never_decides_a_stop():
+    # The sums keep the most terms just above the switch: every stop there
+    # comes from the stop rule, with a coefficient to spare.
+    u = np.concatenate(([np.nextafter(SERIES_ASYMPTOTIC_SWITCH, np.inf)], np.linspace(9.0, 12.0, 30001)[1:]))
+    zeta = np.array([(2.0 / 3.0) * x ** 1.5 for x in u.tolist()])
+    assert _asymptotic_terms(zeta)[2].max() < _U_K.size

@@ -22,12 +22,12 @@ batched pass that stays in arrays: the geometry of all its energies
 comes from the batched geometry pass, their Airy ratios from one
 log_bi_over_ai call and their exact values from one batched oracle pass.
 An array of energies gives one RateReport of arrays, a scalar energy runs
-as an array of size one and gives a RateReport of floats. The powers,
-exponentials and logarithms of the rates stay math's, entry by entry, so
-every entry has the bits of the one-energy report.
+as an array of size one and gives a RateReport of floats. Each rate
+formula is written once, over arrays, and t_wkb, t_asymptotic and t_uniform
+run a scalar as an array of size one: numpy's exp, log and powers give an
+entry of an array the bits of a call of size one.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,53 +56,51 @@ class RateReport:
     oracle: Optional[OracleResult] = None
 
 
+def _estimates(theta, alpha_plus=None, alpha_minus=None, s_half=None):
+    """(u, t_wkb, t_asymptotic, t_uniform) at each entry of 1D float arrays;
+    without the alphas only t_wkb, without s_half neither u nor t_uniform
+    (None). The squared Airy ratio is exp(-2 ln(Bi/Ai)), which cannot overflow."""
+    bad = np.flatnonzero(~((theta >= 0.0) & np.isfinite(theta)))
+    if bad.size:
+        raise ValueError("theta must be >= 0, got %r" % theta[bad[0]].item())
+    wkb = np.exp(-2.0 * theta)
+    if alpha_plus is None:
+        return None, wkb, None, None
+    if np.any((alpha_plus == 0.0) | (alpha_minus == 0.0)):
+        raise DegenerateTurningPointError("alpha = 0: barrier-top degeneracy")
+    ratio = np.abs(alpha_plus / alpha_minus)
+    asymptotic = 0.75 * ratio ** (1.0 / 3.0) * wkb
+    if s_half is None:
+        return None, wkb, asymptotic, None
+    bad = np.flatnonzero(s_half <= 0.0)
+    if bad.size:
+        raise ValueError("geometry has non-positive half action %r" % s_half[bad[0]].item())
+    u = s_half ** (2.0 / 3.0)
+    uniform = np.exp(np.log(3.0) - 2.0 * log_bi_over_ai(u) + np.log(ratio) / 3.0)
+    return u, wkb, asymptotic, uniform
+
+
+def _rate(k, *args):
+    """Rate k of _estimates at args: a float where every arg is a scalar,
+    else an array. A scalar runs as an array of size one."""
+    value = _estimates(*(np.array(x, dtype=float, ndmin=1) for x in args))[k]
+    return value.item() if all(np.ndim(x) == 0 for x in args) else value
+
+
 def t_wkb(theta):
     """WKB transmission factor exp(-2 theta)."""
-    theta = float(theta)
-    if theta < 0.0 or not math.isfinite(theta):
-        raise ValueError("theta must be >= 0, got %r" % theta)
-    return math.exp(-2.0 * theta)
+    return _rate(1, theta)
 
 
 def t_asymptotic(theta, alpha_plus, alpha_minus):
     """Asymptotic rate (3/4) |alpha+/alpha-|**(1/3) exp(-2 theta)."""
-    if alpha_plus == 0.0 or alpha_minus == 0.0:
-        raise DegenerateTurningPointError("alpha = 0: barrier-top degeneracy")
-    ratio = abs(alpha_plus / alpha_minus)
-    return 0.75 * ratio ** (1.0 / 3.0) * t_wkb(theta)
+    return _rate(2, theta, alpha_plus, alpha_minus)
 
 
 def t_uniform(geom: BarrierGeometry):
-    """Uniform Airy-ratio rate 3 (Ai(u)/Bi(u))**2 |alpha+/alpha-|**(1/3).
-
-    u = s_half**(2/3); the square of the Airy ratio is computed as
-    exp(-2 ln(Bi/Ai)) so thick barriers cannot overflow.
-    """
-    if geom.s_half <= 0.0:
-        raise ValueError("geometry has non-positive half action %r" % geom.s_half)
-    ratio = abs(geom.alpha_plus / geom.alpha_minus)
-    log_ratio = log_bi_over_ai(geom.s_half ** (2.0 / 3.0))
-    return math.exp(math.log(3.0) - 2.0 * log_ratio + math.log(ratio) / 3.0)
-
-
-def _each(fn, x):
-    """fn, a function of one float, at each entry of the 1D array x. numpy's
-    exp, log and power can differ from math's in the last bit."""
-    return np.array([fn(v) for v in x.tolist()], dtype=float)
-
-
-def _estimates(geom):
-    """(u, t_wkb, t_asymptotic, t_uniform) of a BarrierGeometry of arrays,
-    entry by entry the values t_wkb, t_asymptotic and t_uniform give."""
-    bad = np.flatnonzero(~((geom.theta >= 0.0) & np.isfinite(geom.theta)))
-    if bad.size:
-        t_wkb(geom.theta[bad[0]])  # raises t_wkb's ValueError
-    ratio = np.abs(geom.alpha_plus / geom.alpha_minus)
-    u = _each(lambda s: s ** (2.0 / 3.0), geom.s_half)
-    wkb = _each(math.exp, -2.0 * geom.theta)
-    asymptotic = 0.75 * _each(lambda r: r ** (1.0 / 3.0), ratio) * wkb
-    log_t = math.log(3.0) - 2.0 * log_bi_over_ai(u) + _each(math.log, ratio) / 3.0
-    return u, wkb, asymptotic, _each(math.exp, log_t)
+    """Uniform Airy-ratio rate 3 (Ai(u)/Bi(u))**2 |alpha+/alpha-|**(1/3),
+    u = s_half**(2/3)."""
+    return _rate(3, geom.theta, geom.alpha_plus, geom.alpha_minus, geom.s_half)
 
 
 def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000):
@@ -121,12 +119,12 @@ def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000)
     lowest energy whose geometry or oracle fails.
     """
     geom, exc = _geometries(pot, energy, window)
-    u, wkb, asymptotic, uniform = _estimates(geom)
+    estimates = _estimates(geom.theta, geom.alpha_plus, geom.alpha_minus, geom.s_half)
     oracle = t_exact = None
     if with_oracle:
         oracle, oracle_exc = _transmissions(pot, geom.energy, window, oracle_slices)
         if oracle_exc is not None:
             raise oracle_exc
         t_exact = oracle.t_exact
-    report = RateReport(geom.energy, geom, u, wkb, asymptotic, uniform, t_exact, oracle)
+    report = RateReport(geom.energy, geom, *estimates, t_exact, oracle)
     return _outcome(report, exc, energy)

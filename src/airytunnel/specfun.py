@@ -29,7 +29,8 @@ tunneling formulas and wavefunction plotting need.
 ``airy`` and ``log_bi_over_ai`` have one evaluation path each. They take a
 scalar or a 1D array; a scalar runs as an array of size one. All grid-regime
 entries of a call take their Taylor steps in one vectorised pass, and all
-asymptotic entries sum their series in one pass along a term axis.
+asymptotic entries sum their series in one pass along a term axis; exp, log
+and powers are numpy's, which give an entry the bits of a call of size one.
 """
 
 import math
@@ -192,27 +193,22 @@ def _asymptotic_sums(zeta):
 
 
 def _airy_asymptotic(u):
-    """Asymptotic-regime (Ai, Bi, Ai', Bi'), valid to ~1e-15 for u >= 8.
-
-    Floats at a scalar u, arrays at a 1D array; AiryOverflowError names the
-    first entry past double range. Powers and exponentials are math's,
-    entry by entry, as numpy's can differ in the last bit.
+    """Asymptotic-regime (Ai, Bi, Ai', Bi'), valid to ~1e-15 for u >= 8, at
+    each entry of the 1D array u; AiryOverflowError names the first entry
+    past double range.
     """
-    u, scalar = _arguments(u)
-    zeta = np.array([(2.0 / 3.0) * x ** 1.5 for x in u.tolist()])
+    zeta = (2.0 / 3.0) * u ** 1.5
     over = np.flatnonzero(zeta > _ZETA_OVERFLOW)
     if over.size:
         raise AiryOverflowError(zeta[over[0]])
     sa, sb, sc, sd = _asymptotic_sums(zeta)
-    q = np.array([x ** 0.25 for x in u.tolist()])
-    em = np.array([math.exp(-z) for z in zeta.tolist()])
-    ep = np.array([math.exp(z) for z in zeta.tolist()])
+    q = u ** 0.25
+    em = np.exp(-zeta)
+    ep = np.exp(zeta)
     ai = em * sa / (2.0 * _SQRT_PI * q)
     ai_prime = -q * em * sc / (2.0 * _SQRT_PI)
     bi = ep * sb / (_SQRT_PI * q)
     bi_prime = q * ep * sd / _SQRT_PI
-    if scalar:
-        return ai.item(), bi.item(), ai_prime.item(), bi_prime.item()
     return ai, bi, ai_prime, bi_prime
 
 
@@ -231,7 +227,7 @@ def _build_seed_tables():
     above = int(round((_AI_CHAIN_START - _GRID_HI) / _GRID_STEP))
     origin = int(round((0.0 - _GRID_LO) / _GRID_STEP))
     # Ai: march down from the asymptotic anchor, which lies above the grid.
-    ai0, _, aip0, _ = _airy_asymptotic(_AI_CHAIN_START)
+    ai0, _, aip0, _ = (v.item() for v in _airy_asymptotic(np.array([_AI_CHAIN_START])))
     ai_down = _march(_AI_CHAIN_START, ai0, aip0, -_GRID_STEP, above + n_nodes)
     # Bi: march outward both ways from the exact origin values.
     bi_up = _march(0.0, BI_ZERO, BIP_ZERO, _GRID_STEP, n_nodes - origin)
@@ -301,8 +297,7 @@ def log_bi_over_ai(u):
     ln 2 + (4/3) u^(3/2) + ln of the correction-series ratio, and never
     overflows.
 
-    A scalar u gives a float, a 1D array an array of its shape. The
-    logarithm stays math.log, entry by entry, as np.log can differ by an ulp.
+    A scalar u gives a float, a 1D array an array of its shape.
     """
     u, scalar = _arguments(u)
     bad = np.flatnonzero(~(u >= 0.0))
@@ -310,10 +305,9 @@ def log_bi_over_ai(u):
         raise DomainError("log_bi_over_ai requires u >= 0, got %r" % float(u[bad[0]]))
     far = u > SERIES_ASYMPTOTIC_SWITCH
     ai, bi, _, _ = _airy_grid(np.where(far, 0.0, u))
-    out = np.array([math.log(q) for q in (bi / ai).tolist()])
+    out = np.log(bi / ai)
     if far.any():
-        zeta = np.array([(2.0 / 3.0) * x ** 1.5 for x in u[far].tolist()])
+        zeta = (2.0 / 3.0) * u[far] ** 1.5
         sa, sb, _, _ = _asymptotic_sums(zeta)
-        log_sums = np.array([math.log(q) for q in (sb / sa).tolist()])
-        out[far] = math.log(2.0) + 2.0 * zeta + log_sums
+        out[far] = math.log(2.0) + 2.0 * zeta + np.log(sb / sa)
     return float(out[0]) if scalar else out

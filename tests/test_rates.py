@@ -23,6 +23,7 @@ from airytunnel import (
     t_uniform,
     t_wkb,
 )
+from airytunnel import rates
 from conftest import tilted_gaussian_samples
 
 SECH2_THETA_UNIT = math.pi * (1.0 - math.sqrt(0.5))  # theta of sech2(1, 1) at E = 0.5
@@ -238,3 +239,79 @@ def test_uniform_rate_under_the_mirror(scale, fractions):
     ratio = rate_report(mirrored, energies, window).t_uniform / report.t_uniform
     want = np.abs(g.alpha_plus / g.alpha_minus) ** (-2.0 / 3.0)
     assert np.all(np.abs(ratio / want - 1.0) <= 2e-12 * (1.0 + g.theta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # (theta, log10 |alpha+/alpha-|, log10 alpha-); past theta ~372 every
+    # rate underflows to 0.0
+    entries=st.lists(
+        st.tuples(st.floats(0.0, 800.0), st.floats(-3.0, 3.0), st.floats(-2.0, 2.0)),
+        min_size=1, max_size=16,
+    ),
+)
+@example(entries=[(0.0, 0.0, 0.0), (372.5, 1.0, -1.0), (800.0, -3.0, 2.0)])
+def test_rates_of_arrays_are_the_scalar_rates_bit_for_bit(entries):
+    # The one array kernel at each entry is the public scalar function at
+    # that entry's floats, and the public functions take arrays too.
+    theta, log_ratio, log_alpha = (np.array(column) for column in zip(*entries))
+    alpha_minus = 10.0 ** log_alpha
+    alpha_plus = -(10.0 ** log_ratio) * alpha_minus
+    s_half = 0.75 * theta
+    _, wkb, asymptotic, _ = rates._estimates(theta, alpha_plus, alpha_minus)
+    positive = theta > 0.0
+    *_, uniform = rates._estimates(
+        theta[positive], alpha_plus[positive], alpha_minus[positive], s_half[positive]
+    )
+    uniform_at = iter(uniform.tolist())
+    for i, (t, p, m) in enumerate(zip(theta.tolist(), alpha_plus.tolist(), alpha_minus.tolist())):
+        assert wkb[i].item().hex() == t_wkb(t).hex()
+        assert asymptotic[i].item().hex() == t_asymptotic(t, p, m).hex()
+        geom = BarrierGeometry(
+            a=-1.0, b=1.0, c=0.0, theta=t, s_half=0.75 * t, alpha_plus=p, alpha_minus=m, energy=0.5,
+        )
+        if t == 0.0:
+            with pytest.raises(ValueError, match="non-positive half action 0.0"):
+                t_uniform(geom)
+        else:
+            assert next(uniform_at).hex() == t_uniform(geom).hex()
+    arrays = BarrierGeometry(
+        a=-1.0, b=1.0, c=0.0, theta=theta[positive], s_half=s_half[positive],
+        alpha_plus=alpha_plus[positive], alpha_minus=alpha_minus[positive], energy=0.5,
+    )
+    assert np.array_equal(t_uniform(arrays), uniform)
+    assert np.array_equal(t_wkb(theta), wkb)
+    assert np.array_equal(t_asymptotic(theta, alpha_plus, alpha_minus), asymptotic)
+    if not positive.all():
+        with pytest.raises(ValueError, match="non-positive half action 0.0"):
+            rates._estimates(theta, alpha_plus, alpha_minus, s_half)
+
+
+def test_rates_of_an_analyzed_sweep_are_arrays_of_the_scalar_rates():
+    pot = Sech2Barrier(1.0, 1.0)
+    energies = np.linspace(0.05, 0.95, 7)
+    g = analyze_barrier(pot, energies)
+    scalar = [analyze_barrier(pot, e) for e in energies.tolist()]
+    got = (t_wkb(g.theta), t_asymptotic(g.theta, g.alpha_plus, g.alpha_minus), t_uniform(g))
+    want = (
+        [t_wkb(h.theta) for h in scalar],
+        [t_asymptotic(h.theta, h.alpha_plus, h.alpha_minus) for h in scalar],
+        [t_uniform(h) for h in scalar],
+    )
+    for array, values in zip(got, want):
+        assert isinstance(array, np.ndarray) and array.tolist() == values
+
+
+def test_rate_checks_name_the_first_failing_entry():
+    with pytest.raises(ValueError, match=r"theta must be >= 0, got -2\.0"):
+        t_wkb(np.array([1.0, -2.0, -3.0]))
+    with pytest.raises(ValueError, match=r"got nan"):
+        t_wkb(math.nan)
+    with pytest.raises(DegenerateTurningPointError, match="alpha = 0"):
+        t_asymptotic(np.array([1.0, 1.0]), np.array([-1.0, 0.0]), np.array([1.0, 1.0]))
+    geom = BarrierGeometry(
+        a=-1.0, b=1.0, c=0.0, theta=np.ones(3), s_half=np.array([0.75, -0.5, 0.0]),
+        alpha_plus=-np.ones(3), alpha_minus=np.ones(3), energy=0.5,
+    )
+    with pytest.raises(ValueError, match=r"non-positive half action -0\.5"):
+        t_uniform(geom)

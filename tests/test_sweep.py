@@ -34,6 +34,7 @@ from airytunnel import (
     Sech2Barrier,
     TabulatedPotential,
     TunnelError,
+    airy,
     analyze_barrier,
     log_bi_over_ai,
     rate_report,
@@ -119,7 +120,9 @@ def assert_rates_are_the_scalar_functions(report):
     """The rates of a one-energy report are, bit for bit, the package's
     scalar rate functions of its geometry."""
     g = report.geometry
-    assert report.airy_argument == g.s_half ** (2.0 / 3.0)
+    # numpy's power on an array of size one; Python's float power is libm's,
+    # which can differ from numpy's in the last bit
+    assert report.airy_argument == (np.array([g.s_half]) ** (2.0 / 3.0)).item()
     assert report.t_wkb == rates.t_wkb(g.theta)
     assert report.t_asymptotic == rates.t_asymptotic(g.theta, g.alpha_plus, g.alpha_minus)
     assert report.t_uniform == rates.t_uniform(g)
@@ -522,3 +525,12 @@ def test_log_ratio_array_matches_scalar_calls_bit_for_bit():
     for bad in ([1.0, -0.5], [np.nan]):
         with pytest.raises(DomainError):
             log_bi_over_ai(np.array(bad))
+
+
+def test_airy_array_matches_scalar_calls_above_the_switch():
+    # the asymptotic branch's powers and exponentials, up to the edge of
+    # double range at u ~ 103.9
+    u = np.concatenate((np.linspace(9.0, 103.0, 2001)[1:], [9.000001]))
+    pairs = airy(u)
+    got = np.array([pairs.ai, pairs.bi, pairs.ai_prime, pairs.bi_prime]).T.tolist()
+    assert got == [[p.ai, p.bi, p.ai_prime, p.bi_prime] for p in map(airy, u.tolist())]

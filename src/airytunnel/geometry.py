@@ -31,14 +31,14 @@ action is already summed, so an energy's geometry takes two action
 quadrature calls when its midpoint search takes one step.
 
 The pass keeps its results in arrays and its checks are masks. It ends
-at its first failing energy: after each check every array is cut to the
-energies before it, so an entry's position is its energy index, and
-Python builds one exception, that energy's. Each energy takes the same
-arithmetic steps as it would alone. A sweep longer than BLOCK energies
-runs in blocks of BLOCK, which bounds its memory.
+at its first failing energy (errors.first_failure): after each check every
+array is cut to the energies before it, so an entry's position is its
+energy index, and Python builds one exception, that energy's. Each energy
+takes the same arithmetic steps as it would alone. errors.batched runs a
+sweep longer than BLOCK energies in blocks of BLOCK, bounding its memory.
 """
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,10 +47,11 @@ from .errors import (
     DomainError,
     MultiHumpUnsupported,
     NoBarrierError,
-    TunnelError,
-    energy_array,
-    energy_error,
-    first_energy_error,
+    _entry,
+    batched,
+    first_failure,
+    judge,
+    outcome,
 )
 from .quadrature import integrate_endpoint_singular
 
@@ -79,8 +80,7 @@ class BarrierGeometry:
     energy: float
 
 
-_FIELDS = tuple(field.name for field in fields(BarrierGeometry))
-_EMPTY = BarrierGeometry(*[np.empty(0)] * len(_FIELDS))
+_EMPTY = BarrierGeometry(*[np.empty(0)] * len(fields(BarrierGeometry)))
 
 
 def solve_bracketed(f, fprime, lo, hi, xtol, rows=None, x0=None):
@@ -160,54 +160,14 @@ def solve_bracketed(f, fprime, lo, hi, xtol, rows=None, x0=None):
     return float(root[0]) if scalar else root
 
 
-def _judge(energy, **points):
-    """(energy, *points) as floats, for a one-energy stage function: the
-    energy judged by errors.energy_error, and a DomainError for a named
-    point that is not finite."""
-    exc = energy_error(energy)
-    if exc is not None:
-        raise exc
-    for name, x in points.items():
-        if not np.isfinite(float(x)):
-            raise DomainError("%s must be finite, got %r" % (name, float(x)))
-    return (float(energy), *map(float, points.values()))
-
-
-def _first(k, exc, *checks):
-    """(k, exc) lowered to the first position below k that a check rejects,
-    with that position's error; k is the length of the prefix still in
-    play and exc the error at k, or None.
-
-    A check is a (mask, build_error) pair, build_error(p) giving the error
-    at position p, or a dict of errors keyed by position. The checks run
-    in order, so of two that reject one position the earlier one's error
-    stands.
-    """
-    for check in checks:
-        if isinstance(check, dict):
-            p = min(check, default=k)
-            if p < k:
-                k, exc = p, check[p]
-        else:
-            mask, build_error = check
-            bad = np.flatnonzero(mask[:k])
-            if bad.size:
-                k = int(bad[0])
-                exc = build_error(k)
-    return k, exc
-
-
 def _turning_points(pot, energies, window):
     """(a, b, exc): the forbidden interval [a, b] in the window of each
     energy before the first that has not exactly one, and that energy's
     exception, or None. An error that no energy alone causes (a bad window,
-    V failing there) is raised, unless the first energy fails the energy rule.
+    V failing there) is raised.
     """
-    k, exc = first_energy_error(energies)
-    if not k:
-        return energies[:0], energies[:0], exc
+    e, k = energies, energies.size
     lo, hi = pot.window(window)
-    e = energies[:k]
     which, x = pot.crossings(e, lo, hi)
     counts = np.bincount(which, minlength=k)
     # One crossing, or none with V >= E at lo, so on the whole window: a window
@@ -216,8 +176,8 @@ def _turning_points(pot, energies, window):
     if not counts.all():
         with np.errstate(over="ignore"):
             unclosed |= (counts == 0) & ~(pot.v(lo) < e)
-    k, exc = _first(
-        k, exc,
+    k, exc = first_failure(
+        k, None,
         (unclosed, lambda p: NoBarrierError(
             "forbidden region is not closed inside the window (%g, %g)" % (lo, hi)
         )),
@@ -228,8 +188,8 @@ def _turning_points(pot, energies, window):
             "%d sign changes of k2 in (%g, %g); single-hump barriers only" % (counts[p], lo, hi)
         )),
     )
-    a, b = x[0:2 * k:2], x[1:2 * k:2]  # two crossings per energy before k
-    k, exc = _first(k, exc, (e[:k] - pot.v(0.5 * (a + b)) >= 0.0, lambda p: NoBarrierError(
+    a, b, e = x[0:2 * k:2], x[1:2 * k:2], e[:k]  # two crossings per energy before k
+    k, exc = first_failure(k, exc, (e - pot.v(0.5 * (a + b)) >= 0.0, lambda p: NoBarrierError(
         "window (%g, %g) does not bracket a forbidden interval at E=%g" % (lo, hi, e[p])
     )))
     return a[:k], b[:k], exc
@@ -241,7 +201,7 @@ def find_turning_points(pot, energy, window=None):
     Raises NoBarrierError when no closed forbidden interval lies inside
     the window and MultiHumpUnsupported when the window contains more than one.
     """
-    a, b, exc = _turning_points(pot, np.array([float(energy)]), window)
+    a, b, exc = _turning_points(pot, np.array(judge(energy)), window)
     if exc is not None:
         raise exc
     return float(a[0]), float(b[0])
@@ -250,24 +210,22 @@ def find_turning_points(pot, energy, window=None):
 def _actions(pot, energies, x1, x2, rel_tol=1e-12):
     """Action integrals over the segments [x1, x2], each at its own energy.
 
-    Returns (values, errors): errors maps a segment index to the
-    DomainError of a segment with V < E inside, i.e. one not contained in
-    the forbidden region. One quadrature call covers every segment.
+    Returns (values, check): check, for first_failure, rejects a segment
+    with V < E inside, i.e. one not contained in the forbidden region. One
+    quadrature call covers every segment.
     """
     neg_tol = 1e-10 * np.maximum(1.0, np.abs(energies))
-    rows, errors = [], {}
+    rows, outside = [], np.zeros(x1.size, dtype=bool)
 
     def integrand(x):
         g = pot.v(x).reshape(len(rows), -1) - energies[rows, None]
-        for j in np.flatnonzero((g < -neg_tol[rows, None]).any(axis=1)).tolist():
-            r = rows[j]
-            errors.setdefault(r, DomainError(
-                "V < E inside [%g, %g]: inconsistent turning points" % (x1[r], x2[r])
-            ))
+        outside[np.array(rows)[(g < -neg_tol[rows, None]).any(axis=1)]] = True
         return np.sqrt(np.maximum(g, 0.0, out=g), out=g).ravel()
 
     values = integrate_endpoint_singular(integrand, x1, x2, rel_tol=rel_tol, rows=rows)
-    return values, errors
+    return values, (outside, lambda p: DomainError(
+        "V < E inside [%g, %g]: inconsistent turning points" % (x1[p], x2[p])
+    ))
 
 
 def action_integral(pot, energy, x1, x2, rel_tol=1e-12):
@@ -279,12 +237,13 @@ def action_integral(pot, energy, x1, x2, rel_tol=1e-12):
     and raises DomainError, as do an energy that is not positive and
     finite and an end that is not finite.
     """
-    energy, x1, x2 = _judge(energy, x1=x1, x2=x2)
+    energy, x1, x2 = judge(energy, x1=x1, x2=x2)
     if x1 > x2:
         raise ValueError("x1 must be <= x2, got %g > %g" % (x1, x2))
-    values, errors = _actions(pot, np.array([energy]), np.array([x1]), np.array([x2]), rel_tol)
-    if errors:
-        raise errors[0]
+    values, check = _actions(pot, np.array([energy]), np.array([x1]), np.array([x2]), rel_tol)
+    _, exc = first_failure(1, None, check)
+    if exc is not None:
+        raise exc
     return float(values[0])
 
 
@@ -328,19 +287,18 @@ def _midpoints(pot, energies, a, b):
     mid = 0.5 * (a + b)
     even = pot.even and np.array_equal(a, -b)
     x1, x2 = (mid, b) if even else (a, mid)
-    s, errs = _actions(
+    s, (outside, build_error) = _actions(
         pot, np.concatenate((energies, energies)), np.concatenate((a, x1)), np.concatenate((b, x2))
     )
     theta = s[:m]
-    # errs holds theta's errors below m, which _first reads, and the second
-    # segment's from m on, which count after theta's checks
-    k, exc = _first(
+    # theta's segments come first, and the second segments count after theta's checks
+    k, exc = first_failure(
         m, None,
-        errs,
+        (outside[:m], build_error),
         (theta <= 0.0, lambda p: DegenerateTurningPointError(
             "vanishing barrier action between %g and %g" % (a[p], b[p])
         )),
-        {r - m: e for r, e in errs.items() if r >= m},
+        (outside[m:], lambda p: build_error(m + p)),
     )
     energies, a, b, theta = energies[:k], a[:k], b[:k], theta[:k]
     half = 0.5 * theta
@@ -351,7 +309,7 @@ def _midpoints(pot, energies, a, b):
         # The last interior iterate evaluated and its left action; the first
         # is (a + b)/2, which the theta call integrated.
         left = s[m:m + k]
-        rows, search = [], {}
+        rows, search = [], np.zeros(k, dtype=bool)
 
         def imbalance(x):
             j = np.array(rows)
@@ -362,10 +320,9 @@ def _midpoints(pot, energies, a, b):
             new = inside & (x != c[j])
             if new.any():
                 i = j[new]
-                step, errs = _actions(pot, energies[i], c[i], x[new])
+                step, (outside, _) = _actions(pot, energies[i], c[i], x[new])
                 s[new] += step
-                for r, e in errs.items():
-                    search.setdefault(int(i[r]), e)
+                search[i[outside]] = True
             # Ends come only in the first call, both under one bracket index;
             # recording interior iterates alone leaves no write order to matter.
             c[j[inside]], left[j[inside]] = x[inside], s[inside]
@@ -376,14 +333,15 @@ def _midpoints(pot, energies, a, b):
 
         solve_bracketed(imbalance, slope, a, b, 1e-13 * (b - a), rows=rows)
 
-        k, exc = _first(k, exc, search)
-        right, errs = _actions(pot, energies[:k], c[:k], b[:k])
-        k, exc = _first(k, exc, errs)
+        # an iterate's segment lies in [a, b], which the theta call's error names
+        k, exc = first_failure(k, exc, (search, build_error))
+        right, check = _actions(pot, energies[:k], c[:k], b[:k])
+        k, exc = first_failure(k, exc, check)
     # E - V rounds at ~eps E and V - E ~ (theta/(b - a))**2, so each half
     # carries a relative error of ~eps E ((b - a)/theta)**2, a noise floor
     # that is invariant under x -> lambda x, V -> V/lambda**2.
     tol = (1e-10 + _EPS * energies[:k] * ((b[:k] - a[:k]) / theta[:k]) ** 2) * theta[:k]
-    k, exc = _first(k, exc, (np.abs(left[:k] - right[:k]) > tol, lambda p: DomainError(
+    k, exc = first_failure(k, exc, (np.abs(left[:k] - right[:k]) > tol, lambda p: DomainError(
         "midpoint search failed to balance actions (%g vs %g)" % (left[p], right[p])
     )))
     return theta[:k], c[:k], left[:k], exc
@@ -399,7 +357,7 @@ def find_midpoint(pot, energy, a, b):
     An energy that is not positive and finite, or an end that is not
     finite, raises DomainError.
     """
-    energy, a, b = _judge(energy, a=a, b=b)
+    energy, a, b = judge(energy, a=a, b=b)
     if a > b:
         raise ValueError("a must be <= b, got %g > %g" % (a, b))
     _, c, _, exc = _midpoints(pot, np.array([energy]), np.array([a]), np.array([b]))
@@ -416,8 +374,8 @@ def _degenerate(alpha, energy):
 
 
 def _alpha_checks(alpha, energies, x0, side):
-    """The checks, for _first, that alpha_limit runs on each slope alpha at
-    its turning point x0 (arrays)."""
+    """The checks, for first_failure, that alpha_limit runs on each slope
+    alpha at its turning point x0 (arrays)."""
     degenerate = _degenerate(alpha, energies), lambda p: DegenerateTurningPointError(
         "|dk2/dx| = %g at x=%g: degenerate turning point (barrier top)" % (abs(alpha[p]), x0[p])
     )
@@ -441,40 +399,17 @@ def alpha_limit(pot, energy, x0, side):
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right', got %r" % side)
-    energy, x0 = _judge(energy, x0=x0)
-    alpha = -pot.v_prime(x0)
-    _, exc = _first(1, None, *_alpha_checks(np.array([alpha]), np.array([energy]), [x0], side))
+    energy, x0 = judge(energy, x0=x0)
+    alpha = -pot.v_prime(np.array([x0]))
+    _, exc = first_failure(1, None, *_alpha_checks(alpha, np.array([energy]), [x0], side))
     if exc is not None:
         raise exc
-    return alpha
-
-
-def _entry(record, i):
-    """Entry i of a record (a dataclass) of arrays, as a record of Python
-    scalars; a field that is itself such a record becomes its entry i."""
-    values = []
-    for field in fields(record):
-        value = getattr(record, field.name)
-        if is_dataclass(value):
-            value = _entry(value, i)
-        elif value is not None:
-            value = value[i].item()
-        values.append(value)
-    return type(record)(*values)
-
-
-def _outcome(record, exc, energy):
-    """An entry point's result: raise exc, the error of the first failing
-    energy, as a loop of one-energy calls would; else the record of arrays,
-    or its one entry as a record of Python scalars when energy is a scalar."""
-    if exc is not None:
-        raise exc
-    return _entry(record, 0) if np.ndim(energy) == 0 else record
+    return alpha.item()
 
 
 def _geometry_checks(geom):
-    """The checks, for _first, of a BarrierGeometry of arrays: c must lie
-    strictly between a and b, theta and s_half must be positive, and,
+    """The checks, for first_failure, of a BarrierGeometry of arrays: c must
+    lie strictly between a and b, theta and s_half must be positive, and,
     since c splits theta equally, s_half must be (3/4) theta."""
     a, c, b, theta, s_half = geom.a, geom.c, geom.b, geom.theta, geom.s_half
     return (
@@ -501,7 +436,7 @@ def _analyze(pot, energies, window):
     alpha = -pot.v_prime(np.concatenate((a, b)))
     columns = (a, b, c, theta, 1.5 * left, alpha[:k], alpha[k:], e)
     geom = BarrierGeometry(*columns)
-    k, exc = _first(
+    k, exc = first_failure(
         k, exc,
         *_alpha_checks(geom.alpha_plus, e, a, "left"),
         *_alpha_checks(geom.alpha_minus, e, b, "right"),
@@ -515,24 +450,12 @@ def _geometries(pot, energies, window=None):
     before the first that fails, and that energy's exception, or None.
 
     geom is a BarrierGeometry of arrays, entry i that of energy i. The
-    energies run in blocks of BLOCK, in order, one pass per block, and the
-    sweep ends with the block of its first failing energy. An error of a
-    stage as a whole (a bad window, a window beyond a table's range, a
+    energies run in blocks of BLOCK through errors.batched, so an error of
+    a stage as a whole (a bad window, a window beyond a table's range, a
     root search that does not converge) is the error of the first energy
     of its block. energies beyond 1D raise ValueError.
     """
-    energies = energy_array(energies)
-    parts, exc = [_EMPTY], None
-    for i in range(0, energies.size, BLOCK):
-        try:
-            geom, exc = _analyze(pot, energies[i:i + BLOCK], window)
-        except (TunnelError, ValueError, ArithmeticError) as error:
-            geom, exc = _EMPTY, error
-        parts.append(geom)
-        if exc is not None:
-            break
-    geom = BarrierGeometry(*(np.concatenate([getattr(p, name) for p in parts]) for name in _FIELDS))
-    return geom, exc
+    return batched(lambda block: _analyze(pot, block, window), energies, _EMPTY, BLOCK)
 
 
 def analyze_barrier(pot, energy, window=None):
@@ -544,5 +467,4 @@ def analyze_barrier(pot, energy, window=None):
     pass (see _geometries), and a failure raises the error of the lowest
     failing energy.
     """
-    geom, exc = _geometries(pot, energy, window)
-    return _outcome(geom, exc, energy)
+    return outcome(*_geometries(pot, energy, window), energy)

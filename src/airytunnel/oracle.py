@@ -59,8 +59,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import AsymptoteMismatchError, TunnelError, energy_array, first_energy_error
-from .geometry import _first, _outcome
+from .errors import AsymptoteMismatchError, batched, first_failure, outcome
 
 #: Both domain endpoints must be within this of V = 0.
 ASYMPTOTE_TOLERANCE = 1e-9
@@ -244,7 +243,7 @@ def _passes(pot, energies, domain, slices):
             )
             if np.isnan(t[block]).any():
                 break
-        k, exc = _first(energies.size, exc, (np.isnan(t), lambda p: ValueError(
+        k, exc = first_failure(energies.size, exc, (np.isnan(t), lambda p: ValueError(
             "%d slices on [%g, %g] are too coarse for this barrier at E=%g"
             % (n, x_left, x_right, energies[p])
         )))
@@ -266,20 +265,13 @@ def _transmissions(pot, energies, domain, slices):
     energies before the first that fails, and that energy's exception, or
     None.
 
-    result is an OracleResult of arrays, entry i that of energy i. An error
-    of the call as a whole (bad slices or domain, V off the zero asymptote
-    at a domain end) is the error of the first energy, unless that one
-    fails the energy rule. energies beyond 1D raise ValueError.
+    result is an OracleResult of arrays, entry i that of energy i. The
+    energies run as one block of errors.batched, since _passes blocks them
+    itself, so an error of the call as a whole (bad slices or domain, V off
+    the zero asymptote at a domain end) is the error of the first energy,
+    unless that one fails the energy rule. energies beyond 1D raise ValueError.
     """
-    energies = energy_array(energies)
-    k, exc = first_energy_error(energies)
-    if not k:
-        return _EMPTY, exc
-    try:
-        result, failed = _passes(pot, energies[:k], domain, slices)
-    except (TunnelError, ValueError, ArithmeticError) as error:
-        return _EMPTY, error
-    return result, (exc if failed is None else failed)
+    return batched(lambda block: _passes(pot, block, domain, slices), energies, _EMPTY)
 
 
 def exact_transmission(pot, energy, domain, slices=4000):
@@ -297,5 +289,4 @@ def exact_transmission(pot, energy, domain, slices=4000):
     the slices of one batched pass, and a failure raises the error of the
     lowest failing energy.
     """
-    result, exc = _transmissions(pot, energy, domain, slices)
-    return _outcome(result, exc, energy)
+    return outcome(*_transmissions(pot, energy, domain, slices), energy)

@@ -33,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateTurningPointError
-from .geometry import BarrierGeometry, _geometries, _outcome
+from .errors import DegenerateTurningPointError, outcome
+from .geometry import BarrierGeometry, _geometries
 from .oracle import OracleResult, _transmissions
 from .specfun import log_bi_over_ai
 
@@ -127,4 +127,4 @@ def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000)
             raise oracle_exc
         t_exact = oracle.t_exact
     report = RateReport(geom.energy, geom, *estimates, t_exact, oracle)
-    return _outcome(report, exc, energy)
+    return outcome(report, exc, energy)

@@ -34,12 +34,11 @@ reach so deep into the allowed region that S**(2/3) exceeds 10 raise
 DomainError naming the most negative argument.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTurningPointError, DomainError, energy_error
+from .errors import DegenerateTurningPointError, judge
 from .geometry import _degenerate
 from .quadrature import integrate_endpoint_singular
 from .specfun import AI_ZERO, BI_ZERO, airy
@@ -107,20 +106,13 @@ def _basis_arrays(pot, energy, anchor, xs, crossings):
 
 def _scanned_basis(pot, energy, anchor, x):
     """_basis_arrays at x (a scalar or 1D) from one Potential.crossings call;
-    a DomainError names a bad anchor, point or energy before it."""
-    anchor, xs = float(anchor), np.array(x, dtype=float, ndmin=1)
+    errors.judge names a bad energy, anchor or point before it."""
+    xs = np.array(x, dtype=float, ndmin=1)
     if xs.ndim > 1:
         raise ValueError("x must be a scalar or 1D, got shape %s" % (xs.shape,))
-    if not math.isfinite(anchor):
-        raise DomainError("anchor must be finite, got %r" % anchor)
-    finite = np.isfinite(xs)
-    if not finite.all():
-        raise DomainError("x must be finite, got %r" % float(xs[~finite][0]))
-    exc = energy_error(energy)
-    if exc is not None:
-        raise exc
+    energy, anchor, xs = judge(energy, anchor=anchor, x=xs)
     ends = np.append(xs, anchor)
-    _, crossings = pot.crossings(np.array([float(energy)]), ends.min(), ends.max())
+    _, crossings = pot.crossings(np.array([energy]), ends.min(), ends.max())
     return _basis_arrays(pot, energy, anchor, xs, crossings)
 
 

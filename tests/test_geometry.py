@@ -126,6 +126,16 @@ def test_action_rejects_allowed_region_inside():
         action_integral(Sech2Barrier(1.0, 1.0), 0.5, -1.5, ACOSH_SQRT2)
 
 
+def test_action_names_the_segment_that_leaves_the_barrier():
+    # [-3, 3] holds sech2's allowed tails, |x| > arccosh(sqrt 2) ~ 0.88, at E = 0.5
+    pot = Sech2Barrier(1.0, 1.0)
+    with pytest.raises(DomainError, match=r"^V < E inside \[-3, 3\]: inconsistent turning points$"):
+        action_integral(pot, 0.5, -3.0, 3.0)
+    with mpmath.workdps(15):
+        ref = mpmath.quad(lambda x: mpmath.sqrt(mpmath.sech(x) ** 2 - 0.5), [-0.5, 0.8])
+    assert action_integral(pot, 0.5, -0.5, 0.8) == pytest.approx(float(ref), rel=1e-12)
+
+
 def test_action_doubling_quadrature_effort_is_converged():
     pot = GaussianBarrier(1.0, 1.0)
     a, b = find_turning_points(pot, 0.4)

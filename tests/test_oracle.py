@@ -1,5 +1,6 @@
 """Transfer-matrix solver: calibration, flux conservation, convergence."""
 
+import ast
 import math
 
 import mpmath
@@ -361,3 +362,16 @@ def test_mirrored_pass_forms_half_the_slices(monkeypatch):
     formed.clear()
     exact_transmission(pot, 0.3, None, slices=401)
     assert formed == [(401, 401, 20.0), (401, 401, 0.0)]
+
+
+def test_the_oracle_shares_only_the_failure_protocol_with_the_package():
+    # The oracle grades the approximations, so it imports none of their code:
+    # of the package, only the exception types and entry rules of errors.
+    tree = ast.parse(open(oracle.__file__).read())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("airytunnel")):
+            package.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            package.update(alias.name for alias in node.names if alias.name.startswith("airytunnel"))
+    assert package == {".errors"}

@@ -83,37 +83,24 @@ class BarrierGeometry:
 _EMPTY = BarrierGeometry(*[np.empty(0)] * len(fields(BarrierGeometry)))
 
 
-def solve_bracketed(f, fprime, lo, hi, xtol, rows=None, x0=None):
-    """Root of f between lo and hi by safeguarded Newton-bisection.
+def solve_bracketed(f, lo, hi, f_lo, f_hi, xtol, x0=None):
+    """Roots of f in the brackets [lo, hi] by safeguarded Newton-bisection.
 
-    f(lo) and f(hi) must not share a sign (ValueError otherwise). The first
-    interior iterate is x0 where it lies strictly inside the bracket, else
-    the midpoint. Each step is a Newton step when it lands inside the
-    shrinking bracket and is at most half the previous step, else a
-    bisection. Stops once a step is below xtol + 4 eps |x|; more than 100
-    steps raise DomainError.
+    lo, hi and the values f_lo, f_hi of f there are equal-length 1D arrays,
+    one entry per bracket; xtol and x0 are arrays like them or scalars. A
+    bracket's f_lo and f_hi must not share a sign (ValueError otherwise),
+    and an end where f is 0 is its root. The first interior iterate is x0
+    where it lies strictly inside the bracket, else the midpoint. Each step
+    is a Newton step when it lands inside the shrinking bracket and is at
+    most half the previous step, else a bisection. Stops once a step is
+    below xtol + 4 eps |x|; more than 100 steps raise DomainError.
 
-    f and fprime take an array of iterates. lo, hi, xtol and x0 may be
-    equal-length 1D arrays of brackets and their starts, solved together:
-    each call then gets one iterate per bracket still stepping (the first
-    call both ends of every bracket), and ``rows``, if given, is a list the
-    loop keeps equal to the bracket index of each point of the next call.
-    A bracket takes the steps it would take alone and drops out when it
-    stops; the result is then an array of roots.
+    f(x, j) takes one iterate x per bracket j still stepping and returns
+    (f, f'), both arrays like x. The brackets step together: each takes
+    the steps it would take alone and drops out when it stops. Returns
+    the array of roots.
     """
-    scalar = np.ndim(lo) == 0
-    lo = np.array(lo, dtype=float, ndmin=1)
-    hi = np.array(hi, dtype=float, ndmin=1)
-    if lo.ndim > 1 or lo.shape != hi.shape:
-        raise ValueError("bracket ends must be scalars or equal-length 1D arrays")
     tol = np.broadcast_to(np.asarray(xtol, dtype=float), lo.shape)
-    track = rows if rows is not None else []
-    n = lo.size
-    if not n:
-        return lo
-    track[:] = list(range(n)) * 2
-    ends = f(np.concatenate((lo, hi)))
-    f_lo, f_hi = ends[:n], ends[n:]
     root = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))
     live = np.flatnonzero(np.isnan(root))
     bad = live[(f_lo[live] < 0.0) == (f_hi[live] < 0.0)]
@@ -129,16 +116,15 @@ def solve_bracketed(f, fprime, lo, hi, xtol, rows=None, x0=None):
         x0 = np.broadcast_to(np.asarray(x0, dtype=float), root.shape)[live]
         x = np.where((np.minimum(lo, hi) < x0) & (x0 < np.maximum(lo, hi)), x0, x)
     step = np.abs(hi - lo)
-    track[:] = live.tolist()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(100):
             if not live.size:
                 break
-            fx = f(x)
+            fx, slope = f(x, live)
             neg = fx < 0.0
             lo, hi = np.where(neg, x, lo), np.where(neg, hi, x)
             # A zero slope gives an infinite (or nan) step, which bisects.
-            step_before, step = step, fx / fprime(x)
+            step_before, step = step, fx / slope
             trial = x - step
             newton = (np.minimum(lo, hi) < trial) & (trial < np.maximum(lo, hi))
             newton &= np.abs(step) <= 0.5 * np.abs(step_before)
@@ -154,10 +140,9 @@ def solve_bracketed(f, fprime, lo, hi, xtol, rows=None, x0=None):
                 root[live[stop]] = x[stop]
                 go = ~stop
                 live, x, lo, hi, step, tol = live[go], x[go], lo[go], hi[go], step[go], tol[go]
-                track[:] = live.tolist()
     if live.size:
         raise DomainError("no root to %g found in 100 steps near x=%g" % (tol[0], x[0]))
-    return float(root[0]) if scalar else root
+    return root
 
 
 def _turning_points(pot, energies, window):
@@ -264,12 +249,13 @@ def _midpoints(pot, energies, a, b):
     call integrates [a, b] and the right half [c, b], and there is no
     search. Every other barrier searches for c, as follows.
 
-    g(c) = action(a, c) - theta/2 rises from -theta/2 at a to theta/2 at b
-    with the closed-form slope sqrt(V(c) - E), which Newton steps use. All
-    barriers step together. The search's first interior iterate is always
-    (a + b)/2, so one quadrature call integrates [a, b] and [a, (a + b)/2]
-    of every barrier, and g needs no quadrature at a, at b or at
-    (a + b)/2. Each later step is one batched quadrature of the signed
+    g(c) = action(a, c) - theta/2 rises from -theta/2 at a to theta/2 at b,
+    the values the solver is given there, with the closed-form slope
+    sqrt(V(c) - E), which Newton steps use: one call gives g and its slope
+    at every iterate. All barriers step together. The search's first
+    interior iterate is always (a + b)/2, so one quadrature call integrates
+    [a, b] and [a, (a + b)/2] of every barrier, and g needs no quadrature
+    at (a + b)/2. Each later step is one batched quadrature of the signed
     segments [c_prev, x] from each barrier's last interior iterate c_prev,
     added to the left action known there: an interior segment has no
     square-root end and converges in fewer nodes than [a, x]. c is the
@@ -309,29 +295,22 @@ def _midpoints(pot, energies, a, b):
         # The last interior iterate evaluated and its left action; the first
         # is (a + b)/2, which the theta call integrated.
         left = s[m:m + k]
-        rows, search = [], np.zeros(k, dtype=bool)
+        search = np.zeros(k, dtype=bool)
 
-        def imbalance(x):
-            j = np.array(rows)
-            # action(a, a) = 0 and action(a, b) = theta. An interior iterate
-            # adds the signed segment from the last one to that one's left action.
-            inside = (x != a[j]) & (x != b[j])
-            s = np.where(inside, left[j], np.where(x == b[j], theta[j], 0.0))
-            new = inside & (x != c[j])
+        def imbalance(x, j):
+            # An iterate adds the signed segment from the last one to that one's left action.
+            s = left[j]
+            new = x != c[j]
             if new.any():
                 i = j[new]
                 step, (outside, _) = _actions(pot, energies[i], c[i], x[new])
                 s[new] += step
                 search[i[outside]] = True
-            # Ends come only in the first call, both under one bracket index;
-            # recording interior iterates alone leaves no write order to matter.
-            c[j[inside]], left[j[inside]] = x[inside], s[inside]
-            return s - half[j]
+            c[j], left[j] = x, s
+            return s - half[j], np.sqrt(np.maximum(pot.v(x) - energies[j], 0.0))
 
-        def slope(x):
-            return np.sqrt(np.maximum(pot.v(x) - energies[rows], 0.0))
-
-        solve_bracketed(imbalance, slope, a, b, 1e-13 * (b - a), rows=rows)
+        # action(a, a) = 0 and action(a, b) = theta
+        solve_bracketed(imbalance, a, b, -half, theta - half, 1e-13 * (b - a))
 
         # an iterate's segment lies in [a, b], which the theta call's error names
         k, exc = first_failure(k, exc, (search, build_error))

@@ -337,7 +337,7 @@ class TabulatedPotential(Potential):
         k_lo, k_hi = e - v[j], e - v[j + 1]
         with np.errstate(over="ignore", invalid="ignore"):
             x0 = xs[j] + (xs[j + 1] - xs[j]) * (k_lo / (k_lo - k_hi))
-        return which, _polish(self, e, xs[j], xs[j + 1], x0)
+        return which, _polish(self, e, xs[j], xs[j + 1], k_lo, k_hi, x0)
 
     def __repr__(self):
         return "TabulatedPotential(%d samples on [%g, %g])" % (
@@ -347,24 +347,22 @@ class TabulatedPotential(Potential):
         )
 
 
-def _polish(pot, energies, lo, hi, x0):
+def _polish(pot, energies, lo, hi, k_lo, k_hi, x0):
     """Zeros of k2 = E - V in the brackets [lo, hi], each at its own energy,
-    from x0. An iterate where |k2| is within 4 eps max(|E|, |V|, |x V'(x)|),
-    the rounding noise of E - V and of V at a rounded x, counts as a root:
-    a wrong-signed k2 there would start a long bisection. The slope is the
-    -V' that k2 evaluated with V: the solver asks for it at those points."""
-    rows, dv = [], None
+    from x0, given k2 at the ends as k_lo and k_hi. An iterate where |k2| is within
+    4 eps max(|E|, |V|, |x V'(x)|), the rounding noise of E - V and of V at
+    a rounded x, counts as a root: a wrong-signed k2 there would start a
+    long bisection. The slope is -V' at the iterate."""
 
-    def k2(x):
-        nonlocal dv
-        e = energies[rows]
+    def k2(x, j):
+        e = energies[j]
         v, dv = pot.v(x), pot.v_prime(x)
         g = e - v
         noise = np.maximum(np.maximum(np.abs(e), np.abs(v)), np.abs(x * dv))
         g[np.abs(g) <= _EPS4 * noise] = 0.0
-        return g
+        return g, -dv
 
-    return solve_bracketed(k2, lambda x: -dv, lo, hi, 1e-14, rows=rows, x0=x0)
+    return solve_bracketed(k2, lo, hi, k_lo, k_hi, 1e-14, x0)
 
 
 def load_tabulated(source):

@@ -22,9 +22,9 @@ from airytunnel import (
     find_midpoint,
     find_turning_points,
 )
-from airytunnel import potential, rate_report
+from airytunnel import geometry, potential, rate_report
 from airytunnel.geometry import solve_bracketed
-from conftest import not_even
+from conftest import entry_matches, not_even
 
 SQRT_HALF = math.sqrt(0.5)
 ACOSH_SQRT2 = math.log(1.0 + math.sqrt(2.0))  # arccosh(sqrt(2))
@@ -74,10 +74,18 @@ def test_narrow_hump_just_below_the_top():
 
 
 def test_solve_bracketed_rejects_unbracketed_interval():
+    def f(x, j=None):
+        return x * x - 2.0, 2.0 * x
+
+    def solve(lo, hi):
+        lo, hi = np.array([lo]), np.array([hi])
+        return solve_bracketed(f, lo, hi, f(lo)[0], f(hi)[0], 1e-14)
+
     with pytest.raises(ValueError):
-        solve_bracketed(lambda x: x * x - 2.0, lambda x: 2.0 * x, 2.0, 3.0, 1e-14)
-    root = solve_bracketed(lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 3.0, 1e-14)
-    assert root == pytest.approx(math.sqrt(2.0), rel=4e-16)
+        solve(2.0, 3.0)
+    root = solve(0.0, 3.0)
+    assert root.shape == (1,)
+    assert root[0] == pytest.approx(math.sqrt(2.0), rel=4e-16)
 
 
 def test_turning_points_far_from_origin():
@@ -170,6 +178,56 @@ def test_midpoint_balances_tilted_barrier(tilted_barrier):
                 [lo] + [k for k in knots if lo < k < hi] + [hi],
             )
         assert mine == pytest.approx(float(ref), abs=1e-10)
+
+
+def test_midpoint_search_step_outside_the_barrier_fails_its_energy(monkeypatch, tilted_barrier):
+    # Theta's quadrature over [a, b] rejects a barrier with V < E inside
+    # before its search starts, so no real barrier reaches the check on the
+    # search's step segments; one flagged step of energy i stands in for one.
+    window, energies, i = (-4.0, 4.0), np.array([0.3, 0.5, 0.7]), 1
+    want = [analyze_barrier(tilted_barrier, e, window) for e in energies[:i].tolist()]
+    a, b = find_turning_points(tilted_barrier, energies[i], window)
+    message = "V < E inside [%g, %g]: inconsistent turning points" % (a, b)
+    actions, solve = geometry._actions, geometry.solve_bracketed
+    searching, flagged = [], []
+
+    def search(*args):
+        searching.append(True)
+        try:
+            return solve(*args)
+        finally:
+            searching.clear()
+
+    def flag_one_step(pot, e, x1, x2, *rest):
+        values, (outside, build_error) = actions(pot, e, x1, x2, *rest)
+        if searching and not flagged:
+            flagged.extend(np.flatnonzero(e == energies[i])[:1].tolist())
+            outside[flagged] = True
+        return values, (outside, build_error)
+
+    monkeypatch.setattr(geometry, "solve_bracketed", search)
+    monkeypatch.setattr(geometry, "_actions", flag_one_step)
+    with pytest.raises(DomainError) as info:
+        analyze_barrier(tilted_barrier, energies, window)
+    assert flagged and type(info.value) is DomainError and str(info.value) == message
+    flagged.clear()
+    geom, exc = geometry._geometries(tilted_barrier, energies, window)
+    assert flagged and type(exc) is DomainError and str(exc) == message
+    assert geom.energy.size == i
+    assert all(entry_matches(geom, k, want[k]) for k in range(i))
+
+
+@pytest.mark.parametrize("offset", [-200, -57, 90, 311])
+def test_bracket_end_at_a_knot_is_the_turning_point(offset, tilted_barrier):
+    # At E = V at a knot, k2 is exactly 0 at that bracket end, which is then
+    # the root: no iterate moves it off the knot.
+    x, v = tilted_barrier.x_samples, tilted_barrier.v_samples
+    i = int(np.argmax(v)) + offset
+    energy, knot = float(v[i]), float(x[i])
+    side = 0 if offset < 0 else 1  # a on the rising flank, b on the falling one
+    assert find_turning_points(tilted_barrier, energy)[side] == knot
+    geom = analyze_barrier(tilted_barrier, np.array([energy, 0.5]))
+    assert (geom.a, geom.b)[side][0] == knot
 
 
 def test_alpha_limits_parabolic():
@@ -316,21 +374,21 @@ def test_tabulated_polish_takes_few_steps(monkeypatch, tilted_barrier):
     # the rounding noise of k2, so no bracket bisects down to 1e-14.
     per_bracket = []
 
-    def counting(f, fprime, lo, hi, xtol, rows=None, x0=None):
+    def counting(f, lo, hi, f_lo, f_hi, xtol, x0=None):
         calls = Counter()
 
-        def g(x):
-            calls.update(rows)
-            return f(x)
+        def g(x, j):
+            calls.update(j.tolist())
+            return f(x, j)
 
-        root = solve_bracketed(g, fprime, lo, hi, xtol, rows=rows, x0=x0)
+        root = solve_bracketed(g, lo, hi, f_lo, f_hi, xtol, x0)
         per_bracket.extend(calls.values())
         return root
 
     monkeypatch.setattr(potential, "solve_bracketed", counting)
     analyze_barrier(tilted_barrier, np.linspace(0.02, 0.97, 32), (-4.0, 4.0))
     assert len(per_bracket) == 64
-    assert max(per_bracket) <= 5, Counter(per_bracket)
+    assert max(per_bracket) <= 3, Counter(per_bracket)
 
 
 def test_balance_check_allows_for_rounding_next_to_a_table_top(tilted_barrier):

@@ -84,24 +84,26 @@ def test_solver_brackets_take_their_scalar_steps(name):
             e.append(energy)
             lo.append(float(xs[i]))
             hi.append(float(xs[i + 1]))
-    e = np.array(e)
-    rows, seen = [], [[] for _ in e]
+    e, lo, hi = np.array(e), np.array(lo), np.array(hi)
+    seen = [[] for _ in e]
 
-    def f(x):
-        for r, xi in zip(rows, x.tolist()):
+    def f(x, j):
+        for r, xi in zip(j.tolist(), x.tolist()):
             seen[r].append(xi)
-        return e[rows] - pot.v(x)
+        return e[j] - pot.v(x), -pot.v_prime(x)
 
-    roots = solve_bracketed(f, lambda x: -pot.v_prime(x), lo, hi, 1e-14, rows=rows)
+    roots = solve_bracketed(f, lo, hi, e - pot.v(lo), e - pot.v(hi), 1e-14)
     assert max(len(s) for s in seen) > 30  # some bracket bisects for long
     for k, energy in enumerate(e.tolist()):
         steps = []
 
-        def g(x):
+        def g(x, j):
             steps.extend(x.tolist())
-            return energy - pot.v(x)
+            return energy - pot.v(x), -pot.v_prime(x)
 
-        assert solve_bracketed(g, lambda x: -pot.v_prime(x), lo[k], hi[k], 1e-14) == roots[k]
+        one = slice(k, k + 1)
+        ends = energy - pot.v(lo[one]), energy - pot.v(hi[one])
+        assert solve_bracketed(g, lo[one], hi[one], *ends, 1e-14).tolist() == [roots[k]]
         assert seen[k] == steps
 
 

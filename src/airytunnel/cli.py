@@ -22,16 +22,9 @@ from .errors import (
     energy_error,
 )
 from .geometry import find_turning_points
-from .potential import load_tabulated, make_potential
+from .potential import FAMILY_PARAMS, load_tabulated, make_potential
 from .rates import rate_report
 from .wavefunction import _basis_arrays, _grid
-
-EXIT_OK = 0
-EXIT_BAD_ARGS = 2
-EXIT_NO_BARRIER = 3
-EXIT_MULTI_HUMP = 4
-EXIT_FILE_FORMAT = 5
-EXIT_ORACLE = 6
 
 _EPILOG = """\
 exit codes:
@@ -50,11 +43,17 @@ Default windows: parabolic +-1.5*sqrt(V0); sech2 and gaussian +-20*w;
 tabulated files use their sample range.
 """
 
-_FAMILY_PARAMS = {
-    "parabolic": ("v0",),
-    "sech2": ("v0", "w"),
-    "gaussian": ("v0", "w"),
-}
+#: A failure's (exception types, exit code, message prefix); the first
+#: row that matches wins. AiryOverflowError is an ArithmeticError, and a
+#: missing file an OSError.
+_EXITS = (
+    (NoBarrierError, 3, "no barrier at this energy: "),
+    (DegenerateTurningPointError, 3, ""),
+    (MultiHumpUnsupported, 4, ""),
+    ((FormatError, RangeError, OSError), 5, ""),
+    (AsymptoteMismatchError, 6, "oracle failed: "),
+    ((DomainError, ValueError, ArithmeticError), 2, ""),
+)
 
 
 # The argparse of Python 3.10 and 3.11 reads only -N and -N.N as negative
@@ -94,7 +93,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, oracle=True):
-        p.add_argument("--potential", choices=sorted(_FAMILY_PARAMS))
+        p.add_argument("--potential", choices=sorted(FAMILY_PARAMS))
         p.add_argument("--potential-file", metavar="PATH")
         p.add_argument("--v0", type=float, help="barrier height")
         p.add_argument("--w", type=float, help="width parameter (sech2, gaussian)")
@@ -106,16 +105,19 @@ def build_parser():
             p.add_argument("--oracle-slices", type=int, default=4000)
 
     p_report = sub.add_parser("report", help="all transmission estimates at one energy")
+    p_report.set_defaults(run=_run_rates)
     add_common(p_report)
     p_report.add_argument("--energy", type=float, required=True)
 
     p_sweep = sub.add_parser("sweep", help="estimates over an energy grid")
+    p_sweep.set_defaults(run=_run_rates)
     add_common(p_sweep)
     p_sweep.add_argument("--emin", type=float, required=True)
     p_sweep.add_argument("--emax", type=float, required=True)
     p_sweep.add_argument("--n", type=int, required=True, help="number of energies, >= 2")
 
     p_wave = sub.add_parser("wavefunction", help="uniform basis pair on a grid")
+    p_wave.set_defaults(run=_run_wavefunction)
     add_common(p_wave, oracle=False)
     p_wave.add_argument("--energy", type=float, required=True)
     p_wave.add_argument("--n", type=int, default=401, help="grid points, >= 2")
@@ -131,24 +133,17 @@ def build_parser():
 def _build_potential(args):
     if (args.potential is None) == (args.potential_file is None):
         raise ValueError("choose exactly one of --potential or --potential-file")
-    if args.potential_file is not None:
-        for name in ("v0", "w"):
-            if getattr(args, name) is not None:
-                raise ValueError("--%s does not apply to --potential-file" % name)
-        return load_tabulated(args.potential_file)
-
-    family = args.potential
-    wanted = _FAMILY_PARAMS[family]
-    params = {}
+    source = args.potential or "--potential-file"
+    wanted = FAMILY_PARAMS.get(args.potential, ())
     for name in ("v0", "w"):
-        value = getattr(args, name)
-        if name in wanted:
-            if value is None:
-                raise ValueError("--%s is required for %s" % (name, family))
-            params[name] = value
-        elif value is not None:
-            raise ValueError("--%s does not apply to %s" % (name, family))
-    return make_potential(family, **params)
+        given = getattr(args, name) is not None
+        if given and name not in wanted:
+            raise ValueError("--%s does not apply to %s" % (name, source))
+        if name in wanted and not given:
+            raise ValueError("--%s is required for %s" % (name, source))
+    if args.potential_file is not None:
+        return load_tabulated(args.potential_file)
+    return make_potential(args.potential, **{name: getattr(args, name) for name in wanted})
 
 
 def _csv(header, columns):
@@ -206,46 +201,27 @@ def _run_wavefunction(args):
     return _csv("x,ksq,airy_arg,psi_ai,psi_bi", (xs, ksq, arg, psi_ai, psi_bi))
 
 
-_DISPATCH = {
-    "report": _run_rates,
-    "sweep": _run_rates,
-    "wavefunction": _run_wavefunction,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(_join_negative_exponents(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse already printed the diagnostic
-        return exc.code if isinstance(exc.code, int) else EXIT_BAD_ARGS
+        return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        text = "\n".join(_DISPATCH[args.command](args)) + "\n"
+        text = "\n".join(args.run(args)) + "\n"
         if args.output == "-":
             sys.stdout.write(text)
         else:
             with open(args.output, "w") as handle:
                 handle.write(text)
-    except NoBarrierError as exc:
-        print("error: no barrier at this energy: %s" % exc, file=sys.stderr)
-        return EXIT_NO_BARRIER
-    except DegenerateTurningPointError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NO_BARRIER
-    except MultiHumpUnsupported as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_MULTI_HUMP
-    except (FormatError, RangeError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_FILE_FORMAT
-    except AsymptoteMismatchError as exc:
-        print("error: oracle failed: %s" % exc, file=sys.stderr)
-        return EXIT_ORACLE
-    except (DomainError, ValueError, ArithmeticError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_ARGS
-    return EXIT_OK
+    except Exception as exc:
+        for types, code, prefix in _EXITS:
+            if isinstance(exc, types):
+                print("error: %s%s" % (prefix, exc), file=sys.stderr)
+                return code
+        raise
+    return 0
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ class OracleResult:
     richardson_estimate: float
 
 
-_EMPTY = OracleResult(*[np.empty(0)] * len(fields(OracleResult)))
+_EMPTY = OracleResult(*[np.empty(0, dtype=f.type) for f in fields(OracleResult)])
 
 
 def _slice_matrices(q, d):

@@ -20,6 +20,7 @@ potential objects are immutable after construction and their evaluation
 methods are pure, so they are safe to share across threads.
 """
 
+import inspect
 import io
 import math
 from abc import ABC, abstractmethod
@@ -431,6 +432,8 @@ _FAMILIES = {
     "sech2": Sech2Barrier,
     "gaussian": GaussianBarrier,
 }
+#: Each family's constructor parameters, read once: the CLI's --v0 and --w.
+FAMILY_PARAMS = {name: tuple(inspect.signature(cls).parameters) for name, cls in _FAMILIES.items()}
 
 
 def make_potential(family, **params):

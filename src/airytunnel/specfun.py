@@ -212,17 +212,27 @@ def _airy_asymptotic(u):
     return ai, bi, ai_prime, bi_prime
 
 
+#: A query's Taylor step from its node sums the terms h^0 .. h^_GRID_ORDER.
+#: With |h| <= 1/8 no term past h^16 changes a double on the grid, and a
+#: step to h^15 already changes bits: the margin is one term.
+_GRID_ORDER = 16
+
+
 def _march(x, y, yp, step, count):
-    """(y, y') at x, x + step, ...: count nodes of a 30-term Taylor march from (x, y, y')."""
+    """y^(n), n = 0 .. _GRID_ORDER + 1, at x, x + step, ...: count nodes of
+    a 30-term Taylor march from (x, y, y'), each node's derivatives cut to
+    the terms a query's step sums."""
     nodes = []
     for _ in range(count):
-        nodes.append((y, yp))
-        y, yp = _taylor_sum(_taylor_derivs(x, y, yp, 30), step)
+        d = _taylor_derivs(x, y, yp, 30)
+        nodes.append(d[:_GRID_ORDER + 2])
+        y, yp = _taylor_sum(d, step)
         x += step
     return nodes
 
 
-def _build_seed_tables():
+def _build_derivs():
+    """Taylor derivatives of Ai and Bi at every node, indexed [n, Ai/Bi, node]."""
     n_nodes = int(round((_GRID_HI - _GRID_LO) / _GRID_STEP)) + 1
     above = int(round((_AI_CHAIN_START - _GRID_HI) / _GRID_STEP))
     origin = int(round((0.0 - _GRID_LO) / _GRID_STEP))
@@ -232,21 +242,12 @@ def _build_seed_tables():
     # Bi: march outward both ways from the exact origin values.
     bi_up = _march(0.0, BI_ZERO, BIP_ZERO, _GRID_STEP, n_nodes - origin)
     bi_down = _march(0.0, BI_ZERO, BIP_ZERO, -_GRID_STEP, origin + 1)
-    return ai_down[above:][::-1], bi_down[::-1] + bi_up[1:]
+    table = np.array([ai_down[above:][::-1], bi_down[::-1] + bi_up[1:]])
+    return np.ascontiguousarray(table.transpose(2, 0, 1))
 
 
-_AI_SEEDS, _BI_SEEDS = _build_seed_tables()
-_N_NODES = len(_AI_SEEDS)
-#: A query's Taylor step from its node sums the terms h^0 .. h^_GRID_ORDER.
-#: With |h| <= 1/8 no term past h^16 changes a double on the grid, and a
-#: step to h^15 already changes bits: the margin is one term.
-_GRID_ORDER = 16
-# Taylor derivatives y^(n), n = 0 .. _GRID_ORDER + 1, of Ai and Bi at every
-# node, computed once as one array indexed [n, Ai/Bi, node].
-_DERIVS = np.ascontiguousarray(np.array([
-    [_taylor_derivs(_GRID_LO + i * _GRID_STEP, y, yp, _GRID_ORDER) for y, yp in pair]
-    for i, pair in enumerate(zip(_AI_SEEDS, _BI_SEEDS))
-]).transpose(2, 1, 0))
+_DERIVS = _build_derivs()
+_N_NODES = _DERIVS.shape[2]
 
 
 def _airy_grid(u):

@@ -10,7 +10,18 @@ import numpy as np
 import pytest
 
 import airytunnel
-from airytunnel import Sech2Barrier, cli
+from airytunnel import (
+    AiryOverflowError,
+    AsymptoteMismatchError,
+    DegenerateTurningPointError,
+    DomainError,
+    FormatError,
+    MultiHumpUnsupported,
+    NoBarrierError,
+    RangeError,
+    Sech2Barrier,
+    cli,
+)
 from airytunnel.cli import main
 from conftest import double_hump_samples
 
@@ -223,6 +234,52 @@ def test_arithmetic_error_is_a_bad_argument(capsys, monkeypatch):
         capsys, "report", "--potential", "sech2", "--v0", "1", "--w", "1", "--energy", "0.5"
     )
     assert (code, out, err) == (2, "", "error: (34, 'Numerical result out of range')\n")
+
+
+# One failure per row of the CLI's exit table, as (error, exit code, stderr).
+FAILURES = [
+    (NoBarrierError("no barrier at E=2"), 3, "error: no barrier at this energy: no barrier at E=2\n"),
+    (DegenerateTurningPointError("degenerate turning point"), 3, "error: degenerate turning point\n"),
+    (MultiHumpUnsupported("single-hump barriers only"), 4, "error: single-hump barriers only\n"),
+    (FormatError("line 2: bad"), 5, "error: line 2: bad\n"),
+    (RangeError("x=9 outside the samples"), 5, "error: x=9 outside the samples\n"),
+    (FileNotFoundError(2, "No such file or directory", "gone.dat"), 5,
+     "error: [Errno 2] No such file or directory: 'gone.dat'\n"),
+    (AsymptoteMismatchError("V(-1.5)=-1.25"), 6, "error: oracle failed: V(-1.5)=-1.25\n"),
+    (DomainError("energy must be positive"), 2, "error: energy must be positive\n"),
+    (ValueError("sweep needs --n >= 2"), 2, "error: sweep needs --n >= 2\n"),
+    (AiryOverflowError(800.0), 2,
+     "error: Bi(u) overflows double precision: exp(800) out of range; use log_bi_over_ai instead\n"),
+]
+
+
+@pytest.mark.parametrize("error, code, err", FAILURES, ids=[type(row[0]).__name__ for row in FAILURES])
+def test_each_failure_has_its_exit_code_and_message(capsys, monkeypatch, error, code, err):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "rate_report", fail)
+    got = run_cli(capsys, "report", "--potential", "sech2", "--v0", "1", "--w", "1", "--energy", "0.5")
+    assert got == (code, "", err)
+
+
+@pytest.mark.parametrize("potential, message", [
+    (("--potential", "sech2", "--v0", "1"), "--w is required for sech2"),
+    (("--potential", "gaussian", "--w", "1"), "--v0 is required for gaussian"),
+    (("--potential", "parabolic"), "--v0 is required for parabolic"),
+    (("--potential", "parabolic", "--v0", "1", "--w", "1"), "--w does not apply to parabolic"),
+    # the file is never read: the parameters are judged first
+    (("--potential-file", "barrier.dat", "--v0", "1"), "--v0 does not apply to --potential-file"),
+    (("--potential-file", "barrier.dat", "--v0", "1", "--w", "1"), "--v0 does not apply to --potential-file"),
+    (("--potential-file", "barrier.dat", "--w", "1"), "--w does not apply to --potential-file"),
+    ((), "choose exactly one of --potential or --potential-file"),
+    (("--potential", "sech2", "--potential-file", "barrier.dat"),
+     "choose exactly one of --potential or --potential-file"),
+], ids=["sech2-without-w", "gaussian-without-v0", "parabolic-without-v0", "parabolic-with-w",
+        "file-with-v0", "file-with-v0-and-w", "file-with-w", "neither", "both"])
+def test_family_parameter_messages(capsys, potential, message):
+    got = run_cli(capsys, "report", *potential, "--energy", "0.5")
+    assert got == (2, "", "error: %s\n" % message)
 
 
 def test_negative_numbers_in_exponent_form(capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import math
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from airytunnel import (
     Sech2Barrier,
     TabulatedPotential,
     exact_transmission,
+    rate_report,
 )
 from airytunnel import oracle
 from airytunnel.oracle import _slice_matrices, _transmissions, _tree_product
@@ -292,6 +294,15 @@ def test_transmissions_end_at_the_first_failing_energy():
     assert type(exc) is ValueError and "100 slices" in str(exc) and result.t_exact.size == 0
     result, exc = _transmissions(pot, [], domain, 4000)
     assert result.t_exact.size == 0 and exc is None
+
+
+def test_an_empty_call_has_the_dtypes_of_a_one_energy_array_call():
+    # slices is an int column whether or not any energy ran
+    pot = Sech2Barrier(1.0, 1.0)
+    one = exact_transmission(pot, [0.5], None, slices=200)
+    want = [getattr(one, f.name).dtype for f in fields(one)]
+    for empty in (exact_transmission(pot, [], None), rate_report(pot, [], with_oracle=True).oracle):
+        assert [getattr(empty, f.name).dtype for f in fields(empty)] == want
 
 
 @pytest.mark.parametrize("energy", [0.1, 0.5, 0.95])

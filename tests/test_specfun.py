@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from airytunnel import AiryOverflowError, DomainError, airy, log_bi_over_ai
 from airytunnel.specfun import (
     SERIES_ASYMPTOTIC_SWITCH,
-    _AI_SEEDS,
-    _BI_SEEDS,
     _DERIVS,
     _GRID_LO,
     _GRID_STEP,
@@ -328,10 +326,10 @@ def test_taylor_sum_equals_term_loop_bit_for_bit(size):
         assert tuple(_taylor_sum(d, -0.25)) == reference_taylor_sum(d, -0.25)
 
 
-# The grid's Taylor derivatives to h^40, from the same seeds as _DERIVS.
+# The grid's Taylor derivatives to h^40, from the seeds (y, y') of _DERIVS.
 LONG_DERIVS = np.array([
-    [_taylor_derivs(_GRID_LO + i * _GRID_STEP, y, yp, 40) for y, yp in pair]
-    for i, pair in enumerate(zip(_AI_SEEDS, _BI_SEEDS))
+    [_taylor_derivs(_GRID_LO + i * _GRID_STEP, y, yp, 40) for y, yp in node.tolist()]
+    for i, node in enumerate(_DERIVS[:2].transpose(2, 1, 0))
 ]).transpose(2, 1, 0)
 
 

@@ -203,7 +203,7 @@ def _actions(pot, energies, x1, x2, rel_tol=1e-12):
     rows, outside = [], np.zeros(x1.size, dtype=bool)
 
     def integrand(x):
-        g = pot.v(x).reshape(len(rows), -1) - energies[rows, None]
+        g = pot.gap(energies[rows, None], x.reshape(len(rows), -1))
         outside[np.array(rows)[(g < -neg_tol[rows, None]).any(axis=1)]] = True
         return np.sqrt(np.maximum(g, 0.0, out=g), out=g).ravel()
 
@@ -307,7 +307,7 @@ def _midpoints(pot, energies, a, b):
                 s[new] += step
                 search[i[outside]] = True
             c[j], left[j] = x, s
-            return s - half[j], np.sqrt(np.maximum(pot.v(x) - energies[j], 0.0))
+            return s - half[j], np.sqrt(np.maximum(pot.gap(energies[j], x), 0.0))
 
         # action(a, a) = 0 and action(a, b) = theta
         solve_bracketed(imbalance, a, b, -half, theta - half, 1e-13 * (b - a))

@@ -1,8 +1,8 @@
-"""Barrier potentials V(x), their derivatives, and the local k**2.
+"""Barrier potentials V(x), their derivatives, and the gap V - E.
 
 Units: hbar**2 / 2m = 1 throughout the package, so the squared local
-wavenumber is simply k2(x) = E - V(x). k2 < 0 inside the classically
-forbidden region.
+wavenumber is simply k2(x) = E - V(x), the negated gap. k2 < 0 inside the
+classically forbidden region.
 
 Built-in families:
 
@@ -15,7 +15,9 @@ with a natural cubic spline, which is C2 and therefore smooth enough for
 the turning-point slope limits.
 
 Families write array kernels only: Potential.v and v_prime run a scalar
-as an array of size one, so it gets the bits of its array entry. All
+as an array of size one, so it gets the bits of its array entry. Each
+family forms its gap from v0 - E, which is exact next to the top
+(Sterbenz's lemma), so V - E keeps its relative accuracy there. All
 potential objects are immutable after construction and their evaluation
 methods are pure, so they are safe to share across threads.
 """
@@ -80,9 +82,12 @@ class Potential(ABC):
         x = np.asarray(x, dtype=float)
         return self._v_prime(x) if x.ndim else float(self._v_prime(x.reshape(1))[0])
 
-    def wavenumber_sq(self, energy, x):
-        """k2(x) = E - V(x), negative inside the forbidden region."""
-        return energy - self.v(x)
+    def gap(self, energies, x):
+        """V(x) - E on a float array x with ndim >= 1, the energies broadcast
+        against it; positive inside the forbidden region. A family forms it
+        without the cancellation of V - E next to its top; this base form,
+        which tables keep, subtracts."""
+        return self._v(x) - energies
 
     @abstractmethod
     def _v(self, x):
@@ -140,6 +145,9 @@ class ParabolicBarrier(Potential):
     def _v_prime(self, x):
         return -2.0 * x
 
+    def gap(self, energies, x):
+        return (self.v0 - energies) - x * x
+
     def suggested_window(self):
         half = 1.5 * math.sqrt(self.v0)
         return (-half, half)
@@ -175,6 +183,10 @@ class Sech2Barrier(Potential):
         z = x / self.w
         return -2.0 * self.v0 / self.w * _sech(z) ** 2 * np.tanh(z)
 
+    def gap(self, energies, x):
+        # sech**2 = 1 - tanh**2; _v keeps sech, whose tails keep their relative accuracy
+        return (self.v0 - energies) - self.v0 * np.tanh(x / self.w) ** 2
+
     def suggested_window(self):
         return (-20.0 * self.w, 20.0 * self.w)
 
@@ -205,6 +217,10 @@ class GaussianBarrier(Potential):
         # V (-2 z / w), without w**2, which overflows a float past w ~ 1.3e154
         z = x / self.w
         return self.v0 * np.exp(-z * z) * (-2.0 * z / self.w)
+
+    def gap(self, energies, x):
+        z = x / self.w
+        return (self.v0 - energies) + self.v0 * np.expm1(-z * z)
 
     def suggested_window(self):
         return (-20.0 * self.w, 20.0 * self.w)

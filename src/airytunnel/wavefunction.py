@@ -68,7 +68,7 @@ def _basis_arrays(pot, energy, anchor, xs, crossings):
     cuts = np.unique(np.concatenate((xs, [anchor], crossings)))
 
     def abs_k(x):
-        return np.sqrt(np.abs(pot.wavenumber_sq(energy, x)))
+        return np.sqrt(np.abs(pot.gap(energy, x)))
 
     # Grid segments are short, so 16 nodes usually settle them at once. A
     # spline knot inside a segment slows convergence enough that the 16-
@@ -83,13 +83,13 @@ def _basis_arrays(pot, energy, anchor, xs, crossings):
     action[:at] = np.cumsum(pieces[:at][::-1])[::-1]
     s_action = 1.5 * action[np.searchsorted(cuts, xs)]
 
-    ksq = pot.wavenumber_sq(energy, xs)
+    ksq = 0.0 - pot.gap(energy, xs)  # not -gap, whose zero would print as -0
     guard = s_action < ANCHOR_GUARD_S
     sign = np.sign(-ksq)
     far = (ksq == 0.0) & ~guard  # far turning points take the side of the stretch toward the anchor
     if far.any():
         mid = 0.5 * (xs[far] + anchor)
-        sign[far] = np.sign(-pot.wavenumber_sq(energy, mid))
+        sign[far] = np.sign(pot.gap(energy, mid))
     arg = np.where(guard, 0.0, sign * s_action ** (2.0 / 3.0))
     pair = airy(arg)
     ai, bi = pair.ai, pair.bi

@@ -1,13 +1,12 @@
-"""Shared builders for the test suite."""
+"""Shared builders and fixtures for the test suite; the exact values are in truth.py."""
 
-import math
 from dataclasses import fields, is_dataclass
 
 import mpmath
 import numpy as np
 import pytest
 
-from airytunnel import DomainError, Potential, TabulatedPotential
+from airytunnel import Potential, TabulatedPotential
 from airytunnel.oracle import _transfer_once
 
 
@@ -45,23 +44,6 @@ def not_even(cls):
     return type("NotEven" + cls.__name__, (cls,), {"even": False})
 
 
-def square_barrier_closed_form(v0, length, energy):
-    """Textbook transmission through a rectangular barrier, 0 < E < V0.
-
-    T = 1 / (1 + V0**2 sinh(kappa L)**2 / (4 E (V0 - E))), kappa = sqrt(V0 - E).
-    """
-    v0 = float(v0)
-    length = float(length)
-    energy = float(energy)
-    if v0 <= 0.0 or length < 0.0:
-        raise ValueError("need v0 > 0 and length >= 0")
-    if not 0.0 < energy < v0:
-        raise DomainError("closed form requires 0 < E < V0, got E=%g, V0=%g" % (energy, v0))
-    kappa = math.sqrt(v0 - energy)
-    s = math.sinh(kappa * length)
-    return 1.0 / (1.0 + v0 ** 2 * s * s / (4.0 * energy * (v0 - energy)))
-
-
 def tilted_gaussian_samples(n=1201, span=6.0):
     """Asymmetric single-hump barrier: exp(-x^2) * (1 + 0.3 tanh x)."""
     x = np.linspace(-span, span, n)
@@ -94,60 +76,6 @@ def transfer_once(pot, energy, x_left, x_right, n):
         midpoint_samples(pot, x_left, x_right, n), np.array([energy]), x_left, x_right, n
     )
     return float(t[0]), float(r[0])
-
-
-def _mp_spline(pot, energy):
-    """(k2, piece) of a tabulated barrier in mpmath arithmetic: k2(i) is
-    E - V on spline piece i as a function of x, and piece(x) the index of
-    x's piece."""
-    knots = pot.x_samples
-    e = mpmath.mpf(energy)
-
-    def k2(i):
-        x0, v, b, c, d = (mpmath.mpf(float(arr[i])) for arr in (knots, pot.v_samples, pot._b, pot._c, pot._d))
-
-        def on_piece(x):
-            t = x - x0
-            return e - (v + t * (b + t * (c + t * d)))
-
-        return on_piece
-
-    def piece(x):
-        return int(np.searchsorted(knots[1:-1], float(x), side="right"))
-
-    return k2, piece
-
-
-def mp_spline_roots(pot, energy, lo, hi):
-    """The zeros of k2 of a tabulated barrier in (lo, hi), each refined in
-    mpmath from the crossing the potential finds."""
-    k2, piece = _mp_spline(pot, energy)
-    return [
-        mpmath.findroot(k2(piece(r)), mpmath.mpf(r))
-        for r in pot.crossings(np.array([energy]), float(lo), float(hi))[1].tolist()
-    ]
-
-
-def mp_spline_action(pot, energy, x0, points):
-    """mpmath action integral of |k| from x0 to each point of a tabulated barrier.
-
-    The spline pieces are cubics in mpmath arithmetic, integrated piece by
-    piece between knots and the turning points, and summed outward from x0.
-    """
-    k2, piece = _mp_spline(pot, energy)
-    knots = pot.x_samples
-    lo, hi = min(min(points), x0), max(max(points), x0)
-    cuts = sorted({mpmath.mpf(x) for x in [x0, *points, *mp_spline_roots(pot, energy, lo, hi)]}
-                  | {mpmath.mpf(k) for k in knots if lo < k < hi})
-    start = cuts.index(mpmath.mpf(x0))
-    action = {cuts[start]: mpmath.mpf(0)}
-    for step, stop in ((1, len(cuts)), (-1, -1)):
-        for j in range(start + step, stop, step):
-            p, q = sorted((cuts[j - step], cuts[j]))
-            f = k2(piece((p + q) / 2))
-            seg = mpmath.quad(lambda x: mpmath.sqrt(abs(f(x))), [p, q])
-            action[cuts[j]] = action[cuts[j - step]] + seg
-    return [action[mpmath.mpf(x)] for x in points]
 
 
 def entry_matches(record, i, one):

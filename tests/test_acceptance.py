@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import truth
 from airytunnel import (
     BarrierGeometry,
     ParabolicBarrier,
@@ -24,7 +25,7 @@ from airytunnel import (
     t_wkb,
 )
 from airytunnel.cli import main
-from conftest import SquareBarrier, linear_potential, square_barrier_closed_form, transfer_once
+from conftest import SquareBarrier, linear_potential, transfer_once
 
 GAMMA_TWO_THIRDS_20_DIGITS = 1.3541179394264004170
 
@@ -50,19 +51,20 @@ def test_criterion_1_airy_kernel_wronskian_and_origin_values():
 
 def test_criterion_2_geometry_closed_forms():
     geom = analyze_barrier(ParabolicBarrier(1.0), 0.5)
-    assert abs(geom.theta - math.pi / 4.0) <= 1e-10
+    parabolic = truth.theta("parabolic", 0.5, 1.0)
+    assert abs(geom.theta - parabolic) <= 1e-10
     assert abs(geom.c) <= 1e-10
     assert abs(abs(geom.alpha_plus) - math.sqrt(2.0)) <= 1e-9
     assert abs(abs(geom.alpha_minus) - math.sqrt(2.0)) <= 1e-9
 
     geom2 = analyze_barrier(Sech2Barrier(1.0, 1.0), 0.5)
-    closed = math.pi * (1.0 - math.sqrt(0.5))
+    closed = truth.theta("sech2", 0.5, 1.0, 1.0)
     assert abs(geom2.theta - closed) <= 1e-8
     print(
         "ACCEPTANCE 2 PASS: parabolic theta err %.2e, |c| = %.2e, alpha err %.2e; "
         "sech2 theta err %.2e vs pi*w*(sqrt(V0)-sqrt(E))"
         % (
-            abs(geom.theta - math.pi / 4.0),
+            abs(geom.theta - parabolic),
             abs(geom.c),
             abs(abs(geom.alpha_plus) - math.sqrt(2.0)),
             abs(geom2.theta - closed),
@@ -96,7 +98,7 @@ def test_criterion_3_exact_algebraic_tie():
 
 
 def test_criterion_4_asymptotic_consistency_chain():
-    theta_unit = math.pi * (1.0 - math.sqrt(0.5))
+    theta_unit = truth.theta("sech2", 0.5, 1.0, 1.0)
     devs = []
     for theta_target in (4.0, 6.0, 8.0, 12.0):
         geom = analyze_barrier(Sech2Barrier(1.0, theta_target / theta_unit), 0.5)
@@ -135,7 +137,7 @@ def test_criterion_6_oracle_calibration_flux_and_convergence():
     # domain (-5, 5) aligns the barrier edges with slice boundaries at
     # every resolution used here
     result = exact_transmission(SquareBarrier(1.0, 2.0), 0.5, (-5.0, 5.0), slices=20000)
-    closed = square_barrier_closed_form(1.0, 2.0, 0.5)
+    closed = truth.square_barrier(0.5, 1.0, 2.0)
     rel = abs(result.t_exact / closed - 1.0)
     assert closed == pytest.approx(0.21077, abs=5e-6)
     assert rel <= 1e-6
@@ -157,11 +159,9 @@ def test_criterion_6_oracle_calibration_flux_and_convergence():
 def test_criterion_7_desk_scale_comparison_table():
     rep = rate_report(ParabolicBarrier(1.0), 0.5)
 
-    theta_ref = math.pi / 4.0
     with mpmath.workdps(30):
-        wkb_ref = float(mpmath.e ** (-2 * mpmath.mpf(theta_ref)))
-        u_ref = mpmath.mpf(3) / 4 * theta_ref
-        u_ref = u_ref ** (mpmath.mpf(2) / 3)
+        wkb_ref = float(mpmath.e ** (-2 * truth.theta("parabolic", 0.5, 1.0)))
+        u_ref = truth.half_action("parabolic", 0.5, 1.0) ** (mpmath.mpf(2) / 3)
         uni_ref = float(3 * (mpmath.airyai(u_ref) / mpmath.airybi(u_ref)) ** 2)
     asym_ref = 0.75 * wkb_ref
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import airytunnel
+import truth
 from airytunnel import (
     AiryOverflowError,
     AsymptoteMismatchError,
@@ -44,7 +45,7 @@ def test_report_row(capsys):
     fields = lines[1].split(",")
     assert len(fields) == 9
     assert float(fields[0]) == 0.5
-    assert float(fields[4]) == pytest.approx(math.pi * (1 - math.sqrt(0.5)), rel=1e-9)
+    assert float(fields[4]) == pytest.approx(truth.theta("sech2", 0.5, 1.0, 1.0), rel=1e-9)
 
 
 def test_report_with_oracle_columns(capsys):
@@ -74,8 +75,7 @@ def test_sweep_matches_wkb_closed_form(capsys):
         fields = line.split(",")
         energy = float(fields[0])
         energies.append(energy)
-        # theta = pi (V0 - E) / 2 for the parabolic family
-        assert float(fields[6]) == pytest.approx(math.exp(-math.pi * (1.0 - energy)), rel=1e-9)
+        assert float(fields[6]) == pytest.approx(math.exp(-2 * truth.theta("parabolic", energy, 1.0)), rel=1e-9)
     assert energies == sorted(energies)
     assert energies[0] == pytest.approx(0.1)
     assert energies[-1] == pytest.approx(0.9)
@@ -399,7 +399,7 @@ def test_wavefunction_right_anchor(capsys):
     lines = out.strip().split("\n")[1:]
     args = np.array([abs(float(line.split(",")[2])) for line in lines])
     xs = np.array([float(line.split(",")[0]) for line in lines])
-    assert abs(xs[args.argmin()] - math.sqrt(0.5)) < 0.1
+    assert abs(xs[args.argmin()] - truth.turning_point("parabolic", 0.5, 1.0)) < 0.1
 
 
 def test_calls_in_one_process_match_fresh_processes(capsys):

@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import truth
 from airytunnel import (
     BarrierGeometry,
     DomainError,
@@ -34,6 +35,7 @@ from conftest import entry_matches, tilted_gaussian_samples
 
 INF = math.inf
 NAN = math.nan
+A = -float(truth.turning_point("parabolic", 0.5, 1.0))  # ParabolicBarrier(1)'s at E = 0.5
 BAD_WINDOWS = [
     ((-20.0, INF), "window must be finite, got (-20, inf)"),
     ((-INF, 20.0), "window must be finite, got (-inf, 20)"),
@@ -90,23 +92,22 @@ def test_wavefunctions_reject_an_energy_outside_the_domain(energy):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
-            sample_grid(pot, energy, (-1.0, 1.0), 41, 1.0, 0.0, -math.sqrt(0.5))
+            sample_grid(pot, energy, (-1.0, 1.0), 41, 1.0, 0.0, A)
         with pytest.raises(DomainError, match=message):
-            psi_basis(pot, energy, -math.sqrt(0.5), 0.2)
+            psi_basis(pot, energy, A, 0.2)
 
 
 @pytest.mark.parametrize("bad", [INF, -INF, NAN])
 def test_wavefunctions_reject_a_point_or_anchor_that_is_not_finite(bad):
     # judged before the crossing scan, so numpy never sees the value
     pot = ParabolicBarrier(1.0)
-    a = -math.sqrt(0.5)
     point = "^x must be finite, got %r$" % bad
     anchor = "^anchor must be finite, got %r$" % bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in (bad, [0.2, bad, -0.3]):
             with pytest.raises(DomainError, match=point):
-                psi_basis(pot, 0.5, a, x)
+                psi_basis(pot, 0.5, A, x)
         for x in (0.2, [0.2, -0.3]):
             with pytest.raises(DomainError, match=anchor):
                 psi_basis(pot, 0.5, bad, x)
@@ -207,8 +208,7 @@ def test_cli_judges_energies_and_windows_before_numpy_sees_them(capsys, argv, co
     assert (got, captured.out, captured.err) == (code, "", "error: %s\n" % message)
 
 
-# The turning points of Sech2Barrier(1, 1) at E = 0.5 are -+arccosh(sqrt 2).
-B = math.acosh(math.sqrt(2.0))
+B = float(truth.turning_point("sech2", 0.5, 1.0, 1.0))  # Sech2Barrier(1, 1)'s at E = 0.5
 ENERGY = "energy must be positive and finite, got %r"
 
 

@@ -6,7 +6,9 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import truth
 from airytunnel import (
     DegenerateTurningPointError,
     DomainError,
@@ -14,6 +16,7 @@ from airytunnel import (
     MultiHumpUnsupported,
     NoBarrierError,
     ParabolicBarrier,
+    Potential,
     Sech2Barrier,
     TabulatedPotential,
     action_integral,
@@ -21,30 +24,30 @@ from airytunnel import (
     analyze_barrier,
     find_midpoint,
     find_turning_points,
+    make_potential,
 )
 from airytunnel import geometry, potential, rate_report
 from airytunnel.geometry import solve_bracketed
 from conftest import entry_matches, not_even
 
-SQRT_HALF = math.sqrt(0.5)
-ACOSH_SQRT2 = math.log(1.0 + math.sqrt(2.0))  # arccosh(sqrt(2))
+B_PARABOLIC = float(truth.turning_point("parabolic", 0.5, 1.0))
+B_SECH2 = float(truth.turning_point("sech2", 0.5, 1.0, 1.0))
 
 
 def test_turning_points_parabolic():
     a, b = find_turning_points(ParabolicBarrier(1.0), 0.5, (-1.5, 1.5))
-    assert a == pytest.approx(-SQRT_HALF, abs=1e-9)
-    assert b == pytest.approx(+SQRT_HALF, abs=1e-9)
+    assert a == pytest.approx(-B_PARABOLIC, abs=1e-9)
+    assert b == pytest.approx(+B_PARABOLIC, abs=1e-9)
 
 
 def test_turning_points_sech2():
     pot = Sech2Barrier(1.0, 1.0)
     a, b = find_turning_points(pot, 0.5)
-    assert a == pytest.approx(-ACOSH_SQRT2, abs=1e-9)
-    assert b == pytest.approx(+ACOSH_SQRT2, abs=1e-9)
+    assert a == pytest.approx(-B_SECH2, abs=1e-9)
+    assert b == pytest.approx(+B_SECH2, abs=1e-9)
     # polished roots really are roots of k2
     scale = max(1.0, 0.5)
-    assert abs(pot.wavenumber_sq(0.5, a)) <= 1e-12 * scale
-    assert abs(pot.wavenumber_sq(0.5, b)) <= 1e-12 * scale
+    assert np.all(np.abs(pot.gap(0.5, np.array([a, b]))) <= 1e-12 * scale)
 
 
 def test_no_barrier_above_top():
@@ -95,12 +98,12 @@ def test_turning_points_far_from_origin():
     x = np.linspace(x0 - 10.0, x0 + 10.0, 2001)
     pot = TabulatedPotential(x, v0 / np.cosh((x - x0) / w) ** 2)
     a, b = find_turning_points(pot, energy)
-    offset = w * math.acosh(math.sqrt(v0 / energy))
+    offset = truth.turning_point("sech2", energy, v0, w)
     assert a - x0 == pytest.approx(-offset, abs=1e-8)
     assert b - x0 == pytest.approx(offset, abs=1e-8)
     geom = analyze_barrier(pot, energy)
     assert geom.c - x0 == pytest.approx(0.0, abs=1e-8)
-    assert geom.theta == pytest.approx(math.pi * w * (math.sqrt(v0) - math.sqrt(energy)), rel=1e-8)
+    assert geom.theta == pytest.approx(truth.theta("sech2", energy, v0, w), rel=1e-8)
 
 
 def test_energy_must_be_positive():
@@ -110,8 +113,8 @@ def test_energy_must_be_positive():
 
 def test_action_parabolic_semicircle():
     # integral of sqrt(r^2 - x^2) over the diameter = pi r^2 / 2, r^2 = 0.5
-    theta = action_integral(ParabolicBarrier(1.0), 0.5, -SQRT_HALF, SQRT_HALF)
-    assert theta == pytest.approx(math.pi / 4.0, abs=1e-12)
+    theta = action_integral(ParabolicBarrier(1.0), 0.5, -B_PARABOLIC, B_PARABOLIC)
+    assert theta == pytest.approx(truth.theta("parabolic", 0.5, 1.0), abs=1e-12)
 
 
 def test_action_empty_interval():
@@ -120,18 +123,13 @@ def test_action_empty_interval():
 
 def test_action_sech2_closed_form_and_quad_oracle():
     pot = Sech2Barrier(1.0, 1.0)
-    theta = action_integral(pot, 0.5, -ACOSH_SQRT2, ACOSH_SQRT2)
-    assert theta == pytest.approx(math.pi * (1.0 - math.sqrt(0.5)), abs=1e-8)
-    with mpmath.workdps(15):
-        ref = mpmath.quad(
-            lambda x: mpmath.sqrt(max(mpmath.sech(x) ** 2 - 0.5, 0)), [-ACOSH_SQRT2, ACOSH_SQRT2]
-        )
-    assert theta == pytest.approx(float(ref), rel=1e-9)
+    theta = action_integral(pot, 0.5, -B_SECH2, B_SECH2)
+    assert theta == pytest.approx(truth.theta("sech2", 0.5, 1.0, 1.0), rel=1e-9)
 
 
 def test_action_rejects_allowed_region_inside():
     with pytest.raises(DomainError):
-        action_integral(Sech2Barrier(1.0, 1.0), 0.5, -1.5, ACOSH_SQRT2)
+        action_integral(Sech2Barrier(1.0, 1.0), 0.5, -1.5, B_SECH2)
 
 
 def test_action_names_the_segment_that_leaves_the_barrier():
@@ -153,7 +151,7 @@ def test_action_doubling_quadrature_effort_is_converged():
 
 
 def test_midpoint_even_potentials():
-    assert find_midpoint(ParabolicBarrier(1.0), 0.5, -SQRT_HALF, SQRT_HALF) == pytest.approx(0.0, abs=1e-10)
+    assert find_midpoint(ParabolicBarrier(1.0), 0.5, -B_PARABOLIC, B_PARABOLIC) == pytest.approx(0.0, abs=1e-10)
     pot = Sech2Barrier(1.0, 1.0)
     a, b = find_turning_points(pot, 0.3)
     assert find_midpoint(pot, 0.3, a, b) == pytest.approx(0.0, abs=1e-10)
@@ -168,16 +166,10 @@ def test_midpoint_balances_tilted_barrier(tilted_barrier):
     right = action_integral(tilted_barrier, 0.5, c, b)
     theta = left + right
     assert abs(left - right) <= 1e-10 * theta
-    # independent check of each half, one tanh-sinh rule per spline piece;
-    # V is a double, so double precision is all the rule can use
-    knots = tilted_barrier.x_samples.tolist()
-    for lo, hi, mine in ((a, c, left), (c, b, right)):
-        with mpmath.workdps(15):
-            ref = mpmath.quad(
-                lambda x: math.sqrt(max(tilted_barrier.v(float(x)) - 0.5, 0.0)),
-                [lo] + [k for k in knots if lo < k < hi] + [hi],
-            )
-        assert mine == pytest.approx(float(ref), abs=1e-10)
+    # independent check of each half: the spline's knot-split action in mpmath
+    with mpmath.workdps(20):
+        to_c, to_b = truth.mp_spline_action(tilted_barrier, 0.5, a, [c, b])
+    assert left == pytest.approx(to_c, abs=1e-10) and right == pytest.approx(to_b - to_c, abs=1e-10)
 
 
 def test_midpoint_search_step_outside_the_barrier_fails_its_energy(monkeypatch, tilted_barrier):
@@ -232,8 +224,8 @@ def test_bracket_end_at_a_knot_is_the_turning_point(offset, tilted_barrier):
 
 def test_alpha_limits_parabolic():
     pot = ParabolicBarrier(1.0)
-    assert alpha_limit(pot, 0.5, -SQRT_HALF, "left") == pytest.approx(-math.sqrt(2.0), rel=1e-9)
-    assert alpha_limit(pot, 0.5, +SQRT_HALF, "right") == pytest.approx(+math.sqrt(2.0), rel=1e-9)
+    assert alpha_limit(pot, 0.5, -B_PARABOLIC, "left") == pytest.approx(-math.sqrt(2.0), rel=1e-9)
+    assert alpha_limit(pot, 0.5, +B_PARABOLIC, "right") == pytest.approx(+math.sqrt(2.0), rel=1e-9)
 
 
 def test_alpha_limit_sech2_closed_form():
@@ -241,7 +233,7 @@ def test_alpha_limit_sech2_closed_form():
     _, b = find_turning_points(pot, 0.5)
     alpha = alpha_limit(pot, 0.5, b, "right")
     assert alpha == pytest.approx(2.0 * 0.5 * math.tanh(b), rel=1e-10)
-    assert alpha == pytest.approx(SQRT_HALF, rel=1e-6)
+    assert alpha == pytest.approx(math.sqrt(0.5), rel=1e-6)
     # finite-difference oracle for dk2/dx = -V'
     h = 1e-6
     fd = -(pot.v(b + h) - pot.v(b - h)) / (2 * h)
@@ -256,18 +248,18 @@ def test_alpha_limit_degenerate_at_barrier_top():
 def test_alpha_limit_side_validation():
     pot = ParabolicBarrier(1.0)
     with pytest.raises(DomainError):
-        alpha_limit(pot, 0.5, +SQRT_HALF, "left")
+        alpha_limit(pot, 0.5, +B_PARABOLIC, "left")
     with pytest.raises(ValueError):
-        alpha_limit(pot, 0.5, +SQRT_HALF, "up")
+        alpha_limit(pot, 0.5, +B_PARABOLIC, "up")
 
 
 def test_analyze_parabolic_composite():
     geom = analyze_barrier(ParabolicBarrier(1.0), 0.5)
-    assert geom.a == pytest.approx(-SQRT_HALF, abs=1e-9)
-    assert geom.b == pytest.approx(+SQRT_HALF, abs=1e-9)
+    assert geom.a == pytest.approx(-B_PARABOLIC, abs=1e-9)
+    assert geom.b == pytest.approx(+B_PARABOLIC, abs=1e-9)
     assert geom.c == pytest.approx(0.0, abs=1e-10)
-    assert geom.theta == pytest.approx(math.pi / 4.0, abs=1e-10)
-    assert geom.s_half == pytest.approx(3.0 * math.pi / 16.0, abs=1e-10)
+    assert geom.theta == pytest.approx(truth.theta("parabolic", 0.5, 1.0), abs=1e-10)
+    assert geom.s_half == pytest.approx(truth.half_action("parabolic", 0.5, 1.0), abs=1e-10)
     assert geom.alpha_plus == pytest.approx(-math.sqrt(2.0), rel=1e-9)
     assert geom.alpha_minus == pytest.approx(+math.sqrt(2.0), rel=1e-9)
     assert geom.energy == 0.5
@@ -278,28 +270,17 @@ def test_analyze_near_top_small_action():
     assert 0.0 < geom.theta <= 0.01
 
 
-def _random_cases(n, seed=11):
-    rng = np.random.default_rng(seed)
-    for _ in range(n):
-        kind = rng.integers(0, 3)
-        v0 = float(rng.uniform(0.5, 3.0))
-        frac = float(rng.uniform(0.1, 0.9))
-        if kind == 0:
-            yield ParabolicBarrier(v0), frac * v0
-        elif kind == 1:
-            yield Sech2Barrier(v0, float(rng.uniform(0.7, 2.5))), frac * v0
-        else:
-            yield GaussianBarrier(v0, float(rng.uniform(0.7, 2.5))), frac * v0
-
-
-def test_equal_split_and_half_action_random_cases():
-    for pot, energy in _random_cases(50):
-        geom = analyze_barrier(pot, energy)
-        left = action_integral(pot, energy, geom.a, geom.c)
-        right = action_integral(pot, energy, geom.c, geom.b)
-        assert abs(left - right) <= 1e-9 * geom.theta
-        assert abs(geom.s_half - 0.75 * geom.theta) <= 1e-9 * geom.theta
-        assert geom.alpha_plus < 0.0 < geom.alpha_minus
+@settings(max_examples=50, deadline=None)
+@given(case=truth.barriers(v0=(0.5, 3.0), w=(0.7, 2.5), fraction=(0.1, 0.9)))
+def test_equal_split_and_half_action_random_cases(case):
+    family, params, energy = case
+    pot = make_potential(family, **params)
+    geom = analyze_barrier(pot, energy)
+    left = action_integral(pot, energy, geom.a, geom.c)
+    right = action_integral(pot, energy, geom.c, geom.b)
+    assert abs(left - right) <= 1e-9 * geom.theta
+    assert abs(geom.s_half - 0.75 * geom.theta) <= 1e-9 * geom.theta
+    assert geom.alpha_plus < 0.0 < geom.alpha_minus
 
 
 def test_even_potentials_symmetric_geometry():
@@ -328,6 +309,8 @@ class TiltedClaimingEven(GaussianBarrier):
     """A tilted gaussian that keeps the even family's mirrored crossings:
     V < E inside [a, b] near a."""
 
+    gap = Potential.gap  # V - E from the _v below, not the family's kernel
+
     def _v(self, x):
         return super()._v(x) * (1.0 + 0.3 * np.tanh(x / self.w))
 
@@ -335,6 +318,8 @@ class TiltedClaimingEven(GaussianBarrier):
 class BumpedClaimingEven(GaussianBarrier):
     """A gaussian with a bump right of 0, V >= E on [a, b]: its half
     actions do not balance at c = 0."""
+
+    gap = Potential.gap
 
     def _v(self, x):
         z = (x - 0.3 * self.w) / (0.2 * self.w)

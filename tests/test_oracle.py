@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import truth
 from airytunnel import (
     AsymptoteMismatchError,
     DomainError,
@@ -18,6 +19,7 @@ from airytunnel import (
     Sech2Barrier,
     TabulatedPotential,
     exact_transmission,
+    make_potential,
     rate_report,
 )
 from airytunnel import oracle
@@ -27,7 +29,6 @@ from conftest import (
     entry_matches,
     midpoint_samples,
     not_even,
-    square_barrier_closed_form,
     tilted_gaussian_samples,
     transfer_once,
 )
@@ -100,32 +101,21 @@ def product_cases(tilted):
 THICK, THICK_HALF_WIDTH = Sech2Barrier(1.0, 400.0), 4800.0
 
 
-def poschl_teller_transmission(v0, w, energy):
-    """Independent closed form for the sech2 barrier (4 v0 w^2 > 1)."""
-    k = math.sqrt(energy)
-    s = math.sinh(math.pi * k * w) ** 2
-    c = math.cosh(0.5 * math.pi * math.sqrt(4.0 * v0 * w * w - 1.0)) ** 2
-    return s / (s + c)
-
-
 def test_square_closed_form_values():
-    assert square_barrier_closed_form(1.0, 2.0, 0.5) == pytest.approx(
-        0.21077109396613054, rel=1e-12
-    )
-    assert square_barrier_closed_form(1.0, 0.0, 0.5) == 1.0
-    assert square_barrier_closed_form(1.0, 1e-9, 0.5) == pytest.approx(1.0, abs=1e-9)
-    assert square_barrier_closed_form(1.0, 2.0, 1e-6) < 1e-4
-    with pytest.raises(DomainError):
-        square_barrier_closed_form(1.0, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        square_barrier_closed_form(1.0, 2.0, 1.5)
+    assert truth.square_barrier(0.5, 1.0, 2.0) == pytest.approx(0.21077109396613054, rel=1e-12)
+    assert truth.square_barrier(0.5, 1.0, 0.0) == 1.0
+    assert truth.square_barrier(0.5, 1.0, 1e-9) == pytest.approx(1.0, abs=1e-9)
+    assert truth.square_barrier(1e-6, 1.0, 2.0) < 1e-4
+    assert truth.square_barrier(1.0, 1.0, 2.0) == 0.5  # 1 / (1 + V0 L**2 / 4) at E = V0
+    with pytest.raises(ValueError):
+        truth.square_barrier(1.5, 1.0, 2.0)
 
 
 def test_calibration_against_square_closed_form():
     # domain chosen so the barrier edges fall exactly on slice boundaries
     pot = SquareBarrier(1.0, 2.0)
     result = exact_transmission(pot, 0.5, (-5.0, 5.0), slices=10000)
-    reference = square_barrier_closed_form(1.0, 2.0, 0.5)
+    reference = truth.square_barrier(0.5, 1.0, 2.0)
     assert result.t_exact == pytest.approx(reference, rel=1e-6)
     assert result.flux_defect <= 1e-10
     assert 0.0 <= result.t_exact <= 1.0
@@ -135,7 +125,7 @@ def test_sech2_converged_run():
     result = exact_transmission(Sech2Barrier(1.0, 1.0), 0.5, (-12.0, 12.0), slices=10000)
     assert result.flux_defect <= 1e-10
     assert result.slices == 20000
-    reference = poschl_teller_transmission(1.0, 1.0, 0.5)
+    reference = truth.poschl_teller(0.5, 1.0, 1.0)
     assert result.t_exact == pytest.approx(reference, rel=1e-6)
     assert result.richardson_estimate == pytest.approx(reference, rel=1e-8)
     assert result.t_exact + result.r_exact == pytest.approx(1.0, abs=1e-10)
@@ -251,9 +241,9 @@ def test_tree_product_matches_mpmath_product(tilted_barrier, energy, n):
 
 def test_energy_at_barrier_height_is_finite():
     # E = V0 across the whole barrier: k = 0 on every interior slice, and
-    # the wavefunction there is linear in x, giving T = 1 / (1 + V0 L^2 / 4)
+    # the wavefunction there is linear in x
     result = exact_transmission(SquareBarrier(1.0, 2.0), 1.0, (-5.0, 5.0), slices=4000)
-    assert result.t_exact == pytest.approx(1.0 / (1.0 + 1.0 * 2.0 ** 2 / 4.0), rel=1e-13)
+    assert result.t_exact == pytest.approx(truth.square_barrier(1.0, 1.0, 2.0), rel=1e-13)
     assert result.flux_defect <= 1e-13
 
 
@@ -333,19 +323,17 @@ def test_transmission_is_invariant_under_x_to_minus_x(scale, fractions):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    family=st.sampled_from([Sech2Barrier, GaussianBarrier]),
-    v0=st.floats(0.1, 20.0),
-    w=st.floats(0.3, 3.0),
-    fraction=st.floats(0.01, 0.99),
+    case=truth.barriers(families=("gaussian", "sech2"), v0=(0.1, 20.0), w=(0.3, 3.0), fraction=(0.01, 0.99)),
     slices=st.integers(100, 800),
 )
-def test_mirrored_pass_equals_the_full_pass(family, v0, w, fraction, slices):
+def test_mirrored_pass_equals_the_full_pass(case, slices):
     # An even barrier multiplies the left half's slices and completes the
     # product by parity; the same barrier with even = False multiplies all.
     # An odd slice count mirrors the fine pass only.
-    energy = fraction * v0
-    got = exact_transmission(family(v0, w), energy, None, slices=slices)
-    want = exact_transmission(not_even(family)(v0, w), energy, None, slices=slices)
+    family, params, energy = case
+    pot = make_potential(family, **params)
+    got = exact_transmission(pot, energy, None, slices=slices)
+    want = exact_transmission(not_even(type(pot))(**params), energy, None, slices=slices)
     for name in ("t_exact", "r_exact", "richardson_estimate"):
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
     assert got.flux_defect <= 1e-10

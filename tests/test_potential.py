@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import truth
 from airytunnel import (
     FormatError,
     GaussianBarrier,
@@ -19,6 +20,7 @@ from airytunnel import (
     TabulatedPotential,
     find_turning_points,
     load_tabulated,
+    make_potential,
 )
 from conftest import SquareBarrier
 
@@ -60,26 +62,27 @@ def test_wide_gaussian_slope_is_finite():
     assert np.all(np.isfinite(pot.v_prime(np.array([-w, 0.0, w]))))
 
 
-def test_wavenumber_sq_examples():
-    assert Sech2Barrier(1.0, 1.0).wavenumber_sq(0.5, 0.0) == pytest.approx(-0.5, abs=1e-15)
-    assert ParabolicBarrier(1.0).wavenumber_sq(0.5, 2.0) == pytest.approx(3.5, abs=1e-14)
+def test_gap_examples():
+    assert Sech2Barrier(1.0, 1.0).gap(0.5, np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-15)
+    assert ParabolicBarrier(1.0).gap(0.5, np.array([2.0]))[0] == pytest.approx(-3.5, abs=1e-14)
     pot = GaussianBarrier(1.5, 1.2)
-    x = 0.77
-    assert pot.wavenumber_sq(pot.v(x), x) == 0.0  # turning-point definition
+    x = np.array([0.77])
+    assert pot.gap(pot.v(x), x)[0] == 0.0  # turning-point definition
 
 
-def test_wavenumber_sq_is_bit_exact_difference():
+def test_gap_is_v_minus_e_within_its_rounding():
+    # A family forms the gap from v0 - E, so it differs from V - E by the
+    # rounding of both, at most 2 eps (v0 + |V| + E) (measured: 1.62 eps,
+    # in sech2's tails); a table forms V - E itself.
     rng = np.random.default_rng(42)
-    pots = [
-        ParabolicBarrier(1.0),
-        Sech2Barrier(1.3, 0.8),
-        GaussianBarrier(2.0, 1.5),
-    ]
-    for _ in range(1000):
-        for pot in pots:
-            x = float(rng.uniform(-3, 3))
-            e = float(rng.uniform(0.01, 3.0))
-            assert pot.wavenumber_sq(e, x) == e - pot.v(x)
+    x, e = rng.uniform(-9.0, 9.0, 1000), rng.uniform(0.01, 3.0, 1000)
+    for pot in (ParabolicBarrier(1.0), Sech2Barrier(1.3, 0.8), GaussianBarrier(2.0, 1.5)):
+        v = pot.v(x)
+        bound = 2.0 * np.finfo(float).eps * (pot.v0 + np.abs(v) + e)
+        assert np.all(np.abs(pot.gap(e, x) - (v - e)) <= bound)
+    knots = np.linspace(-9.0, 9.0, 401)
+    table = TabulatedPotential(knots, np.exp(-knots * knots))
+    assert np.array_equal(table.gap(e, x), table.v(x) - e)
 
 
 def test_derivative_matches_finite_difference():
@@ -325,34 +328,20 @@ def test_load_tabulated_names_the_first_bad_line(text, message):
         load_tabulated(text)
 
 
-CLOSED_FORMS = {
-    "parabolic": (lambda v0, w: ParabolicBarrier(v0),
-                  lambda v0, w, e: mpmath.sqrt(v0 - e)),
-    "sech2": (Sech2Barrier, lambda v0, w, e: w * mpmath.asinh(mpmath.sqrt((v0 - e) / e))),
-    "gaussian": (GaussianBarrier, lambda v0, w, e: w * mpmath.sqrt(-mpmath.log(e / v0))),
-}
-
-
 @settings(max_examples=200, deadline=None)
-@given(
-    family=st.sampled_from(sorted(CLOSED_FORMS)),
-    v0=st.floats(1e-3, 1e3),
-    w=st.floats(1e-3, 1e3),
-    fraction=st.floats(1e-300, 1.0, exclude_max=True),
-)
-def test_analytic_crossings_are_the_closed_form(family, v0, w, fraction):
-    # -b and b, each within a few ulps of the 40-digit closed form at the
+@given(case=truth.barriers(v0=(1e-3, 1e3), w=(1e-3, 1e3), fraction=(1e-300, math.nextafter(1.0, 0.0))))
+def test_analytic_crossings_are_the_closed_form(case):
+    # -b and b, each within a few ulps of the 34-digit closed form at the
     # float energy itself
-    energy = v0 * fraction
+    family, params, energy = case
+    v0 = params["v0"]
     if not 0.0 < energy < v0:
         return
-    build, half_width = CLOSED_FORMS[family]
-    which, x = build(v0, w).crossings(np.array([0.25 * v0, energy]), -math.inf, math.inf)
+    which, x = make_potential(family, **params).crossings(np.array([0.25 * v0, energy]), -math.inf, math.inf)
     assert which.tolist() == [0, 0, 1, 1]
     assert x[2] == -x[3] < 0.0
-    with mpmath.workdps(40):
-        b = half_width(mpmath.mpf(v0), mpmath.mpf(w), mpmath.mpf(energy))
-        assert abs(x[3] - b) <= 4 * math.ulp(float(b))
+    b = truth.turning_point(family, energy, **params)
+    assert abs(x[3] - b) <= 4 * math.ulp(float(b))
 
 
 def test_analytic_crossings_keep_to_the_window():
@@ -364,7 +353,7 @@ def test_analytic_crossings_keep_to_the_window():
     pot = Sech2Barrier(1.0, 1.0)
     # none on a window end either: the window is open
     _, (a, b) = pot.crossings(np.array([0.5]), -1.0, 1.0)
-    assert a == -b == pytest.approx(-math.acosh(math.sqrt(2.0)), rel=1e-15)
+    assert a == -b == pytest.approx(-truth.turning_point("sech2", 0.5, 1.0, 1.0), rel=1e-15)
     which, x = pot.crossings(np.array([1.5, 0.5, 0.5]), a, 2.0)
     assert which.tolist() == [1, 2] and x.tolist() == [b, b]
 
@@ -382,5 +371,4 @@ def test_table_hump_between_knots_has_two_crossings():
     assert -1e-4 < a < 0.0 < b < 1e-4
     which, roots = pot.crossings(np.array([energy]), -10.5, 10.5)
     assert which.tolist() == [0, 0] and roots.tolist() == [a, b]
-    assert abs(pot.wavenumber_sq(energy, a)) <= 1e-15
-    assert abs(pot.wavenumber_sq(energy, b)) <= 1e-15
+    assert np.all(np.abs(pot.gap(energy, np.array([a, b]))) <= 1e-15)

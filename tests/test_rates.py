@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import truth
 from airytunnel import (
     BarrierGeometry,
     DegenerateTurningPointError,
@@ -17,6 +18,7 @@ from airytunnel import (
     Sech2Barrier,
     TabulatedPotential,
     analyze_barrier,
+    make_potential,
     psi_basis,
     rate_report,
     t_asymptotic,
@@ -25,8 +27,6 @@ from airytunnel import (
 )
 from airytunnel import rates
 from conftest import tilted_gaussian_samples
-
-SECH2_THETA_UNIT = math.pi * (1.0 - math.sqrt(0.5))  # theta of sech2(1, 1) at E = 0.5
 
 
 def symmetric_geometry(s_half):
@@ -96,13 +96,37 @@ def test_asymptotic_consistency_chain():
     # sech2 width chosen to hit each target action exactly
     deviations = []
     for theta_target in (4.0, 6.0, 8.0, 12.0):
-        w = theta_target / SECH2_THETA_UNIT
+        w = theta_target / float(truth.theta("sech2", 0.5, 1.0, 1.0))
         geom = analyze_barrier(Sech2Barrier(1.0, w), 0.5)
         assert geom.theta == pytest.approx(theta_target, rel=1e-10)
         dev = abs(t_uniform(geom) / t_asymptotic(geom.theta, geom.alpha_plus, geom.alpha_minus) - 1.0)
         assert dev <= 0.7 / theta_target
         deviations.append(dev)
     assert all(x > y for x, y in zip(deviations[:-1], deviations[1:]))
+
+
+def test_rates_on_sech2_approach_poschl_teller_as_the_barrier_widens():
+    # Poschl-Teller's T carries a factor f = exp(-pi/(4 w sqrt v0)) that
+    # WKB's exp(-2 theta) lacks, and t_uniform's prefactor 3 (Ai/Bi)**2
+    # tends to (3/4) exp(-2 theta) as u grows. Measured worst
+    # |t_wkb/(T f) - 1|: 7.5e-4, 4.9e-5 and 7.7e-7; t_uniform/((3/4) T f)
+    # from 0.843-0.943 at w = 4 to 0.985-0.994 at w = 40.
+    wkb_errors, ratios = [], []
+    for w in (4.0, 10.0, 40.0):
+        errors, row = [], []
+        for v0 in (1.0, 2.0):
+            for energy in (0.2 * v0, 0.5 * v0):
+                report = rate_report(Sech2Barrier(v0, w), energy)
+                f = mpmath.exp(-mpmath.pi / (4 * w * mpmath.sqrt(v0)))
+                tf = truth.poschl_teller(energy, v0, w) * f
+                errors.append(abs(report.t_wkb / tf - 1))
+                row.append(report.t_uniform / (0.75 * tf))
+        wkb_errors.append(max(errors))
+        ratios.append(row)
+    assert wkb_errors[0] <= 8e-4 and wkb_errors[1] <= 5e-5 and wkb_errors[2] <= 8e-7
+    assert wkb_errors[0] > wkb_errors[1] > wkb_errors[2]
+    assert all(r < s < t < 1 for r, s, t in zip(*ratios))
+    assert min(ratios[0]) >= 0.84 and max(ratios[0]) <= 0.95 and min(ratios[2]) >= 0.98
 
 
 def test_barrier_top_behavior():
@@ -133,11 +157,12 @@ def test_width_scaling_covariance():
 
 def test_report_parabolic_against_recomputed_values():
     rep = rate_report(ParabolicBarrier(1.0), 0.5)
-    assert rep.t_wkb == pytest.approx(math.exp(-math.pi / 2.0), rel=1e-3)
-    assert rep.t_asymptotic == pytest.approx(0.75 * math.exp(-math.pi / 2.0), rel=1e-3)
+    wkb = math.exp(-2.0 * truth.theta("parabolic", 0.5, 1.0))
+    assert rep.t_wkb == pytest.approx(wkb, rel=1e-3)
+    assert rep.t_asymptotic == pytest.approx(0.75 * wkb, rel=1e-3)
     # independent recomputation of the uniform rate from high-precision Airy
-    u = (0.75 * math.pi / 4.0) ** (2.0 / 3.0)
     with mpmath.workdps(30):
+        u = truth.half_action("parabolic", 0.5, 1.0) ** (mpmath.mpf(2) / 3)
         t_ref = float(3.0 * (mpmath.airyai(u) / mpmath.airybi(u)) ** 2)
     assert rep.t_uniform == pytest.approx(t_ref, rel=1e-3)
     assert rep.t_uniform == pytest.approx(0.1123, abs=2e-4)
@@ -177,47 +202,32 @@ with mpmath.workdps(30):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    family=st.sampled_from(["sech2", "gaussian", "parabolic"]),
-    v0=st.floats(0.5, 4.0),
-    w=st.floats(0.5, 2.0),
-    log_depth=st.floats(-12.0, -2.0),
-)
-@example(family="sech2", v0=1.0, w=1.0, log_depth=-8.0)
-@example(family="sech2", v0=1.0, w=1.0, log_depth=-10.0)
-@example(family="sech2", v0=1.0, w=1.0, log_depth=-12.0)
-@example(family="gaussian", v0=1.0, w=1.0, log_depth=-8.0)
-@example(family="gaussian", v0=1.0, w=1.0, log_depth=-10.0)
-@example(family="gaussian", v0=1.0, w=1.0, log_depth=-12.0)
-@example(family="parabolic", v0=1.0, w=1.0, log_depth=-8.0)
-@example(family="parabolic", v0=1.0, w=1.0, log_depth=-10.0)
-@example(family="parabolic", v0=1.0, w=1.0, log_depth=-12.0)
-def test_uniform_rate_tends_to_one_at_the_barrier_top(family, v0, w, log_depth):
-    # E = v0 (1 - d), d log-uniform in [1e-12, 1e-2]: u = airy_arg reaches
-    # ~1e-8 at the low end and ~0.13 at the high end. The examples failed
+@given(case=truth.barriers(depth=(1e-14, 1e-2)))
+@example(case=("sech2", {"v0": 1.0, "w": 1.0}, 1.0 - 1e-8))
+@example(case=("sech2", {"v0": 1.0, "w": 1.0}, 1.0 - 1e-10))
+@example(case=("sech2", {"v0": 1.0, "w": 1.0}, 1.0 - 1e-12))
+@example(case=("gaussian", {"v0": 1.0, "w": 1.0}, 1.0 - 1e-8))
+@example(case=("gaussian", {"v0": 1.0, "w": 1.0}, 1.0 - 1e-10))
+@example(case=("gaussian", {"v0": 1.0, "w": 1.0}, 1.0 - 1e-12))
+@example(case=("parabolic", {"v0": 1.0}, 1.0 - 1e-8))
+@example(case=("parabolic", {"v0": 1.0}, 1.0 - 1e-10))
+@example(case=("parabolic", {"v0": 1.0}, 1.0 - 1e-12))
+def test_uniform_rate_tends_to_one_at_the_barrier_top(case):
+    # E = v0 (1 - d), d log-uniform in [1e-14, 1e-2]: u = airy_arg reaches
+    # ~5e-10 at the low end and ~0.13 at the high end. The examples failed
     # the midpoint's balance check while its tolerance was a fixed 1e-10 theta.
-    pot = {"sech2": Sech2Barrier(v0, w), "gaussian": GaussianBarrier(v0, w), "parabolic": ParabolicBarrier(v0)}[family]
-    energy = v0 * (1.0 - 10.0 ** log_depth)
-    report = rate_report(pot, energy)
+    family, params, energy = case
+    report = rate_report(make_potential(family, **params), energy)
     g, u, t = report.geometry, report.airy_argument, report.t_uniform
     # 1 - t = K u - (K u)**2 / 2 + ..., K = TOP_SLOPE, since |alpha+/alpha-| = 1
     # here. The second-order term measures at most 1.458 K u**2, its limit
     # (K u)**2 / 2 as u -> 0, and the rounding of t next to 1 adds 5.3e-15.
     assert 0.0 < 1.0 - t
     assert abs(1.0 - t - TOP_SLOPE * u) <= 1.46 * TOP_SLOPE * u * u + 6e-15
-    if family == "gaussian":
-        return
-    # theta is within the rounding noise of E - V that the balance check
-    # allows, eps E ((b - a)/theta)**2, of the closed form (measured: at most
-    # 0.16 of it)
-    with mpmath.workdps(30):
-        e = mpmath.mpf(energy)
-        if family == "sech2":
-            exact = mpmath.pi * w * (mpmath.sqrt(v0) - mpmath.sqrt(e))
-        else:
-            exact = mpmath.pi * (v0 - e) / 2
-        noise = np.finfo(float).eps * energy * ((g.b - g.a) / g.theta) ** 2
-        assert abs(g.theta - exact) <= noise * exact
+    # Each family forms V - E from v0 - E, so theta keeps its digits up to
+    # the top (measured: at most 1.1e-15 of the truth)
+    exact = truth.theta(family, energy, **params)
+    assert abs(g.theta - exact) <= 2e-15 * exact
 
 
 @settings(max_examples=40, deadline=None)

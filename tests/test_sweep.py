@@ -9,11 +9,10 @@ one-energy calls first fails, with the same error; each bracket of an
 array root solve visits the iterates of its own size-one solve; and every
 rate of a report is the package's scalar rate function of its geometry.
 
-Truth: a, b, theta, c and s_half against the closed forms of the sech2
-barrier and the parabola (Landau & Lifshitz, Quantum Mechanics, section 25),
-with c exactly 0 on even barriers; against mpmath.quad on the gaussian; and
-against a knot-split mpmath integral of the same spline on tables. Each
-bound is the worst case measured on this code, rounded up to one digit.
+Truth: a, b, theta, c and s_half against truth.py, with c exactly 0 on
+even barriers; on tables, against a knot-split mpmath integral of the same
+spline. Each bound is the worst case measured on this code, rounded up to
+one digit.
 """
 
 import math
@@ -24,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import truth
 from airytunnel import (
     DegenerateTurningPointError,
     DomainError,
@@ -47,8 +47,6 @@ from conftest import (
     SquareBarrier,
     double_hump_samples,
     entry_matches,
-    mp_spline_action,
-    mp_spline_roots,
     tilted_gaussian_samples,
 )
 
@@ -184,29 +182,16 @@ def test_sweep_matches_per_energy_loop_property(name, fractions, block):
         assert_matches_scalar_calls(name, np.array(fractions) * top)
 
 
-def even_truth(name, pot, e):
-    """(b, theta) of an even barrier at the energy e, an mpf; a = -b, c = 0."""
-    v0 = mpmath.mpf(pot.v0)
-    if name == "parabolic":  # V = v0 - x**2
-        return mpmath.sqrt(v0 - e), mpmath.pi * (v0 - e) / 2
-    w = mpmath.mpf(pot.w)
-    if name == "sech2":
-        return w * mpmath.acosh(mpmath.sqrt(v0 / e)), mpmath.pi * w * (mpmath.sqrt(v0) - mpmath.sqrt(e))
-    # the gaussian: theta by tanh-sinh, whose nodes crowd the square-root ends
-    b = w * mpmath.sqrt(mpmath.log(v0 / e))
-    return b, mpmath.quad(lambda x: mpmath.sqrt(max(v0 * mpmath.exp(-(x / w) ** 2) - e, 0)), [-b, b])
-
-
 @pytest.mark.parametrize("name", ["sech2", "parabolic", "gaussian"])
 def test_even_geometry_is_the_truth(name):
     # bounds: the worst case measured on this code, rounded up to one digit
     pot, window, top = FAMILIES[name]
+    args = (pot.v0, getattr(pot, "w", None))
     g = analyze_barrier(pot, np.linspace(0.03, 0.9, 24) * top, window)
-    with mpmath.workdps(20):
-        for a, b, theta, e in zip(g.a.tolist(), g.b.tolist(), g.theta.tolist(), g.energy.tolist()):
-            b_true, theta_true = even_truth(name, pot, mpmath.mpf(e))
-            assert abs(a + b_true) <= 2e-16 * b_true and abs(b - b_true) <= 2e-16 * b_true
-            assert abs(theta - theta_true) <= 2e-15 * theta_true
+    for a, b, theta, e in zip(g.a.tolist(), g.b.tolist(), g.theta.tolist(), g.energy.tolist()):
+        b_true, theta_true = truth.turning_point(name, e, *args), truth.theta(name, e, *args)
+        assert abs(a + b_true) <= 2e-16 * b_true and abs(b - b_true) <= 2e-16 * b_true
+        assert abs(theta - theta_true) <= 2e-15 * theta_true
     assert np.all(g.c == 0.0) and np.all(g.s_half == 0.75 * g.theta)
 
 
@@ -228,8 +213,8 @@ def test_table_geometry_matches_a_knot_split_spline_integral(name):
     g = analyze_barrier(pot, np.array([0.6, 0.75, 0.85, 0.95]) * top, window)
     with mpmath.workdps(20):
         for i, e in enumerate(g.energy.tolist()):
-            a, b = mp_spline_roots(pot, e, *window)
-            left, theta = mp_spline_action(pot, e, a, [g.c[i], b])
+            a, b = truth.mp_spline_roots(pot, e, *window)
+            left, theta = truth.mp_spline_action(pot, e, a, [g.c[i], b])
             assert abs(g.a[i] - a) <= ends * (b - a) and abs(g.b[i] - b) <= ends * (b - a)
             assert abs(g.theta[i] - theta) <= theta_tol * theta
             assert abs(left - theta / 2) <= c_tol * theta

@@ -9,31 +9,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import truth
 from airytunnel import (
     DegenerateTurningPointError,
     DomainError,
-    GaussianBarrier,
     ParabolicBarrier,
     Sech2Barrier,
     WavefunctionGrid,
     airy,
     find_turning_points,
+    make_potential,
     ode_residual,
     psi_basis,
     sample_grid,
     superpose,
 )
 from airytunnel.specfun import AI_ZERO, BI_ZERO
-from conftest import linear_potential, mp_spline_action
+from conftest import linear_potential
 
-SQRT_HALF = math.sqrt(0.5)
+A_PARABOLIC = -float(truth.turning_point("parabolic", 0.5, 1.0))
 
 
 def test_anchor_limit_value_parabolic():
     # at the anchor the prefactor limit is |alpha|^(-1/6); for the
     # parabolic barrier at E = 0.5, |alpha| = sqrt(2)
     pot = ParabolicBarrier(1.0)
-    ai_part, bi_part = psi_basis(pot, 0.5, -SQRT_HALF, -SQRT_HALF)
+    ai_part, bi_part = psi_basis(pot, 0.5, A_PARABOLIC, A_PARABOLIC)
     amp = math.sqrt(2.0) ** (-1.0 / 6.0)
     assert ai_part == pytest.approx(0.33510186034608274, rel=1e-9)
     assert ai_part == pytest.approx(amp * AI_ZERO, rel=1e-12)
@@ -53,7 +54,7 @@ def test_degenerate_anchor_is_rejected_wherever_the_points_lie():
 
 def test_continuity_at_the_anchor():
     pot = ParabolicBarrier(1.0)
-    a = -SQRT_HALF
+    a = A_PARABOLIC
     limit = psi_basis(pot, 0.5, a, a)
     for x in (a - 1e-6, a + 1e-6):
         vals = psi_basis(pot, 0.5, a, x)
@@ -131,10 +132,10 @@ def test_sample_grid_shapes_and_signs():
 
 def test_sample_grid_two_points_and_validation():
     pot = ParabolicBarrier(1.0)
-    grid = sample_grid(pot, 0.5, (-1.0, 1.0), 2, 1.0, 0.0, -SQRT_HALF)
+    grid = sample_grid(pot, 0.5, (-1.0, 1.0), 2, 1.0, 0.0, A_PARABOLIC)
     assert grid.x.tolist() == [-1.0, 1.0]
     with pytest.raises(ValueError):
-        sample_grid(pot, 0.5, (-1.0, 1.0), 1, 1.0, 0.0, -SQRT_HALF)
+        sample_grid(pot, 0.5, (-1.0, 1.0), 1, 1.0, 0.0, A_PARABOLIC)
 
 
 def test_exact_on_linear_wavenumber():
@@ -199,7 +200,7 @@ def test_ode_residual_grows_toward_far_turning_point():
 
 def test_ode_residual_validation():
     pot = ParabolicBarrier(1.0)
-    grid = sample_grid(pot, 0.5, (-0.4, 0.4), 9, 1.0, 0.0, -SQRT_HALF)
+    grid = sample_grid(pot, 0.5, (-0.4, 0.4), 9, 1.0, 0.0, A_PARABOLIC)
     short = WavefunctionGrid(*(getattr(grid, f.name)[:4] for f in fields(grid)))
     with pytest.raises(ValueError):
         ode_residual(short)
@@ -235,10 +236,10 @@ def test_far_turning_point_is_infinite_not_nan():
 @pytest.mark.parametrize("anchor, far", [(-0.5, 6), (0.5, 2)])
 def test_far_turning_point_keeps_its_action_in_the_airy_argument(anchor, far):
     # k2 is exactly 0.0 at the far turning point, where the action across
-    # the barrier is pi/8: |airy_arg| is (3 pi/16)**(2/3), on the forbidden side
+    # the barrier is theta: |airy_arg| is (3 theta/2)**(2/3), on the forbidden side
     grid = sample_grid(ParabolicBarrier(1.0), 0.75, (-1.0, 1.0), 9, 1.0, 0.0, anchor)
     assert grid.x[far] == -anchor and grid.ksq[far] == 0.0
-    assert grid.airy_arg[far] == pytest.approx((3.0 * math.pi / 16.0) ** (2.0 / 3.0), rel=1e-12)
+    assert grid.airy_arg[far] == pytest.approx((1.5 * truth.theta("parabolic", 0.75, 1.0)) ** (2 / 3), rel=1e-12)
 
 
 def test_array_psi_basis_takes_crossings_once_and_matches_scalar_calls(monkeypatch, tilted_barrier):
@@ -281,32 +282,22 @@ def test_action_on_tabulated_barrier_matches_mpmath(tilted_barrier):
     xs, args = grid.x[::8], grid.airy_arg[::8]
     probe = np.abs(args) > 0.01
     with mpmath.workdps(30):
-        want = mp_spline_action(tilted_barrier, energy, a, xs[probe].tolist())
+        want = truth.mp_spline_action(tilted_barrier, energy, a, xs[probe].tolist())
     for x, u, ref in zip(xs[probe], args[probe], want):
         got = (2.0 / 3.0) * abs(u) ** 1.5
         assert abs(got - float(ref)) <= 1e-12 * float(ref), x
 
 
-_FAMILIES = {
-    "sech2": lambda v0, w: Sech2Barrier(v0, w),
-    "gaussian": lambda v0, w: GaussianBarrier(v0, w),
-    "parabolic": lambda v0, w: ParabolicBarrier(v0),
-}
-
-
 @settings(max_examples=40, deadline=None)
 @given(
-    family=st.sampled_from(sorted(_FAMILIES)),
-    v0=st.floats(0.5, 3.0),
-    w=st.floats(0.5, 2.0),
-    fraction=st.floats(0.1, 0.9),
+    case=truth.barriers(v0=(0.5, 3.0), w=(0.5, 2.0), fraction=(0.1, 0.9)),
     side=st.sampled_from([0, 1]),
     pad=st.floats(0.05, 0.5),
     n_points=st.integers(5, 90),
 )
-def test_basis_properties(family, v0, w, fraction, side, pad, n_points):
-    pot = _FAMILIES[family](v0, w)
-    energy = fraction * v0
+def test_basis_properties(case, side, pad, n_points):
+    family, params, energy = case
+    pot = make_potential(family, **params)
     turning = find_turning_points(pot, energy)
     anchor = turning[side]
     width = turning[1] - turning[0]

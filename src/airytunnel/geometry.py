@@ -53,7 +53,7 @@ from .errors import (
     judge,
     outcome,
 )
-from .quadrature import integrate_endpoint_singular
+from .quadrature import integrate_endpoint_singular, solve_bracketed
 
 #: Energies in one batched geometry pass. A longer sweep runs in blocks of
 #: this many, which caps the memory its arrays take (several KB per
@@ -61,8 +61,6 @@ from .quadrature import integrate_endpoint_singular
 BLOCK = 1024
 
 _EPS = np.finfo(float).eps
-# Relative part of the root solver's stop test, 4 eps.
-_EPS4 = 4.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -81,68 +79,6 @@ class BarrierGeometry:
 
 
 _EMPTY = BarrierGeometry(*[np.empty(0)] * len(fields(BarrierGeometry)))
-
-
-def solve_bracketed(f, lo, hi, f_lo, f_hi, xtol, x0=None):
-    """Roots of f in the brackets [lo, hi] by safeguarded Newton-bisection.
-
-    lo, hi and the values f_lo, f_hi of f there are equal-length 1D arrays,
-    one entry per bracket; xtol and x0 are arrays like them or scalars. A
-    bracket's f_lo and f_hi must not share a sign (ValueError otherwise),
-    and an end where f is 0 is its root. The first interior iterate is x0
-    where it lies strictly inside the bracket, else the midpoint. Each step
-    is a Newton step when it lands inside the shrinking bracket and is at
-    most half the previous step, else a bisection. Stops once a step is
-    below xtol + 4 eps |x|; more than 100 steps raise DomainError.
-
-    f(x, j) takes one iterate x per bracket j still stepping and returns
-    (f, f'), both arrays like x. The brackets step together: each takes
-    the steps it would take alone and drops out when it stops. Returns
-    the array of roots.
-    """
-    tol = np.broadcast_to(np.asarray(xtol, dtype=float), lo.shape)
-    root = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))
-    live = np.flatnonzero(np.isnan(root))
-    bad = live[(f_lo[live] < 0.0) == (f_hi[live] < 0.0)]
-    if bad.size:
-        j = bad[0]
-        raise ValueError("f(%g) = %g, f(%g) = %g: no sign change" % (lo[j], f_lo[j], hi[j], f_hi[j]))
-    # From here on f(lo) < 0 < f(hi).
-    swap = f_lo[live] > 0.0
-    lo, hi = np.where(swap, hi[live], lo[live]), np.where(swap, lo[live], hi[live])
-    tol = tol[live]
-    x = 0.5 * (lo + hi)
-    if x0 is not None:
-        x0 = np.broadcast_to(np.asarray(x0, dtype=float), root.shape)[live]
-        x = np.where((np.minimum(lo, hi) < x0) & (x0 < np.maximum(lo, hi)), x0, x)
-    step = np.abs(hi - lo)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(100):
-            if not live.size:
-                break
-            fx, slope = f(x, live)
-            neg = fx < 0.0
-            lo, hi = np.where(neg, x, lo), np.where(neg, hi, x)
-            # A zero slope gives an infinite (or nan) step, which bisects.
-            step_before, step = step, fx / slope
-            trial = x - step
-            newton = (np.minimum(lo, hi) < trial) & (trial < np.maximum(lo, hi))
-            newton &= np.abs(step) <= 0.5 * np.abs(step_before)
-            step = np.where(newton, step, x - 0.5 * (lo + hi))
-            x_next = x - step
-            stop = np.abs(step) <= tol + _EPS4 * np.abs(x_next)
-            zero = fx == 0.0
-            if zero.any():  # x is a root already
-                x_next[zero] = x[zero]
-                stop |= zero
-            x = x_next
-            if stop.any():
-                root[live[stop]] = x[stop]
-                go = ~stop
-                live, x, lo, hi, step, tol = live[go], x[go], lo[go], hi[go], step[go], tol[go]
-    if live.size:
-        raise DomainError("no root to %g found in 100 steps near x=%g" % (tol[0], x[0]))
-    return root
 
 
 def _turning_points(pot, energies, window):
@@ -192,7 +128,7 @@ def find_turning_points(pot, energy, window=None):
     return float(a[0]), float(b[0])
 
 
-def _actions(pot, energies, x1, x2, rel_tol=1e-12):
+def _actions(pot, energies, x1, x2):
     """Action integrals over the segments [x1, x2], each at its own energy.
 
     Returns (values, check): check, for first_failure, rejects a segment
@@ -207,13 +143,13 @@ def _actions(pot, energies, x1, x2, rel_tol=1e-12):
         outside[np.array(rows)[(g < -neg_tol[rows, None]).any(axis=1)]] = True
         return np.sqrt(np.maximum(g, 0.0, out=g), out=g).ravel()
 
-    values = integrate_endpoint_singular(integrand, x1, x2, rel_tol=rel_tol, rows=rows)
+    values = integrate_endpoint_singular(integrand, x1, x2, rows=rows)
     return values, (outside, lambda p: DomainError(
         "V < E inside [%g, %g]: inconsistent turning points" % (x1[p], x2[p])
     ))
 
 
-def action_integral(pot, energy, x1, x2, rel_tol=1e-12):
+def action_integral(pot, energy, x1, x2):
     """Integral of sqrt(V - E) over [x1, x2] inside the barrier.
 
     The integrand has square-root zeros at the turning points; the mapped
@@ -225,7 +161,7 @@ def action_integral(pot, energy, x1, x2, rel_tol=1e-12):
     energy, x1, x2 = judge(energy, x1=x1, x2=x2)
     if x1 > x2:
         raise ValueError("x1 must be <= x2, got %g > %g" % (x1, x2))
-    values, check = _actions(pot, np.array([energy]), np.array([x1]), np.array([x2]), rel_tol)
+    values, check = _actions(pot, np.array([energy]), np.array([x1]), np.array([x2]))
     _, exc = first_failure(1, None, check)
     if exc is not None:
         raise exc

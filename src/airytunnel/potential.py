@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, RangeError
-from .geometry import _EPS4, solve_bracketed
+from .quadrature import _EPS4, solve_bracketed
 
 
 def _check_param(name, value):

@@ -1,10 +1,17 @@
-"""Gauss-Legendre quadrature with turning-point-tolerant endpoint mapping.
+"""The package's two batched kernels: the action quadrature and the root search.
 
-Action integrands behave like sqrt(x - a) at turning points. The
-substitution x = x1 + (x2 - x1) sin(t)**2 absorbs a square-root zero at
-either endpoint into a smooth function of t, after which Gauss-Legendre
-converges spectrally. Node counts double until two successive estimates
-agree to the requested relative tolerance.
+Both take equal-length 1D arrays, one entry per segment or bracket, and
+return the array of results. Each entry takes the arithmetic steps it
+would take alone, so its result does not depend on the other entries.
+
+integrate_endpoint_singular: action integrands behave like sqrt(x - a) at
+turning points. The substitution x = x1 + (x2 - x1) sin(t)**2 absorbs a
+square-root zero at either endpoint into a smooth function of t, after
+which Gauss-Legendre converges spectrally. Every unfinished segment is
+sampled at the same mapped nodes, f sees them all in one call, and each
+segment doubles its node count until its own stop test holds. The stop
+tests are masks, written negated so that a NaN estimate keeps doubling to
+N_MAX, and the live arrays are compacted only when a segment stops.
 
 The rules come from Newton's method on the three-term recurrence for
 P_n, started from Tricomi's asymptotic nodes and vectorised over the
@@ -14,13 +21,9 @@ nonnegative roots (Hale & Townsend, SIAM J. Sci. Comput. 35, A652
 The nodes agree with leggauss's to an ulp, and the weights are more
 accurate, most of all near the ends of large rules.
 
-An array of segments is integrated in one pass: every unfinished segment
-is sampled at the same mapped nodes, f sees them all in one call, and
-each segment stops by its own test. The live segments' indices, ends,
-estimates and differences are arrays; the stop tests are masks, written
-negated so that a NaN estimate keeps doubling to n_max, and the arrays
-are compacted only when a segment stops. A segment's result does not
-depend on which other segments share the call.
+solve_bracketed: safeguarded Newton-bisection on sign-change brackets,
+given f at the bracket ends. It finds the turning points of a tabulated
+barrier and the midpoint that balances a barrier's two half actions.
 """
 
 import math
@@ -28,6 +31,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
+
+
+#: Largest Gauss-Legendre rule of the quadrature: a segment still doubling
+#: at this many nodes returns its estimate there.
+N_MAX = 2048
+
+# Relative part of the root solver's stop test, 4 eps.
+_EPS4 = 4.0 * np.finfo(float).eps
 
 #: Newton passes allowed per rule. From Tricomi's nodes the rules of 1 to
 #: 1024, 2048 and 4096 nodes converge in at most 4; an unconverged rule raises.
@@ -84,31 +96,29 @@ def _mapped_rule(n):
     return rule
 
 
-def integrate_endpoint_singular(f, x1, x2, rel_tol=1e-12, n_start=64, n_max=2048, rows=None):
-    """Integrate f over [x1, x2], tolerating sqrt endpoint behavior.
+def integrate_endpoint_singular(f, x1, x2, rel_tol=1e-12, n_start=64, rows=None):
+    """Integrals of f over the segments [x1, x2], tolerating sqrt endpoint behavior.
 
-    f must accept a 1D numpy array. Node counts double until two
-    successive Gauss-Legendre estimates agree to rel_tol, the difference
-    stops shrinking (the integrand's floating-point noise floor, e.g. from
-    cancellation in E - V near a turning point), or n_max is reached;
-    the finer estimate is returned. A NaN estimate meets neither stop
-    test, so its segment doubles up to n_max.
-
-    x1 and x2 may be equal-length 1D arrays of segment ends; the result is
-    then an array of per-segment estimates, each equal bit for bit to the
-    scalar call on its segment. Scalar ends return a float. ``rows``, if
+    x1 and x2 are equal-length 1D arrays of segment ends (ValueError
+    otherwise); the result is the array of per-segment estimates. f must
+    accept a 1D numpy array. A segment's node count doubles from n_start
+    until two successive Gauss-Legendre estimates agree to rel_tol, the
+    difference stops shrinking (the integrand's floating-point noise
+    floor, e.g. from cancellation in E - V near a turning point), or N_MAX
+    is reached; the finer estimate is returned. A NaN estimate meets
+    neither stop test, so its segment doubles up to N_MAX. ``rows``, if
     given, is a list the loop keeps equal to the indices of the segments
     whose nodes the next f call gets, n consecutive nodes per segment, so
     f can look up per-segment data such as each segment's own energy.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    if x1.ndim > 1 or x1.shape != x2.shape:
-        raise ValueError("segment ends must be scalars or equal-length 1D arrays")
-    width = (x2 - x1).ravel()
+    if x1.ndim != 1 or x1.shape != x2.shape:
+        raise ValueError("segment ends must be equal-length 1D arrays")
+    width = x2 - x1
     est = np.zeros(width.size)
     live = np.flatnonzero(width)
-    lo, width = x1.ravel()[live], width[live]
+    lo, width = x1[live], width[live]
     prev = prev_diff = None
     n = n_start
     while live.size:
@@ -117,10 +127,10 @@ def integrate_endpoint_singular(f, x1, x2, rel_tol=1e-12, n_start=64, n_max=2048
             rows[:] = live.tolist()
         vals = f((lo[:, None] + width[:, None] * s2).ravel()).reshape(-1, 1, n) * s2t
         # A stack of (1 x n) @ (n x 1) products: numpy takes each as one BLAS
-        # dot, so every segment sums in the same order as a scalar call.
+        # dot, so every segment sums in the same order as it would alone.
         e = (math.pi / 4.0) * width * np.matmul(vals, wg).ravel()
         est[live] = e
-        if n >= n_max:
+        if n >= N_MAX:
             break
         if prev is not None:
             step = np.abs(e - prev)
@@ -133,4 +143,66 @@ def integrate_endpoint_singular(f, x1, x2, rel_tol=1e-12, n_start=64, n_max=2048
             prev_diff = step
         prev = e
         n *= 2
-    return est if x1.ndim else float(est[0])
+    return est
+
+
+def solve_bracketed(f, lo, hi, f_lo, f_hi, xtol, x0=None):
+    """Roots of f in the brackets [lo, hi] by safeguarded Newton-bisection.
+
+    lo, hi and the values f_lo, f_hi of f there are equal-length 1D arrays,
+    one entry per bracket; xtol and x0 are arrays like them or scalars. A
+    bracket's f_lo and f_hi must not share a sign (ValueError otherwise),
+    and an end where f is 0 is its root. The first interior iterate is x0
+    where it lies strictly inside the bracket, else the midpoint. Each step
+    is a Newton step when it lands inside the shrinking bracket and is at
+    most half the previous step, else a bisection. Stops once a step is
+    below xtol + 4 eps |x|; more than 100 steps raise DomainError.
+
+    f(x, j) takes one iterate x per bracket j still stepping and returns
+    (f, f'), both arrays like x. The brackets step together: each takes
+    the steps it would take alone and drops out when it stops. Returns
+    the array of roots.
+    """
+    tol = np.broadcast_to(np.asarray(xtol, dtype=float), lo.shape)
+    root = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))
+    live = np.flatnonzero(np.isnan(root))
+    bad = live[(f_lo[live] < 0.0) == (f_hi[live] < 0.0)]
+    if bad.size:
+        j = bad[0]
+        raise ValueError("f(%g) = %g, f(%g) = %g: no sign change" % (lo[j], f_lo[j], hi[j], f_hi[j]))
+    # From here on f(lo) < 0 < f(hi).
+    swap = f_lo[live] > 0.0
+    lo, hi = np.where(swap, hi[live], lo[live]), np.where(swap, lo[live], hi[live])
+    tol = tol[live]
+    x = 0.5 * (lo + hi)
+    if x0 is not None:
+        x0 = np.broadcast_to(np.asarray(x0, dtype=float), root.shape)[live]
+        x = np.where((np.minimum(lo, hi) < x0) & (x0 < np.maximum(lo, hi)), x0, x)
+    step = np.abs(hi - lo)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(100):
+            if not live.size:
+                break
+            fx, slope = f(x, live)
+            neg = fx < 0.0
+            lo, hi = np.where(neg, x, lo), np.where(neg, hi, x)
+            # A zero slope gives an infinite (or nan) step, which bisects.
+            step_before, step = step, fx / slope
+            trial = x - step
+            newton = (np.minimum(lo, hi) < trial) & (trial < np.maximum(lo, hi))
+            newton &= np.abs(step) <= 0.5 * np.abs(step_before)
+            step = np.where(newton, step, x - 0.5 * (lo + hi))
+            x_next = x - step
+            stop = np.abs(step) <= tol + _EPS4 * np.abs(x_next)
+            zero = fx == 0.0
+            if zero.any():  # x is a root already
+                x_next[zero] = x[zero]
+                stop |= zero
+            x = x_next
+            if stop.any():
+                root[live[stop]] = x[stop]
+                go = ~stop
+                live, x, lo, hi, step, tol = live[go], x[go], lo[go], hi[go], step[go], tol[go]
+    if live.size:
+        raise DomainError("no root to %g found in 100 steps near x=%g" % (tol[0], x[0]))
+    return root

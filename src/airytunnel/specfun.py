@@ -1,10 +1,20 @@
 """Airy functions Ai, Bi and first derivatives on the real line.
 
-Self-contained double-precision kernel, no external special-function library. Two
+Self-contained double-precision kernel, no external special-function library. Three
 evaluation regimes:
 
-* ``u <= SERIES_ASYMPTOTIC_SWITCH``: Taylor series of the defining ODE
-  y'' = u y, advanced node to node from numerically stable seeds. Ai and
+* ``u < OSCILLATORY_SWITCH``: the oscillatory asymptotic expansions in
+  zeta = (2/3) z^(3/2), z = -u (DLMF 9.7.9, 9.7.11): cos(zeta - pi/4) and
+  sin(zeta - pi/4) times the even and odd parts of the series that the
+  u > 9 regime sums, with signs alternating in pairs, cut by the same
+  stop rule. At the switch zeta is 21, and no sum keeps more than 21
+  terms of the table. The phase zeta - pi/4
+  carries the rounding of zeta, so the error relative to the envelope
+  sqrt(Ai^2 + Bi^2) grows like eps zeta: that is the conditioning of
+  Ai(-z) in z, not a loss of the expansion.
+
+* ``OSCILLATORY_SWITCH <= u <= SERIES_ASYMPTOTIC_SWITCH``: Taylor series
+  of the defining ODE y'' = u y, advanced node to node from numerically stable seeds. Ai and
   its derivative are seeded from the fully converged asymptotic expansion
   at u = 12 and propagated leftward (the direction in which Ai grows, so
   Bi contamination dies out); Bi is seeded at u = 0 from the exact
@@ -23,14 +33,12 @@ evaluation regimes:
   regimes agree to machine precision in the overlap window. No u > 9 keeps
   more than 30 terms, so a table of 31 coefficients decides every stop.
 
-Oscillatory arguments are supported down to u = -10, which is all the
-tunneling formulas and wavefunction plotting need.
-
 ``airy`` and ``log_bi_over_ai`` have one evaluation path each. They take a
 scalar or a 1D array; a scalar runs as an array of size one. All grid-regime
-entries of a call take their Taylor steps in one vectorised pass, and all
-asymptotic entries sum their series in one pass along a term axis; exp, log
-and powers are numpy's, which give an entry the bits of a call of size one.
+entries of a call take their Taylor steps in one vectorised pass, and the
+asymptotic entries on each side sum their series in one pass along a term
+axis; exp, log, cos, sin and powers are numpy's, which give an entry the
+bits of a call of size one.
 """
 
 import math
@@ -55,8 +63,8 @@ BIP_ZERO = 3.0 ** (1.0 / 6.0) / GAMMA_ONE_THIRD
 #: Regime switch for positive u: ODE-Taylor grid below, asymptotics above.
 SERIES_ASYMPTOTIC_SWITCH = 9.0
 
-#: Oscillatory evaluation is range-limited; the rate formulas need u >= 0.
-U_MIN_SUPPORTED = -10.0
+#: Regime switch for negative u: oscillatory asymptotics below, ODE-Taylor grid above.
+OSCILLATORY_SWITCH = -10.0
 
 # zeta ceiling before exp(zeta) leaves double range (with a little slack).
 _ZETA_OVERFLOW = 705.0
@@ -68,7 +76,7 @@ _SQRT_PI = math.sqrt(math.pi)
 _QUARTER_ULP_OF_ONE_HALF = 2.0 ** -55
 
 _GRID_STEP = 0.25
-_GRID_LO = -10.25  # one node of margin past U_MIN_SUPPORTED
+_GRID_LO = -10.25  # one node of margin past OSCILLATORY_SWITCH
 _GRID_HI = 10.25   # overlap margin past the switch point
 _AI_CHAIN_START = 12.0  # asymptotic seed for the Ai chain
 
@@ -212,6 +220,30 @@ def _airy_asymptotic(u):
     return ai, bi, ai_prime, bi_prime
 
 
+def _airy_oscillatory(z):
+    """Oscillatory-regime (Ai, Bi, Ai', Bi') at -z for each entry of the 1D
+    array z >= 10 (DLMF 9.7.9, 9.7.11)."""
+    zeta = (2.0 / 3.0) * z ** 1.5
+    t, tv, stop = _asymptotic_terms(zeta)
+    n = int(stop.max(initial=0))
+    keep = np.arange(n)[:, None] < stop
+    terms = np.empty((n + 1, 2, zeta.size))
+    terms[0] = 1.0
+    np.multiply(t[:n], keep, out=terms[1:, 0])
+    np.multiply(tv[:n], keep, out=terms[1:, 1])
+    terms[2::4] *= -1.0  # signs + + - - + + ..., (-1)^(k // 2)
+    terms[3::4] *= -1.0
+    # the even and odd parts, each added in term order
+    (ue, ve), (uo, vo) = np.add.reduce(terms[0::2], axis=0), np.add.reduce(terms[1::2], axis=0)
+    q = z ** 0.25
+    c, s = np.cos(zeta - math.pi / 4.0), np.sin(zeta - math.pi / 4.0)
+    ai = (c * ue + s * uo) / (_SQRT_PI * q)
+    bi = (c * uo - s * ue) / (_SQRT_PI * q)
+    ai_prime = q * (s * ve - c * vo) / _SQRT_PI
+    bi_prime = q * (c * ve + s * vo) / _SQRT_PI
+    return ai, bi, ai_prime, bi_prime
+
+
 #: A query's Taylor step from its node sums the terms h^0 .. h^_GRID_ORDER.
 #: With |h| <= 1/8 no term past h^16 changes a double on the grid, and a
 #: step to h^15 already changes bits: the margin is one term.
@@ -265,13 +297,15 @@ def airy(u):
     """Evaluate Ai(u), Bi(u), Ai'(u), Bi'(u).
 
     Relative accuracy is ~1e-13 or better away from zeros of the
-    individual functions. Raises DomainError for u < -10 (outside the
-    supported oscillatory range) and AiryOverflowError once exp((2/3)
-    u^(3/2)) leaves double-precision range; the exception carries the
-    offending exponent so callers can switch to log_bi_over_ai.
+    individual functions for u >= -10; below, the error relative to the
+    envelope sqrt(Ai^2 + Bi^2) grows like eps (2/3)|u|^(3/2), the
+    conditioning of the phase. Raises DomainError for a u that is not
+    finite and AiryOverflowError once exp((2/3) u^(3/2)) leaves
+    double-precision range; the exception carries the offending exponent
+    so callers can switch to log_bi_over_ai.
 
     A scalar u gives an AiryPair of floats, a 1D array an AiryPair of
-    arrays of its shape; a DomainError then names the lowest argument.
+    arrays of its shape.
     """
     u, scalar = _arguments(u)
     if not np.all(np.isfinite(u)):
@@ -279,14 +313,13 @@ def airy(u):
             "airy argument must be finite, got %r" % float(u[0]) if scalar
             else "airy arguments must be finite"
         )
-    if u.size and u.min() < U_MIN_SUPPORTED - 1e-9:
-        raise DomainError(
-            "airy argument %g below supported range u >= %g" % (u.min(), U_MIN_SUPPORTED)
-        )
     far = u > SERIES_ASYMPTOTIC_SWITCH
-    vals = np.array(_airy_grid(np.where(far, 0.0, u)))
+    deep = u < OSCILLATORY_SWITCH
+    vals = np.array(_airy_grid(np.where(far | deep, 0.0, u)))
     if far.any():
         vals[:, far] = _airy_asymptotic(u[far])
+    if deep.any():
+        vals[:, deep] = _airy_oscillatory(-u[deep])
     return AiryPair(*(vals[:, 0].tolist() if scalar else vals))
 
 

@@ -28,10 +28,6 @@ evaluated by that limit instead. At a far turning point (k2 = 0 with
 finite S) the prefactor, and so the basis pair, is infinite. For a linear
 k2 the construction is exact: it reproduces Ai and Bi of the shifted
 argument identically.
-
-Note the Airy kernel is range-limited to arguments >= -10; windows that
-reach so deep into the allowed region that S**(2/3) exceeds 10 raise
-DomainError naming the most negative argument.
 """
 
 from dataclasses import dataclass

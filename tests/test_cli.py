@@ -157,13 +157,21 @@ def test_bad_argument_exit_codes(capsys):
         "--energy", "-0.5",
     )
     assert code == 2
-    # wavefunction window reaching past the Airy range (u near -15.2 at x = -9)
-    code, out, err = run_cli(
-        capsys, "wavefunction", "--potential", "parabolic", "--v0", "1.0",
-        "--energy", "0.5", "--xmin", "-9.0", "--xmax", "1.5", "--n", "41",
-    )
-    assert code == 2 and out == ""
-    assert "airy argument -15.2" in err
+
+
+@pytest.mark.parametrize("argv, deepest", [
+    ("--potential sech2 --v0 1 --w 2 --energy 0.3", -10.615),
+    ("--potential sech2 --v0 1 --w 4 --energy 0.3", -16.85),
+    ("--potential gaussian --v0 1 --w 3 --energy 0.5", -16.018),
+    ("--potential parabolic --v0 1.0 --energy 0.5 --xmin -9.0 --xmax 1.5 --n 41", -15.215),
+])
+def test_wavefunction_windows_reach_below_airy_argument_minus_ten(capsys, argv, deepest):
+    # the first three are default windows; Ai and Bi take their oscillatory
+    # expansions below -10
+    code, out, err = run_cli(capsys, "wavefunction", *argv.split())
+    assert (code, err) == (0, "")
+    arg = np.array([float(row.split(",")[2]) for row in out.splitlines()[1:]])
+    assert arg.min() == pytest.approx(deepest, abs=1e-3)
 
 
 def test_report_row_is_the_first_row_of_a_sweep(capsys):

@@ -27,7 +27,7 @@ from airytunnel import (
     make_potential,
 )
 from airytunnel import geometry, potential, rate_report
-from airytunnel.geometry import solve_bracketed
+from airytunnel.quadrature import integrate_endpoint_singular, solve_bracketed
 from conftest import entry_matches, not_even
 
 B_PARABOLIC = float(truth.turning_point("parabolic", 0.5, 1.0))
@@ -145,8 +145,16 @@ def test_action_names_the_segment_that_leaves_the_barrier():
 def test_action_doubling_quadrature_effort_is_converged():
     pot = GaussianBarrier(1.0, 1.0)
     a, b = find_turning_points(pot, 0.4)
-    theta = action_integral(pot, 0.4, a, b, rel_tol=1e-12)
-    theta_hard = action_integral(pot, 0.4, a, b, rel_tol=1e-13)
+    theta = action_integral(pot, 0.4, a, b)
+
+    def kappa(x):
+        return np.sqrt(np.maximum(pot.gap(0.4, x), 0.0))
+
+    def integrate(rel_tol):
+        return integrate_endpoint_singular(kappa, np.array([a]), np.array([b]), rel_tol=rel_tol).item()
+
+    assert theta == integrate(1e-12)  # the integrator's own tolerance
+    theta_hard = integrate(1e-13)
     assert abs(theta - theta_hard) <= 1e-10 * theta
 
 

@@ -1,4 +1,4 @@
-"""Mapped Gauss-Legendre quadrature: scalar and batched segments agree."""
+"""Mapped Gauss-Legendre quadrature: each segment of a batch gets the bits of a call of its own."""
 
 import math
 import tracemalloc
@@ -14,6 +14,13 @@ from airytunnel.quadrature import _gauss_legendre, integrate_endpoint_singular
 
 def _action_integrand(pot, energy):
     return lambda x: np.sqrt(np.abs(energy - pot.v(x)))
+
+
+def integrate_one(f, x1, x2, **kwargs):
+    """The integrator on the one segment [x1, x2]: its one-entry array's value."""
+    out = integrate_endpoint_singular(f, np.array([x1]), np.array([x2]), **kwargs)
+    assert out.shape == (1,)
+    return out.item()
 
 
 def reference_integrate(f, x1, x2, rel_tol=1e-12, n_start=64, n_max=2048):
@@ -57,8 +64,7 @@ def test_segment_array_matches_scalar_calls_bit_for_bit(pot, energy, n_start):
     batched = integrate_endpoint_singular(f, x1, x2, n_start=n_start)
     assert isinstance(batched, np.ndarray) and batched.shape == x1.shape
     for p, q, got in zip(x1.tolist(), x2.tolist(), batched.tolist()):
-        single = integrate_endpoint_singular(f, p, q, n_start=n_start)
-        assert type(single) is float
+        single = integrate_one(f, p, q, n_start=n_start)
         # bit for bit, not approximately: same arithmetic as the old loop
         assert got == single == reference_integrate(f, p, q, n_start=n_start)
     assert batched[5] == 0.0
@@ -72,7 +78,7 @@ def test_zero_width_segments_are_not_sampled():
         calls.append(x.size)
         return np.ones_like(x)
 
-    assert integrate_endpoint_singular(f, 1.5, 1.5) == 0.0
+    assert integrate_endpoint_singular(f, np.array([1.5]), np.array([1.5])).tolist() == [0.0]
     assert calls == []
     out = integrate_endpoint_singular(f, np.array([0.0, 2.0]), np.array([1.0, 2.0]))
     assert out.tolist() == [pytest.approx(1.0, rel=1e-14), 0.0]
@@ -92,8 +98,8 @@ def test_segments_stop_independently():
     assert out[1] == pytest.approx((math.exp(8.0) - 1.0) / 8.0, rel=1e-13)
     assert sizes == [2 * 4, 2 * 8, 16 + 16, 32 + 32, 64]
     assert out.tolist() == [
-        integrate_endpoint_singular(f, 0.0, 1.0, n_start=4),
-        integrate_endpoint_singular(f, 2.0, 3.0, n_start=4),
+        integrate_one(f, 0.0, 1.0, n_start=4),
+        integrate_one(f, 2.0, 3.0, n_start=4),
     ]
 
 
@@ -107,7 +113,8 @@ def _mixed_exits(x):
     )
 
 
-def test_mixed_exits_match_single_calls_bit_for_bit():
+def test_mixed_exits_match_single_calls_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(quadrature, "N_MAX", 32)  # read at call time
     x1, x2 = np.array([0.0, 1.0, 4.0, 6.0]), np.array([1.0, 3.0, 5.0, 7.0])
     rows, sampled = [], []
 
@@ -115,9 +122,9 @@ def test_mixed_exits_match_single_calls_bit_for_bit():
         sampled.append(list(rows))
         return _mixed_exits(x)
 
-    out = integrate_endpoint_singular(f, x1, x2, n_start=4, n_max=32, rows=rows)
+    out = integrate_endpoint_singular(f, x1, x2, n_start=4, rows=rows)
     for p, q, got in zip(x1.tolist(), x2.tolist(), out.tolist()):
-        single = integrate_endpoint_singular(_mixed_exits, p, q, n_start=4, n_max=32)
+        single = integrate_one(_mixed_exits, p, q, n_start=4)
         ref = reference_integrate(_mixed_exits, p, q, n_start=4, n_max=32)
         assert got.hex() == single.hex() == ref.hex()  # bit for bit, NaN included
     # the NaN segment meets neither stop test and is sampled at every doubling
@@ -125,13 +132,14 @@ def test_mixed_exits_match_single_calls_bit_for_bit():
     assert math.isnan(out[3])
 
     def estimate(p, q, n):
-        return integrate_endpoint_singular(_mixed_exits, p, q, n_start=n, n_max=n)
+        return reference_integrate(_mixed_exits, p, q, n_start=n, n_max=n)
 
     converged = abs(estimate(0.0, 1.0, 16) - estimate(0.0, 1.0, 8))
     assert converged <= 1e-12 * out[0]
     floor = abs(estimate(1.0, 3.0, 16) - estimate(1.0, 3.0, 8))
     assert floor > 1e-12 * out[1]  # stopped at 16 without converging
-    assert integrate_endpoint_singular(_mixed_exits, 4.0, 5.0, n_start=4, n_max=64) != out[2]
+    monkeypatch.setattr(quadrature, "N_MAX", 64)
+    assert integrate_one(_mixed_exits, 4.0, 5.0, n_start=4) != out[2]
 
 
 def test_segment_ends_must_match():
@@ -140,6 +148,8 @@ def test_segment_ends_must_match():
         integrate_endpoint_singular(f, np.array([0.0, 1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         integrate_endpoint_singular(f, np.zeros((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError):  # no scalar ends
+        integrate_endpoint_singular(f, 0.0, 1.0)
 
 
 # Fixed-point scale of the high-precision reference rule: 200 bits, ~60 digits.

@@ -230,6 +230,34 @@ def test_uniform_rate_tends_to_one_at_the_barrier_top(case):
     assert abs(g.theta - exact) <= 2e-15 * exact
 
 
+#: t_uniform / T on the parabola against Kemble's exact T, by theta:
+#: measured, reproduced to 1e-15 on v0 = 1, 13 and 20. It falls from 2 at
+#: the top to a minimum of ~0.577 near theta = 1.5, then climbs toward 3/4.
+KEMBLE_RATIO = {
+    0.0157: 1.7471276192640166,
+    0.157: 1.1681423636401105,
+    0.785: 0.652384992529176,
+    1.41: 0.5768132389868613,
+    3.0: 0.6104404060551639,
+    12.0: 0.7155430546329248,
+}
+
+
+def test_uniform_rate_over_kemble_on_the_parabola_is_a_function_of_theta():
+    for v0 in (1.0, 13.0):
+        thetas = np.array([th for th in KEMBLE_RATIO if th < math.pi * v0 / 2])
+        energies = v0 - 2.0 * thetas / math.pi
+        report = rate_report(ParabolicBarrier(v0), energies)
+        assert report.geometry.theta == pytest.approx(thetas, rel=1e-13)
+        for theta, t, e in zip(thetas.tolist(), report.t_uniform.tolist(), energies.tolist()):
+            assert t / truth.kemble(e, v0) == pytest.approx(KEMBLE_RATIO[theta], rel=1e-12), (v0, theta)
+    # At the top T -> 1/2 while t_uniform -> 1: the ratio's limit is 2.
+    energy = 1.0 - 1e-12
+    report = rate_report(ParabolicBarrier(1.0), energy)
+    assert truth.kemble(energy, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert report.t_uniform == pytest.approx(1.0, abs=1e-7)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     scale=st.sampled_from([1.0, 3.0, 8.0]),

@@ -41,8 +41,7 @@ from airytunnel import (
 )
 from airytunnel import geometry, oracle, rates
 from airytunnel.cli import main
-from airytunnel.geometry import solve_bracketed
-from airytunnel.quadrature import integrate_endpoint_singular
+from airytunnel.quadrature import integrate_endpoint_singular, solve_bracketed
 from conftest import (
     SquareBarrier,
     double_hump_samples,

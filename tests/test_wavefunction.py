@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import truth
 from airytunnel import (
     DegenerateTurningPointError,
-    DomainError,
     ParabolicBarrier,
     Sech2Barrier,
     WavefunctionGrid,
@@ -262,15 +261,26 @@ def test_array_psi_basis_takes_crossings_once_and_matches_scalar_calls(monkeypat
         assert bi_part == pytest.approx(singles[:, 1], rel=1e-9, abs=1e-12)
 
 
-def test_deep_window_names_the_worst_airy_argument():
+def test_deep_window_matches_mpmath():
     # (2/3)|u|**1.5 = action from the left turning point out to x = -9,
-    # which puts u near -15.2, past the Airy kernel's range
+    # which puts u near -15.2, past the Airy kernel's grid. On the parabola
+    # k2 = x**2 - r**2 (r**2 = 1/2), so the basis is a 30-digit mpmath
+    # integral and two Airy calls; measured 1.2e-14 of the envelope.
     pot = ParabolicBarrier(1.0)
     a, _ = find_turning_points(pot, 0.5)
-    with pytest.raises(DomainError, match=r"-15\.2"):
-        sample_grid(pot, 0.5, (-9.0, a), 50, 1.0, 0.0, a)
-    with pytest.raises(DomainError, match=r"-15\.2"):
-        psi_basis(pot, 0.5, a, -9.0)
+    grid = sample_grid(pot, 0.5, (-9.0, a), 50, 1.0, 0.0, a)
+    assert grid.airy_arg.min() == pytest.approx(-15.2, abs=0.05)
+    with mpmath.workdps(30):
+        r = mpmath.sqrt(mpmath.mpf(0.5))
+        for x, ai_part, bi_part in zip(grid.x[:-1].tolist(), grid.psi_ai.tolist(), grid.psi_bi.tolist()):
+            s = 1.5 * mpmath.quad(lambda t: mpmath.sqrt(t * t - r * r), [x, -r])
+            u = -s ** (mpmath.mpf(2) / 3)
+            amp = s ** (mpmath.mpf(1) / 6) / mpmath.sqrt(mpmath.sqrt(x * x - r * r))
+            envelope = amp * mpmath.hypot(mpmath.airyai(u), mpmath.airybi(u))
+            assert abs(ai_part - amp * mpmath.airyai(u)) <= 1e-13 * envelope, x
+            assert abs(bi_part - amp * mpmath.airybi(u)) <= 1e-13 * envelope, x
+    ai_part, bi_part = psi_basis(pot, 0.5, a, -9.0)
+    assert (ai_part, bi_part) == (pytest.approx(grid.psi_ai[0], rel=1e-14), pytest.approx(grid.psi_bi[0], rel=1e-14))
 
 
 def test_action_on_tabulated_barrier_matches_mpmath(tilted_barrier):

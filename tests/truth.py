@@ -5,7 +5,8 @@ mistakes. Values are mpmath numbers at 34 digits, or at the caller's
 precision for a table's spline, so a float under test differs from them
 by its own error only. Families go by make_potential's names: "parabolic"
 (v0 - x**2), "sech2" (v0 sech(x/w)**2) and "gaussian" (v0 exp(-(x/w)**2)).
-Poschl-Teller's T is from Landau & Lifshitz, Quantum Mechanics, section 25.
+Poschl-Teller's T is from Landau & Lifshitz, Quantum Mechanics, section 25,
+and the parabola's from Kemble, Phys. Rev. 48, 549 (1935).
 """
 
 import math
@@ -59,6 +60,14 @@ def poschl_teller(energy, v0, w):
         s = mpmath.sinh(mpmath.pi * mpmath.sqrt(e) * w) ** 2
         c = mpmath.cosh(mpmath.pi / 2 * mpmath.sqrt(4 * v0 * w * w - 1)) ** 2
         return s / (s + c)
+
+
+def kemble(energy, v0):
+    """T through the parabola v0 - x**2 at the energy: 1 / (1 + e^(2 theta)),
+    theta = pi (v0 - E)/2, exact at every energy, above the top included."""
+    with mpmath.workdps(_DPS):
+        theta = mpmath.pi * (mpmath.mpf(v0) - mpmath.mpf(energy)) / 2
+        return 1 / (1 + mpmath.exp(2 * theta))
 
 
 def square_barrier(energy, v0, length):

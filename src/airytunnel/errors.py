@@ -102,6 +102,15 @@ def first_failure(k, exc, *checks):
     return k, exc
 
 
+def as_1d(values, name):
+    """(values as a 1D float array, whether it was a scalar); ValueError beyond 1D."""
+    scalar = np.ndim(values) == 0
+    values = np.array(values, dtype=float, ndmin=1)
+    if values.ndim > 1:
+        raise ValueError("%s must be a scalar or 1D, got shape %s" % (name, values.shape))
+    return values, scalar
+
+
 def batched(run, energies, empty, block=None):
     """(record, exc): run over a scalar or a 1D array of energies, up to
     the first that fails, and that energy's exception, or None.
@@ -114,11 +123,9 @@ def batched(run, energies, empty, block=None):
     the first failure. An error that run raises, a failure of the stage as a
     whole (a bad window, a root search that does not converge), is that of
     its block's first energy. empty is the record of no energy. energies
-    beyond 1D raise ValueError.
+    beyond 1D raise as_1d's ValueError.
     """
-    energies = np.array(energies, dtype=float, ndmin=1)
-    if energies.ndim > 1:
-        raise ValueError("energies must be a scalar or 1D, got shape %s" % (energies.shape,))
+    energies, _ = as_1d(energies, "energies")
     bad = ~_energy_ok(energies)
     k, exc = first_failure(energies.size, None, (bad, lambda p: energy_error(energies[p])))
     parts, step = [], block or max(k, 1)

@@ -23,7 +23,6 @@ methods are pure, so they are safe to share across threads.
 """
 
 import inspect
-import io
 import math
 from abc import ABC, abstractmethod
 from pathlib import Path
@@ -34,15 +33,10 @@ from .errors import FormatError, RangeError
 from .quadrature import _EPS4, solve_bracketed
 
 
-def _check_param(name, value):
+def _check_positive(name, value):
     value = float(value)
     if not math.isfinite(value):
         raise ValueError("%s must be finite, got %r" % (name, value))
-    return value
-
-
-def _check_positive(name, value):
-    value = _check_param(name, value)
     if value <= 0.0:
         raise ValueError("%s must be > 0, got %g" % (name, value))
     return value
@@ -397,7 +391,7 @@ def load_tabulated(source):
             text = source
         elif isinstance(source, bytes):
             text = source.decode("utf-8")
-        elif isinstance(source, io.IOBase) or hasattr(source, "read"):
+        elif hasattr(source, "read"):
             data = source.read()
             text = data.decode("utf-8") if isinstance(data, bytes) else data
         else:

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateTurningPointError, outcome
+from .errors import DegenerateTurningPointError, as_1d, outcome
 from .geometry import BarrierGeometry, _geometries
 from .oracle import OracleResult, _transmissions
 from .specfun import log_bi_over_ai
@@ -80,27 +80,29 @@ def _estimates(theta, alpha_plus=None, alpha_minus=None, s_half=None):
     return u, wkb, asymptotic, uniform
 
 
-def _rate(k, *args):
-    """Rate k of _estimates at args: a float where every arg is a scalar,
-    else an array. A scalar runs as an array of size one."""
-    value = _estimates(*(np.array(x, dtype=float, ndmin=1) for x in args))[k]
-    return value.item() if all(np.ndim(x) == 0 for x in args) else value
+def _rate(k, **args):
+    """Rate k of _estimates at the named args: a float where every arg is a
+    scalar, else an array. A scalar runs as an array of size one."""
+    arrays, scalars = zip(*(as_1d(x, name) for name, x in args.items()))
+    value = _estimates(*arrays)[k]
+    return value.item() if all(scalars) else value
 
 
 def t_wkb(theta):
     """WKB transmission factor exp(-2 theta)."""
-    return _rate(1, theta)
+    return _rate(1, theta=theta)
 
 
 def t_asymptotic(theta, alpha_plus, alpha_minus):
     """Asymptotic rate (3/4) |alpha+/alpha-|**(1/3) exp(-2 theta)."""
-    return _rate(2, theta, alpha_plus, alpha_minus)
+    return _rate(2, theta=theta, alpha_plus=alpha_plus, alpha_minus=alpha_minus)
 
 
 def t_uniform(geom: BarrierGeometry):
     """Uniform Airy-ratio rate 3 (Ai(u)/Bi(u))**2 |alpha+/alpha-|**(1/3),
     u = s_half**(2/3)."""
-    return _rate(3, geom.theta, geom.alpha_plus, geom.alpha_minus, geom.s_half)
+    return _rate(3, theta=geom.theta, alpha_plus=geom.alpha_plus,
+                 alpha_minus=geom.alpha_minus, s_half=geom.s_half)
 
 
 def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000):

@@ -6,12 +6,14 @@ evaluation regimes:
 * ``u < OSCILLATORY_SWITCH``: the oscillatory asymptotic expansions in
   zeta = (2/3) z^(3/2), z = -u (DLMF 9.7.9, 9.7.11): cos(zeta - pi/4) and
   sin(zeta - pi/4) times the even and odd parts of the series that the
-  u > 9 regime sums, with signs alternating in pairs, cut by the same
-  stop rule. At the switch zeta is 21, and no sum keeps more than 21
-  terms of the table. The phase zeta - pi/4
+  u > 9 regime sums, with signs alternating in pairs: one builder forms
+  the terms of both, cut by one stop rule. At the switch zeta is 21, and
+  no sum keeps more than 21 terms of the table. The phase zeta - pi/4
   carries the rounding of zeta, so the error relative to the envelope
   sqrt(Ai^2 + Bi^2) grows like eps zeta: that is the conditioning of
-  Ai(-z) in z, not a loss of the expansion.
+  Ai(-z) in z, not a loss of the expansion. Below OSCILLATORY_LIMIT,
+  where 2 eps zeta reaches 1, no digit would be correct, and airy
+  raises DomainError instead.
 
 * ``OSCILLATORY_SWITCH <= u <= SERIES_ASYMPTOTIC_SWITCH``: Taylor series
   of the defining ODE y'' = u y, advanced node to node from numerically stable seeds. Ai and
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AiryOverflowError, DomainError
+from .errors import AiryOverflowError, DomainError, as_1d
 
 # Gamma function at the two thirds, to 20 significant digits. Everything
 # at u = 0 derives from these.
@@ -65,6 +67,9 @@ SERIES_ASYMPTOTIC_SWITCH = 9.0
 
 #: Regime switch for negative u: oscillatory asymptotics below, ODE-Taylor grid above.
 OSCILLATORY_SWITCH = -10.0
+
+#: The lowest u that airy answers: below it 2 eps zeta, the phase error bound, passes 1.
+OSCILLATORY_LIMIT = -(0.75 / 2.0 ** -52) ** (2.0 / 3.0)
 
 # zeta ceiling before exp(zeta) leaves double range (with a little slack).
 _ZETA_OVERFLOW = 705.0
@@ -89,15 +94,6 @@ class AiryPair:
     bi: float
     ai_prime: float
     bi_prime: float
-
-
-def _arguments(u):
-    """(u as a 1D float array, whether u was a scalar); ValueError beyond 1D."""
-    scalar = np.ndim(u) == 0
-    u = np.array(u, dtype=float, ndmin=1)
-    if u.ndim > 1:
-        raise ValueError("Airy arguments must be a scalar or 1D, got shape %s" % (u.shape,))
-    return u, scalar
 
 
 def _taylor_derivs(x0, y, yp, order):
@@ -154,13 +150,16 @@ def _coefficients(max_terms):
 _U_K, _V_K = _coefficients(32)
 
 
-def _asymptotic_terms(zeta):
-    """(t, tv, stop) at each entry of the 1D array zeta: the terms
-    u_k / zeta^k and v_k / zeta^k, k = 1 .. _U_K.size, as rows, and the
-    number of them each entry keeps.
+def _series_terms(zeta):
+    """The terms of the asymptotic series at each entry of the 1D array
+    zeta, as an (n + 1, 2, zeta.size) array: row 0 is 1, row k holds
+    u_k / zeta^k in column 0 and v_k / zeta^k in column 1, the signs of
+    Bi's sums, and n is the most terms any entry keeps.
 
     Each entry stops at its smallest term, the standard rule for divergent
-    asymptotic series, or earlier once the terms no longer change any sum.
+    asymptotic series, or earlier once the terms no longer change any sum;
+    its rows past the stop are 0. A reduction along the leading axis adds
+    the terms in order k = 0, 1, ..., the bits of a loop over them.
     """
     # Past an entry's stop zeta^k may overflow to inf; its terms are then 0.
     with np.errstate(over="ignore"):
@@ -175,29 +174,25 @@ def _asymptotic_terms(zeta):
     np.less(t[1:], t[:-1], out=go[1:-1])
     go[:-1] &= tv <= -_QUARTER_ULP_OF_ONE_HALF
     go[-1] = False
-    return t, tv, go.argmin(axis=0)
+    stop = go.argmin(axis=0)
+    n = int(stop.max(initial=0))
+    keep = np.arange(n)[:, None] < stop
+    terms = np.empty((n + 1, 2, zeta.size))
+    terms[0] = 1.0
+    np.multiply(t[:n], keep, out=terms[1:, 0])
+    np.multiply(tv[:n], keep, out=terms[1:, 1])
+    return terms
 
 
 def _asymptotic_sums(zeta):
     """Truncated asymptotic correction sums for (Ai, Bi, Ai', Bi') at each
-    entry of the 1D array zeta, as the rows of a (4, zeta.size) array.
-
-    Each sum stops where _asymptotic_terms says. All entries run in one
-    pass along a term axis: the powers zeta^k are one running product,
-    every term is formed, and the terms past an entry's stop are set to 0.
-    The sums add the terms in order k = 0, 1, ..., so each entry gets the
-    bits of a loop over its terms.
-    """
-    t, tv, stop = _asymptotic_terms(zeta)
-    n = int(stop.max(initial=0))
-    keep = np.arange(n)[:, None] < stop
-    terms = np.empty((n + 1, 4, zeta.size))
-    terms[0] = 1.0
-    np.multiply(t[:n], keep, out=terms[1:, 1])
-    np.multiply(tv[:n], keep, out=terms[1:, 3])
-    terms[1::2, 0::2] = -terms[1::2, 1::2]  # the alternating sums, sign (-1)^k
-    terms[2::2, 0::2] = terms[2::2, 1::2]
-    return np.add.reduce(terms, axis=0)
+    entry of the 1D array zeta, as the rows of a (4, zeta.size) array:
+    Bi's sum the terms of _series_terms, Ai's their alternating signs (-1)^k."""
+    terms = _series_terms(zeta)
+    sb, sd = np.add.reduce(terms, axis=0)
+    terms[1::2] *= -1.0
+    sa, sc = np.add.reduce(terms, axis=0)
+    return np.array((sa, sb, sc, sd))
 
 
 def _airy_asymptotic(u):
@@ -224,13 +219,7 @@ def _airy_oscillatory(z):
     """Oscillatory-regime (Ai, Bi, Ai', Bi') at -z for each entry of the 1D
     array z >= 10 (DLMF 9.7.9, 9.7.11)."""
     zeta = (2.0 / 3.0) * z ** 1.5
-    t, tv, stop = _asymptotic_terms(zeta)
-    n = int(stop.max(initial=0))
-    keep = np.arange(n)[:, None] < stop
-    terms = np.empty((n + 1, 2, zeta.size))
-    terms[0] = 1.0
-    np.multiply(t[:n], keep, out=terms[1:, 0])
-    np.multiply(tv[:n], keep, out=terms[1:, 1])
+    terms = _series_terms(zeta)
     terms[2::4] *= -1.0  # signs + + - - + + ..., (-1)^(k // 2)
     terms[3::4] *= -1.0
     # the even and odd parts, each added in term order
@@ -300,19 +289,24 @@ def airy(u):
     individual functions for u >= -10; below, the error relative to the
     envelope sqrt(Ai^2 + Bi^2) grows like eps (2/3)|u|^(3/2), the
     conditioning of the phase. Raises DomainError for a u that is not
-    finite and AiryOverflowError once exp((2/3) u^(3/2)) leaves
-    double-precision range; the exception carries the offending exponent
-    so callers can switch to log_bi_over_ai.
+    finite or is below OSCILLATORY_LIMIT = -(3/(4 eps))^(2/3) ~ -2.25e10,
+    where that error reaches 1, and AiryOverflowError once
+    exp((2/3) u^(3/2)) leaves double-precision range; the exception
+    carries the offending exponent so callers can switch to log_bi_over_ai.
 
     A scalar u gives an AiryPair of floats, a 1D array an AiryPair of
     arrays of its shape.
     """
-    u, scalar = _arguments(u)
+    u, scalar = as_1d(u, "Airy arguments")
     if not np.all(np.isfinite(u)):
         raise DomainError(
             "airy argument must be finite, got %r" % float(u[0]) if scalar
             else "airy arguments must be finite"
         )
+    low = np.flatnonzero(u < OSCILLATORY_LIMIT)
+    if low.size:
+        raise DomainError("airy argument must be >= %.6g, where the phase error 2 eps (2/3)|u|^(3/2) "
+                          "reaches 1, got %r" % (OSCILLATORY_LIMIT, float(u[low[0]])))
     far = u > SERIES_ASYMPTOTIC_SWITCH
     deep = u < OSCILLATORY_SWITCH
     vals = np.array(_airy_grid(np.where(far | deep, 0.0, u)))
@@ -333,7 +327,7 @@ def log_bi_over_ai(u):
 
     A scalar u gives a float, a 1D array an array of its shape.
     """
-    u, scalar = _arguments(u)
+    u, scalar = as_1d(u, "Airy arguments")
     bad = np.flatnonzero(~(u >= 0.0))
     if bad.size:
         raise DomainError("log_bi_over_ai requires u >= 0, got %r" % float(u[bad[0]]))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTurningPointError, judge
+from .errors import DegenerateTurningPointError, as_1d, judge
 from .geometry import _degenerate
 from .quadrature import integrate_endpoint_singular
 from .specfun import AI_ZERO, BI_ZERO, airy
@@ -103,9 +103,7 @@ def _basis_arrays(pot, energy, anchor, xs, crossings):
 def _scanned_basis(pot, energy, anchor, x):
     """_basis_arrays at x (a scalar or 1D) from one Potential.crossings call;
     errors.judge names a bad energy, anchor or point before it."""
-    xs = np.array(x, dtype=float, ndmin=1)
-    if xs.ndim > 1:
-        raise ValueError("x must be a scalar or 1D, got shape %s" % (xs.shape,))
+    xs, _ = as_1d(x, "x")
     energy, anchor, xs = judge(energy, anchor=anchor, x=xs)
     ends = np.append(xs, anchor)
     _, crossings = pot.crossings(np.array([energy]), ends.min(), ends.max())

@@ -27,6 +27,9 @@ from airytunnel import (
     psi_basis,
     rate_report,
     sample_grid,
+    t_asymptotic,
+    t_uniform,
+    t_wkb,
 )
 from airytunnel.cli import main
 from airytunnel.geometry import _geometries
@@ -189,6 +192,19 @@ def test_energies_beyond_1d_are_rejected():
                  lambda pot, e: exact_transmission(pot, e, pot.window())):
         with pytest.raises(ValueError, match=message):
             call(pot, grid)
+
+
+@pytest.mark.parametrize("call", [
+    lambda grid: t_wkb(grid),
+    lambda grid: t_asymptotic(grid, -grid, grid),
+    lambda grid: t_uniform(BarrierGeometry(-grid, grid, 0.0 * grid, grid, 0.75 * grid, -grid, grid, grid)),
+], ids=["t_wkb", "t_asymptotic", "t_uniform"])
+@pytest.mark.parametrize("grid", [np.ones((2, 2)), np.array([[-1.0, 1.0]])], ids=["ones", "negative"])
+def test_rates_beyond_1d_are_rejected(call, grid):
+    # judged before the rate formula, which would name an entry of a row
+    message = r"^theta must be a scalar or 1D, got shape %s$" % re.escape(str(grid.shape))
+    with pytest.raises(ValueError, match=message):
+        call(grid)
 
 
 @pytest.mark.parametrize("argv, code, message", [

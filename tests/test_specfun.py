@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from airytunnel import AiryOverflowError, DomainError, airy, log_bi_over_ai
 from airytunnel.specfun import (
+    OSCILLATORY_LIMIT,
     OSCILLATORY_SWITCH,
     SERIES_ASYMPTOTIC_SWITCH,
     _DERIVS,
@@ -21,7 +22,7 @@ from airytunnel.specfun import (
     _airy_grid,
     _airy_oscillatory,
     _asymptotic_sums,
-    _asymptotic_terms,
+    _series_terms,
     _taylor_derivs,
     _taylor_sum,
 )
@@ -190,6 +191,21 @@ def test_below_minus_ten_matches_mpmath():
     airy(-10.0)  # the grid's end
     with pytest.raises(DomainError):
         airy(float("nan"))
+
+
+def test_below_the_oscillatory_limit_airy_raises_without_warning():
+    # 2 eps zeta reaches 1 at the limit, so below it no digit is correct;
+    # past u ~ -1e205 z ** 1.5 would overflow, so z is judged before it.
+    assert OSCILLATORY_LIMIT == pytest.approx(-2.2512e10, rel=1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in (-1e12, -1e210, np.nextafter(OSCILLATORY_LIMIT, -np.inf)):
+            with pytest.raises(DomainError, match=r"^airy argument must be >= -2\.2512e\+10, "):
+                airy(u)
+        with pytest.raises(DomainError, match=r"got -1000000000000\.0$"):
+            airy(np.array([-20.0, -1e12, -1e210]))
+        edge = airy(np.nextafter(OSCILLATORY_LIMIT, 0.0))
+    assert all(math.isfinite(v) for v in (edge.ai, edge.bi, edge.ai_prime, edge.bi_prime))
 
 
 def test_oscillatory_switch_is_continuous():
@@ -386,7 +402,8 @@ def test_grid_step_is_as_long_as_a_double_needs():
 
 def test_asymptotic_table_end_never_decides_a_stop():
     # The sums keep the most terms just above the switch: every stop there
-    # comes from the stop rule, with a coefficient to spare.
+    # comes from the stop rule, with a coefficient to spare. The builder
+    # keeps rows 1 .. n for the longest stop n.
     u = np.concatenate(([np.nextafter(SERIES_ASYMPTOTIC_SWITCH, np.inf)], np.linspace(9.0, 12.0, 30001)[1:]))
     zeta = np.array([(2.0 / 3.0) * x ** 1.5 for x in u.tolist()])
-    assert _asymptotic_terms(zeta)[2].max() < _U_K.size
+    assert len(_series_terms(zeta)) - 1 < _U_K.size

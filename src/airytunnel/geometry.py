@@ -2,11 +2,12 @@
 
 For a single-hump barrier at energy E the forbidden interval [a, b] is
 bounded by the simple zeros of k2(x) = E - V(x). The quantities computed
-here feed the transmission formulas:
+here are:
 
 * theta  = integral of kappa over [a, b], kappa = sqrt(V - E)
-* c      = the interior point splitting that action into equal halves
-* s_half = (3/2) * integral of kappa over [a, c]
+* c      = the interior point splitting that action into equal halves, the
+  construction's matching point; the rates do not read it (action(a, c) =
+  theta/2 by definition), and it is a printed column whose balance is checked
 * alpha_plus / alpha_minus = d(k2)/dx at a and b, i.e. the limits of
   k2(x)/(x - a) and k2(x)/(x - b); for a barrier alpha_plus < 0 and
   alpha_minus > 0.
@@ -72,7 +73,6 @@ class BarrierGeometry:
     b: float
     c: float
     theta: float
-    s_half: float
     alpha_plus: float
     alpha_minus: float
     energy: float
@@ -169,16 +169,17 @@ def action_integral(pot, energy, x1, x2):
 
 
 def _midpoints(pot, energies, a, b):
-    """(theta, c, left, exc) for the barriers [a, b], each at its own
-    energy, before the first without a midpoint, and that barrier's
-    exception, or None.
+    """(theta, c, exc) for the barriers [a, b], each at its own energy,
+    before the first without a midpoint, and that barrier's exception, or
+    None.
 
-    theta is the action over [a, b], c splits it into equal halves,
-    |left - right| <= (1e-10 + eps E ((b - a)/theta)**2) theta, and
-    left = action(a, c). The second term of that tolerance is the rounding
-    noise of E - V, which matters only next to the barrier top. A barrier
-    fails at its first failing step: theta, then each iterate of the
-    search in turn, then the right half and the balance.
+    theta is the action over [a, b] and c splits it into equal halves,
+    left = action(a, c) and right = action(c, b) with |left - right| <=
+    (1e-10 + eps E ((b - a)/theta)**2) theta. The second term of that
+    tolerance is the rounding noise of E - V, which matters only next to
+    the barrier top. A barrier fails at its first failing step: theta,
+    then each iterate of the search in turn, then the right half and the
+    balance.
 
     An even barrier (Potential.even) whose crossings are mirrors, a = -b,
     has c = (a + b)/2 = 0 and left = theta/2 by symmetry: one quadrature
@@ -259,7 +260,7 @@ def _midpoints(pot, energies, a, b):
     k, exc = first_failure(k, exc, (np.abs(left[:k] - right[:k]) > tol, lambda p: DomainError(
         "midpoint search failed to balance actions (%g vs %g)" % (left[p], right[p])
     )))
-    return theta[:k], c[:k], left[:k], exc
+    return theta[:k], c[:k], exc
 
 
 def find_midpoint(pot, energy, a, b):
@@ -275,7 +276,7 @@ def find_midpoint(pot, energy, a, b):
     energy, a, b = judge(energy, a=a, b=b)
     if a > b:
         raise ValueError("a must be <= b, got %g > %g" % (a, b))
-    _, c, _, exc = _midpoints(pot, np.array([energy]), np.array([a]), np.array([b]))
+    _, c, exc = _midpoints(pot, np.array([energy]), np.array([a]), np.array([b]))
     if exc is not None:
         raise exc
     return float(c[0])
@@ -322,18 +323,12 @@ def alpha_limit(pot, energy, x0, side):
     return alpha.item()
 
 
-def _geometry_checks(geom):
-    """The checks, for first_failure, of a BarrierGeometry of arrays: c must
-    lie strictly between a and b, theta and s_half must be positive, and,
-    since c splits theta equally, s_half must be (3/4) theta."""
-    a, c, b, theta, s_half = geom.a, geom.c, geom.b, geom.theta, geom.s_half
-    return (
-        (~((a < c) & (c < b)) | (theta <= 0.0) | (s_half <= 0.0), lambda p: DomainError(
-            "inconsistent barrier geometry: %r" % (_entry(geom, p),)
-        )),
-        (np.abs(s_half - 0.75 * theta) > 1e-9 * theta, lambda p: DomainError(
-            "half action %g inconsistent with theta %g" % (s_half[p], theta[p])
-        )),
+def _geometry_check(geom):
+    """The check, for first_failure, of a BarrierGeometry of arrays: c must
+    lie strictly between a and b and theta must be positive."""
+    a, c, b = geom.a, geom.c, geom.b
+    return ~((a < c) & (c < b)) | (geom.theta <= 0.0), lambda p: DomainError(
+        "inconsistent barrier geometry: %r" % (_entry(geom, p),)
     )
 
 
@@ -343,19 +338,19 @@ def _analyze(pot, energies, window):
     a, b, exc = _turning_points(pot, energies, window)
     if not a.size:
         return _EMPTY, exc
-    theta, c, left, failed = _midpoints(pot, energies[:a.size], a, b)
+    theta, c, failed = _midpoints(pot, energies[:a.size], a, b)
     k = theta.size
     if failed is not None:
         exc = failed
     e, a, b = energies[:k], a[:k], b[:k]
     alpha = -pot.v_prime(np.concatenate((a, b)))
-    columns = (a, b, c, theta, 1.5 * left, alpha[:k], alpha[k:], e)
+    columns = (a, b, c, theta, alpha[:k], alpha[k:], e)
     geom = BarrierGeometry(*columns)
     k, exc = first_failure(
         k, exc,
         *_alpha_checks(geom.alpha_plus, e, a, "left"),
         *_alpha_checks(geom.alpha_minus, e, b, "right"),
-        *_geometry_checks(geom),
+        _geometry_check(geom),
     )
     return BarrierGeometry(*(column[:k] for column in columns)), exc
 

@@ -4,11 +4,15 @@ Three approximations, in decreasing order of fidelity to the uniform
 Airy construction:
 
 * t_uniform    : T = 3 (Ai(u)/Bi(u))**2 * |alpha+/alpha-|**(1/3), with
-                 u = s_half**(2/3). Valid through the barrier top, where
-                 it tends to 3 (Ai(0)/Bi(0))**2 = 1.
+                 u = (3 theta/4)**(2/3). Valid through the barrier top,
+                 where it tends to |alpha+/alpha-|**(1/3): 3 (Ai(0)/Bi(0))**2 = 1.
 * t_asymptotic : T = (3/4) |alpha+/alpha-|**(1/3) exp(-2 theta), the
                  large-action limit of the above.
 * t_wkb        : T = exp(-2 theta), the plain WKB (Gamow) factor.
+
+The midpoint c splits theta in equal halves, so the half action (3/2)
+action(a, c) at which the construction matches is 3 theta/4 by definition:
+the rates read theta and the two slopes only.
 
 The Airy ratio is evaluated in log domain, so t_uniform survives barriers
 thick enough that Bi(u)**2 alone would overflow (theta beyond ~350).
@@ -56,10 +60,10 @@ class RateReport:
     oracle: Optional[OracleResult] = None
 
 
-def _estimates(theta, alpha_plus=None, alpha_minus=None, s_half=None):
+def _estimates(theta, alpha_plus=None, alpha_minus=None):
     """(u, t_wkb, t_asymptotic, t_uniform) at each entry of 1D float arrays;
-    without the alphas only t_wkb, without s_half neither u nor t_uniform
-    (None). The squared Airy ratio is exp(-2 ln(Bi/Ai)), which cannot overflow."""
+    without the alphas only t_wkb (the rest None). The squared Airy ratio is
+    exp(-2 ln(Bi/Ai)), which cannot overflow."""
     bad = np.flatnonzero(~((theta >= 0.0) & np.isfinite(theta)))
     if bad.size:
         raise ValueError("theta must be >= 0, got %r" % theta[bad[0]].item())
@@ -70,20 +74,19 @@ def _estimates(theta, alpha_plus=None, alpha_minus=None, s_half=None):
         raise DegenerateTurningPointError("alpha = 0: barrier-top degeneracy")
     ratio = np.abs(alpha_plus / alpha_minus)
     asymptotic = 0.75 * ratio ** (1.0 / 3.0) * wkb
-    if s_half is None:
-        return None, wkb, asymptotic, None
-    bad = np.flatnonzero(s_half <= 0.0)
-    if bad.size:
-        raise ValueError("geometry has non-positive half action %r" % s_half[bad[0]].item())
-    u = s_half ** (2.0 / 3.0)
+    u = (0.75 * theta) ** (2.0 / 3.0)
     uniform = np.exp(np.log(3.0) - 2.0 * log_bi_over_ai(u) + np.log(ratio) / 3.0)
     return u, wkb, asymptotic, uniform
 
 
 def _rate(k, **args):
     """Rate k of _estimates at the named args: a float where every arg is a
-    scalar, else an array. A scalar runs as an array of size one."""
+    scalar, else an array. A scalar runs as an array of size one and goes
+    with an array of any length; arrays of unequal length raise ValueError."""
     arrays, scalars = zip(*(as_1d(x, name) for name, x in args.items()))
+    lengths = [(name, x.size) for name, x, scalar in zip(args, arrays, scalars) if not scalar]
+    if len({size for _, size in lengths}) > 1:
+        raise ValueError("arrays of unequal length: %s" % ", ".join("%s %d" % pair for pair in lengths))
     value = _estimates(*arrays)[k]
     return value.item() if all(scalars) else value
 
@@ -98,11 +101,10 @@ def t_asymptotic(theta, alpha_plus, alpha_minus):
     return _rate(2, theta=theta, alpha_plus=alpha_plus, alpha_minus=alpha_minus)
 
 
-def t_uniform(geom: BarrierGeometry):
+def t_uniform(theta, alpha_plus, alpha_minus):
     """Uniform Airy-ratio rate 3 (Ai(u)/Bi(u))**2 |alpha+/alpha-|**(1/3),
-    u = s_half**(2/3)."""
-    return _rate(3, theta=geom.theta, alpha_plus=geom.alpha_plus,
-                 alpha_minus=geom.alpha_minus, s_half=geom.s_half)
+    u = (3 theta/4)**(2/3)."""
+    return _rate(3, theta=theta, alpha_plus=alpha_plus, alpha_minus=alpha_minus)
 
 
 def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000):
@@ -121,7 +123,7 @@ def rate_report(pot, energy, window=None, with_oracle=False, oracle_slices=4000)
     lowest energy whose geometry or oracle fails.
     """
     geom, exc = _geometries(pot, energy, window)
-    estimates = _estimates(geom.theta, geom.alpha_plus, geom.alpha_minus, geom.s_half)
+    estimates = _estimates(geom.theta, geom.alpha_plus, geom.alpha_minus)
     oracle = t_exact = None
     if with_oracle:
         oracle, oracle_exc = _transmissions(pot, geom.energy, window, oracle_slices)

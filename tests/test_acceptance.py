@@ -12,7 +12,6 @@ import pytest
 
 import truth
 from airytunnel import (
-    BarrierGeometry,
     ParabolicBarrier,
     Sech2Barrier,
     airy,
@@ -102,11 +101,8 @@ def test_criterion_4_asymptotic_consistency_chain():
     devs = []
     for theta_target in (4.0, 6.0, 8.0, 12.0):
         geom = analyze_barrier(Sech2Barrier(1.0, theta_target / theta_unit), 0.5)
-        dev = abs(
-            t_uniform(geom)
-            / t_asymptotic(geom.theta, geom.alpha_plus, geom.alpha_minus)
-            - 1.0
-        )
+        rates_at = (geom.theta, geom.alpha_plus, geom.alpha_minus)
+        dev = abs(t_uniform(*rates_at) / t_asymptotic(*rates_at) - 1.0)
         assert dev <= 0.7 / theta_target
         devs.append(dev)
     assert all(x > y for x, y in zip(devs[:-1], devs[1:]))
@@ -118,14 +114,10 @@ def test_criterion_4_asymptotic_consistency_chain():
 
 
 def test_criterion_5_barrier_top_limit():
-    vanishing = BarrierGeometry(
-        a=-1.0, b=1.0, c=0.0, theta=4.0 / 3.0 * 1e-30, s_half=1e-30,
-        alpha_plus=-1.0, alpha_minus=1.0, energy=1.0,
-    )
-    limit = t_uniform(vanishing)
+    limit = t_uniform(4e-30 / 3.0, -1.0, 1.0)
     assert abs(limit - 1.0) <= 1e-12
 
-    near_top = t_uniform(analyze_barrier(Sech2Barrier(1.0, 1.0), 0.999))
+    near_top = rate_report(Sech2Barrier(1.0, 1.0), 0.999).t_uniform
     assert 0.9 <= near_top <= 1.0
     print(
         "ACCEPTANCE 5 PASS: t_uniform -> %.15f as the action vanishes; "
@@ -161,7 +153,7 @@ def test_criterion_7_desk_scale_comparison_table():
 
     with mpmath.workdps(30):
         wkb_ref = float(mpmath.e ** (-2 * truth.theta("parabolic", 0.5, 1.0)))
-        u_ref = truth.half_action("parabolic", 0.5, 1.0) ** (mpmath.mpf(2) / 3)
+        u_ref = (3 * truth.theta("parabolic", 0.5, 1.0) / 4) ** (mpmath.mpf(2) / 3)
         uni_ref = float(3 * (mpmath.airyai(u_ref) / mpmath.airybi(u_ref)) ** 2)
     asym_ref = 0.75 * wkb_ref
 

@@ -197,7 +197,7 @@ def test_energies_beyond_1d_are_rejected():
 @pytest.mark.parametrize("call", [
     lambda grid: t_wkb(grid),
     lambda grid: t_asymptotic(grid, -grid, grid),
-    lambda grid: t_uniform(BarrierGeometry(-grid, grid, 0.0 * grid, grid, 0.75 * grid, -grid, grid, grid)),
+    lambda grid: t_uniform(grid, -grid, grid),
 ], ids=["t_wkb", "t_asymptotic", "t_uniform"])
 @pytest.mark.parametrize("grid", [np.ones((2, 2)), np.array([[-1.0, 1.0]])], ids=["ones", "negative"])
 def test_rates_beyond_1d_are_rejected(call, grid):
@@ -205,6 +205,17 @@ def test_rates_beyond_1d_are_rejected(call, grid):
     message = r"^theta must be a scalar or 1D, got shape %s$" % re.escape(str(grid.shape))
     with pytest.raises(ValueError, match=message):
         call(grid)
+
+
+@pytest.mark.parametrize("rate", [t_asymptotic, t_uniform], ids=["t_asymptotic", "t_uniform"])
+def test_rates_of_unequal_lengths_are_rejected(rate):
+    # judged before numpy would broadcast them or fail to
+    with pytest.raises(ValueError, match=r"^arrays of unequal length: theta 2, alpha_plus 3, alpha_minus 3$"):
+        rate(np.ones(2), -np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match=r"^arrays of unequal length: theta 3, alpha_minus 1$"):
+        rate(np.ones(3), -1.0, np.ones(1))
+    # a scalar goes with an array of any length
+    assert rate(np.ones(3), -1.0, np.ones(3)).tolist() == [rate(1.0, -1.0, 1.0)] * 3
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -267,7 +267,8 @@ def test_analyze_parabolic_composite():
     assert geom.b == pytest.approx(+B_PARABOLIC, abs=1e-9)
     assert geom.c == pytest.approx(0.0, abs=1e-10)
     assert geom.theta == pytest.approx(truth.theta("parabolic", 0.5, 1.0), abs=1e-10)
-    assert geom.s_half == pytest.approx(truth.half_action("parabolic", 0.5, 1.0), abs=1e-10)
+    u = (3 * truth.theta("parabolic", 0.5, 1.0) / 4) ** (mpmath.mpf(2) / 3)
+    assert rate_report(ParabolicBarrier(1.0), 0.5).airy_argument == pytest.approx(u, abs=1e-10)
     assert geom.alpha_plus == pytest.approx(-math.sqrt(2.0), rel=1e-9)
     assert geom.alpha_minus == pytest.approx(+math.sqrt(2.0), rel=1e-9)
     assert geom.energy == 0.5
@@ -283,11 +284,12 @@ def test_analyze_near_top_small_action():
 def test_equal_split_and_half_action_random_cases(case):
     family, params, energy = case
     pot = make_potential(family, **params)
-    geom = analyze_barrier(pot, energy)
+    report = rate_report(pot, energy)
+    geom = report.geometry
     left = action_integral(pot, energy, geom.a, geom.c)
     right = action_integral(pot, energy, geom.c, geom.b)
     assert abs(left - right) <= 1e-9 * geom.theta
-    assert abs(geom.s_half - 0.75 * geom.theta) <= 1e-9 * geom.theta
+    assert report.airy_argument == (np.array([0.75 * geom.theta]) ** (2.0 / 3.0)).item()
     assert geom.alpha_plus < 0.0 < geom.alpha_minus
 
 
@@ -304,11 +306,14 @@ EVEN_CASES = [(ParabolicBarrier, (2.0,)), (Sech2Barrier, (1.0, 1.4)), (GaussianB
 @pytest.mark.parametrize("cls, args", EVEN_CASES)
 def test_even_barrier_takes_its_midpoint_from_symmetry(cls, args):
     energies = np.linspace(0.02, 0.95, 24) * args[0]
-    geom = analyze_barrier(cls(*args), energies)
+    report = rate_report(cls(*args), energies)
+    geom = report.geometry
     searched = analyze_barrier(not_even(cls)(*args), energies)
     assert [t.hex() for t in geom.theta.tolist()] == [t.hex() for t in searched.theta.tolist()]
     assert np.all(geom.c == 0.0)
-    assert np.all(geom.s_half == 0.75 * geom.theta)
+    assert report.airy_argument.tolist() == [
+        (np.array([0.75 * t]) ** (2.0 / 3.0)).item() for t in geom.theta.tolist()
+    ]
     # the search finds the same midpoint within its stop test
     assert np.all(np.abs(searched.c) <= 1e-13 * (searched.b - searched.a))
 

@@ -340,7 +340,7 @@ def test_mirrored_pass_equals_the_full_pass(case, slices):
     assert got.slices == want.slices == 2 * slices
 
 
-def test_mirrored_pass_forms_half_the_slices(monkeypatch):
+def test_mirrored_pass_forms_the_left_half_of_the_slices(monkeypatch):
     formed = []
     transfer = oracle._transfer_once
 

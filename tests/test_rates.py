@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import truth
 from airytunnel import (
-    BarrierGeometry,
     DegenerateTurningPointError,
     GaussianBarrier,
     NoBarrierError,
@@ -27,14 +26,6 @@ from airytunnel import (
 )
 from airytunnel import rates
 from conftest import tilted_gaussian_samples
-
-
-def symmetric_geometry(s_half):
-    theta = s_half / 0.75
-    return BarrierGeometry(
-        a=-1.0, b=1.0, c=0.0, theta=theta, s_half=s_half,
-        alpha_plus=-1.0, alpha_minus=1.0, energy=0.5,
-    )
 
 
 def test_wkb_closed_forms():
@@ -60,15 +51,18 @@ def test_asymptotic_closed_forms():
 
 
 def test_uniform_rate_barrier_top_limit():
-    # s -> 0: T -> 3 (Ai(0)/Bi(0))^2 = 1 for a symmetric barrier
-    assert t_uniform(symmetric_geometry(1e-30)) == pytest.approx(1.0, abs=1e-12)
+    # theta -> 0: T -> 3 (Ai(0)/Bi(0))^2 |alpha+/alpha-|^(1/3), 1 for a
+    # symmetric barrier; theta = 0 itself is that limit, and t_uniform
+    # rounds it to 1 + 4.9e-15 (exp(ln 3 - 2 ln(Bi(0)/Ai(0))))
+    assert t_uniform(0.0, -1.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert t_uniform(4e-30 / 3.0, -1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert t_uniform(0.0, -8.0, 1.0) == pytest.approx(2.0, abs=2e-14)
 
 
 def test_uniform_rate_thick_barrier_log_domain():
     # at theta = 350 the direct Bi ratio underflows to 0; the log-domain
     # path keeps a finite positive value close to the asymptotic rate
-    geom = symmetric_geometry(0.75 * 350.0)
-    t = t_uniform(geom)
+    t = t_uniform(350.0, -1.0, 1.0)
     assert 0.0 < t < 1e-300
     expected = 0.75 * math.exp(-700.0)
     assert t / expected == pytest.approx(1.0, abs=5e-3)
@@ -99,7 +93,8 @@ def test_asymptotic_consistency_chain():
         w = theta_target / float(truth.theta("sech2", 0.5, 1.0, 1.0))
         geom = analyze_barrier(Sech2Barrier(1.0, w), 0.5)
         assert geom.theta == pytest.approx(theta_target, rel=1e-10)
-        dev = abs(t_uniform(geom) / t_asymptotic(geom.theta, geom.alpha_plus, geom.alpha_minus) - 1.0)
+        rates_at = (geom.theta, geom.alpha_plus, geom.alpha_minus)
+        dev = abs(t_uniform(*rates_at) / t_asymptotic(*rates_at) - 1.0)
         assert dev <= 0.7 / theta_target
         deviations.append(dev)
     assert all(x > y for x, y in zip(deviations[:-1], deviations[1:]))
@@ -131,8 +126,7 @@ def test_rates_on_sech2_approach_poschl_teller_as_the_barrier_widens():
 
 def test_barrier_top_behavior():
     pot = Sech2Barrier(1.0, 1.0)
-    t_near = t_uniform(analyze_barrier(pot, 0.995))
-    t_nearer = t_uniform(analyze_barrier(pot, 0.999))
+    t_near, t_nearer = (rate_report(pot, e).t_uniform for e in (0.995, 0.999))
     assert 0.9 <= t_near <= 1.0
     assert 0.9 <= t_nearer <= 1.0
     assert t_nearer > t_near
@@ -162,7 +156,7 @@ def test_report_parabolic_against_recomputed_values():
     assert rep.t_asymptotic == pytest.approx(0.75 * wkb, rel=1e-3)
     # independent recomputation of the uniform rate from high-precision Airy
     with mpmath.workdps(30):
-        u = truth.half_action("parabolic", 0.5, 1.0) ** (mpmath.mpf(2) / 3)
+        u = (3 * truth.theta("parabolic", 0.5, 1.0) / 4) ** (mpmath.mpf(2) / 3)
         t_ref = float(3.0 * (mpmath.airyai(u) / mpmath.airybi(u)) ** 2)
     assert rep.t_uniform == pytest.approx(t_ref, rel=1e-3)
     assert rep.t_uniform == pytest.approx(0.1123, abs=2e-4)
@@ -193,7 +187,7 @@ def test_product_factorization_reproduces_uniform_rate(tilted_barrier):
     psi_minus_at_b = psi_basis(tilted_barrier, energy, geom.b, geom.b)[1]
     psi_minus_at_c = psi_basis(tilted_barrier, energy, geom.b, geom.c)[1]
     product = (psi_minus_at_b / psi_minus_at_c) ** 2 * (psi_plus_at_c / psi_plus_at_a) ** 2
-    assert product == pytest.approx(t_uniform(geom), rel=1e-8)
+    assert product == pytest.approx(t_uniform(geom.theta, geom.alpha_plus, geom.alpha_minus), rel=1e-8)
 
 
 with mpmath.workdps(30):
@@ -295,34 +289,14 @@ def test_rates_of_arrays_are_the_scalar_rates_bit_for_bit(entries):
     theta, log_ratio, log_alpha = (np.array(column) for column in zip(*entries))
     alpha_minus = 10.0 ** log_alpha
     alpha_plus = -(10.0 ** log_ratio) * alpha_minus
-    s_half = 0.75 * theta
-    _, wkb, asymptotic, _ = rates._estimates(theta, alpha_plus, alpha_minus)
-    positive = theta > 0.0
-    *_, uniform = rates._estimates(
-        theta[positive], alpha_plus[positive], alpha_minus[positive], s_half[positive]
-    )
-    uniform_at = iter(uniform.tolist())
+    _, wkb, asymptotic, uniform = rates._estimates(theta, alpha_plus, alpha_minus)
     for i, (t, p, m) in enumerate(zip(theta.tolist(), alpha_plus.tolist(), alpha_minus.tolist())):
         assert wkb[i].item().hex() == t_wkb(t).hex()
         assert asymptotic[i].item().hex() == t_asymptotic(t, p, m).hex()
-        geom = BarrierGeometry(
-            a=-1.0, b=1.0, c=0.0, theta=t, s_half=0.75 * t, alpha_plus=p, alpha_minus=m, energy=0.5,
-        )
-        if t == 0.0:
-            with pytest.raises(ValueError, match="non-positive half action 0.0"):
-                t_uniform(geom)
-        else:
-            assert next(uniform_at).hex() == t_uniform(geom).hex()
-    arrays = BarrierGeometry(
-        a=-1.0, b=1.0, c=0.0, theta=theta[positive], s_half=s_half[positive],
-        alpha_plus=alpha_plus[positive], alpha_minus=alpha_minus[positive], energy=0.5,
-    )
-    assert np.array_equal(t_uniform(arrays), uniform)
+        assert uniform[i].item().hex() == t_uniform(t, p, m).hex()
     assert np.array_equal(t_wkb(theta), wkb)
     assert np.array_equal(t_asymptotic(theta, alpha_plus, alpha_minus), asymptotic)
-    if not positive.all():
-        with pytest.raises(ValueError, match="non-positive half action 0.0"):
-            rates._estimates(theta, alpha_plus, alpha_minus, s_half)
+    assert np.array_equal(t_uniform(theta, alpha_plus, alpha_minus), uniform)
 
 
 def test_rates_of_an_analyzed_sweep_are_arrays_of_the_scalar_rates():
@@ -330,11 +304,12 @@ def test_rates_of_an_analyzed_sweep_are_arrays_of_the_scalar_rates():
     energies = np.linspace(0.05, 0.95, 7)
     g = analyze_barrier(pot, energies)
     scalar = [analyze_barrier(pot, e) for e in energies.tolist()]
-    got = (t_wkb(g.theta), t_asymptotic(g.theta, g.alpha_plus, g.alpha_minus), t_uniform(g))
+    got = (t_wkb(g.theta), t_asymptotic(g.theta, g.alpha_plus, g.alpha_minus),
+           t_uniform(g.theta, g.alpha_plus, g.alpha_minus))
     want = (
         [t_wkb(h.theta) for h in scalar],
         [t_asymptotic(h.theta, h.alpha_plus, h.alpha_minus) for h in scalar],
-        [t_uniform(h) for h in scalar],
+        [t_uniform(h.theta, h.alpha_plus, h.alpha_minus) for h in scalar],
     )
     for array, values in zip(got, want):
         assert isinstance(array, np.ndarray) and array.tolist() == values
@@ -347,9 +322,3 @@ def test_rate_checks_name_the_first_failing_entry():
         t_wkb(math.nan)
     with pytest.raises(DegenerateTurningPointError, match="alpha = 0"):
         t_asymptotic(np.array([1.0, 1.0]), np.array([-1.0, 0.0]), np.array([1.0, 1.0]))
-    geom = BarrierGeometry(
-        a=-1.0, b=1.0, c=0.0, theta=np.ones(3), s_half=np.array([0.75, -0.5, 0.0]),
-        alpha_plus=-np.ones(3), alpha_minus=np.ones(3), energy=0.5,
-    )
-    with pytest.raises(ValueError, match=r"non-positive half action -0\.5"):
-        t_uniform(geom)

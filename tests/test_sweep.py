@@ -9,7 +9,7 @@ one-energy calls first fails, with the same error; each bracket of an
 array root solve visits the iterates of its own size-one solve; and every
 rate of a report is the package's scalar rate function of its geometry.
 
-Truth: a, b, theta, c and s_half against truth.py, with c exactly 0 on
+Truth: a, b, theta and c against truth.py, with c exactly 0 on
 even barriers; on tables, against a knot-split mpmath integral of the same
 spline. Each bound is the worst case measured on this code, rounded up to
 one digit.
@@ -121,10 +121,10 @@ def assert_rates_are_the_scalar_functions(report):
     g = report.geometry
     # numpy's power on an array of size one; Python's float power is libm's,
     # which can differ from numpy's in the last bit
-    assert report.airy_argument == (np.array([g.s_half]) ** (2.0 / 3.0)).item()
+    assert report.airy_argument == (np.array([0.75 * g.theta]) ** (2.0 / 3.0)).item()
     assert report.t_wkb == rates.t_wkb(g.theta)
     assert report.t_asymptotic == rates.t_asymptotic(g.theta, g.alpha_plus, g.alpha_minus)
-    assert report.t_uniform == rates.t_uniform(g)
+    assert report.t_uniform == rates.t_uniform(g.theta, g.alpha_plus, g.alpha_minus)
 
 
 def assert_matches_scalar_calls(name, energies):
@@ -186,20 +186,24 @@ def test_even_geometry_is_the_truth(name):
     # bounds: the worst case measured on this code, rounded up to one digit
     pot, window, top = FAMILIES[name]
     args = (pot.v0, getattr(pot, "w", None))
-    g = analyze_barrier(pot, np.linspace(0.03, 0.9, 24) * top, window)
+    report = rate_report(pot, np.linspace(0.03, 0.9, 24) * top, window)
+    g = report.geometry
     for a, b, theta, e in zip(g.a.tolist(), g.b.tolist(), g.theta.tolist(), g.energy.tolist()):
         b_true, theta_true = truth.turning_point(name, e, *args), truth.theta(name, e, *args)
         assert abs(a + b_true) <= 2e-16 * b_true and abs(b - b_true) <= 2e-16 * b_true
         assert abs(theta - theta_true) <= 2e-15 * theta_true
-    assert np.all(g.c == 0.0) and np.all(g.s_half == 0.75 * g.theta)
+    assert np.all(g.c == 0.0)
+    assert report.airy_argument.tolist() == [
+        (np.array([0.75 * t]) ** (2.0 / 3.0)).item() for t in g.theta.tolist()
+    ]
 
 
 # name -> bounds on |a - a*| and |b - b*| in units of b* - a*, and on
-# |theta - theta*|, |action*(a*, c) - theta*/2| and |s_half - 1.5 action*(a*, c)|
-# in units of theta*, the starred values from the spline in mpmath
+# |theta - theta*| and |action*(a*, c) - theta*/2| in units of theta*, the
+# starred values from the spline in mpmath
 TABLE_BOUNDS = {
-    "tilted": (2e-16, 7e-12, 4e-12, 7e-13),
-    "tabulated": (6e-16, 8e-11, 4e-11, 3e-12),
+    "tilted": (2e-16, 7e-12, 4e-12),
+    "tabulated": (6e-16, 8e-11, 4e-11),
 }
 
 
@@ -208,7 +212,7 @@ def test_table_geometry_matches_a_knot_split_spline_integral(name):
     # The bounds hold today's quadrature error on a C2 spline, whose Gauss
     # convergence stalls at the knots; near the top few knots keep it cheap.
     pot, window, top = FAMILIES[name]
-    ends, theta_tol, c_tol, s_tol = TABLE_BOUNDS[name]
+    ends, theta_tol, c_tol = TABLE_BOUNDS[name]
     g = analyze_barrier(pot, np.array([0.6, 0.75, 0.85, 0.95]) * top, window)
     with mpmath.workdps(20):
         for i, e in enumerate(g.energy.tolist()):
@@ -217,7 +221,6 @@ def test_table_geometry_matches_a_knot_split_spline_integral(name):
             assert abs(g.a[i] - a) <= ends * (b - a) and abs(g.b[i] - b) <= ends * (b - a)
             assert abs(g.theta[i] - theta) <= theta_tol * theta
             assert abs(left - theta / 2) <= c_tol * theta
-            assert abs(g.s_half[i] - 1.5 * left) <= s_tol * theta
 
 
 def test_single_energy_is_the_batched_pass():
@@ -279,8 +282,8 @@ MIRRORED = TabulatedPotential(-TILTED.x_samples[::-1], TILTED.v_samples[::-1])
 @settings(max_examples=30, deadline=None)
 @given(fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=12))
 def test_mirrored_table_mirrors_the_geometry(fractions):
-    # x -> -x swaps the turning points and the half actions. c is found from
-    # the other side, within its stop test, and s_half is the other half.
+    # x -> -x swaps the turning points and the half actions, and c is found
+    # from the other side, within its stop test.
     _, window, top = FAMILIES["tilted"]
     energies = np.array(fractions) * top
     g, errors = geometry._geometries(TILTED, energies, window)
@@ -288,7 +291,6 @@ def test_mirrored_table_mirrors_the_geometry(fractions):
     assert not errors and not mirrored_errors
     assert np.all(np.abs(h.theta - g.theta) <= 1e-13 * g.theta)
     assert np.all(np.abs(h.c + g.c) <= 1e-9 * (g.b - g.a))
-    assert np.all(np.abs(h.s_half - g.s_half) <= 1e-11 * g.theta)
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,6 +3,9 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import airytunnel
 import airytunnel.cli  # noqa: F401  (the tracer wraps cli.main)
 
@@ -33,3 +36,18 @@ def test_tracer_wraps_every_name_and_restores_it():
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, (owner, attr)
     assert [name for name in airytunnel.__all__ if not hasattr(airytunnel, name)] == []
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 1")
+def test_tracer_takes_the_worst_flux_defect_of_an_array_call():
+    # flux_defect_max is max(float, result.flux_defect), which an array of
+    # energies turns into the truth value of an array
+    spans = load_spans()
+    tracer = spans.Tracer()
+    pot = airytunnel.Sech2Barrier(1.0, 1.0)
+    try:
+        tracer.install()
+        result = airytunnel.exact_transmission(pot, np.array([0.3, 0.5]), pot.window(), slices=200)
+    finally:
+        tracer.uninstall()
+    assert tracer.flux_defect_max == result.flux_defect.max()

@@ -47,12 +47,6 @@ def theta(family, energy, v0, w=None):
         )
 
 
-def half_action(family, energy, v0, w=None):
-    """s_half = (3/2) times the action over [a, 0], which is (3/4) theta."""
-    with mpmath.workdps(_DPS):
-        return 3 * theta(family, energy, v0, w) / 4
-
-
 def poschl_teller(energy, v0, w):
     """T through sech2(v0, w) at the energy, for 4 v0 w**2 > 1."""
     with mpmath.workdps(_DPS):

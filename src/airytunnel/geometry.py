@@ -54,6 +54,7 @@ from .errors import (
     judge,
     outcome,
 )
+from .potential import Potential
 from .quadrature import integrate_endpoint_singular, solve_bracketed
 
 #: Energies in one batched geometry pass. A longer sweep runs in blocks of
@@ -175,9 +176,11 @@ def _midpoints(pot, energies, a, b):
 
     theta is the action over [a, b] and c splits it into equal halves,
     left = action(a, c) and right = action(c, b) with |left - right| <=
-    (1e-10 + eps E ((b - a)/theta)**2) theta. The second term of that
-    tolerance is the rounding noise of E - V, which matters only next to
-    the barrier top. A barrier fails at its first failing step: theta,
+    (1e-10 + eps E ((b - a)/theta)**2) theta where the potential keeps the
+    base Potential.gap (tables), and <= 1e-10 theta where its own gap is
+    exact next to the top (the families). The second term is the rounding
+    noise of the subtraction V - E, which matters only next to the barrier
+    top. A barrier fails at its first failing step: theta,
     then each iterate of the search in turn, then the right half and the
     balance.
 
@@ -253,10 +256,14 @@ def _midpoints(pot, energies, a, b):
         k, exc = first_failure(k, exc, (search, build_error))
         right, check = _actions(pot, energies[:k], c[:k], b[:k])
         k, exc = first_failure(k, exc, check)
-    # E - V rounds at ~eps E and V - E ~ (theta/(b - a))**2, so each half
-    # carries a relative error of ~eps E ((b - a)/theta)**2, a noise floor
-    # that is invariant under x -> lambda x, V -> V/lambda**2.
-    tol = (1e-10 + _EPS * energies[:k] * ((b[:k] - a[:k]) / theta[:k]) ** 2) * theta[:k]
+    # Where V - E is the base gap's subtraction (tables), it rounds at ~eps E
+    # while V - E ~ (theta/(b - a))**2, so each half carries a relative error
+    # of ~eps E ((b - a)/theta)**2, a noise floor that is invariant under
+    # x -> lambda x, V -> V/lambda**2. A family's own gap has no such floor.
+    noise = 0.0
+    if type(pot).gap is Potential.gap:
+        noise = _EPS * energies[:k] * ((b[:k] - a[:k]) / theta[:k]) ** 2
+    tol = (1e-10 + noise) * theta[:k]
     k, exc = first_failure(k, exc, (np.abs(left[:k] - right[:k]) > tol, lambda p: DomainError(
         "midpoint search failed to balance actions (%g vs %g)" % (left[p], right[p])
     )))
@@ -269,7 +276,8 @@ def find_midpoint(pot, energy, a, b):
     c is the last iterate of a Newton-bisection search on action(a, c) =
     theta / 2 (see _midpoints), within 1e-13 (b - a) + 4 eps |c| of the
     root; on an even barrier with a = -b it is 0. The result satisfies
-    |action(a, c) - action(c, b)| <= (1e-10 + eps E ((b - a)/theta)**2) theta.
+    |action(a, c) - action(c, b)| <= 1e-10 theta, plus eps E ((b - a)/theta)**2
+    theta for a potential whose V - E is the base Potential.gap's subtraction.
     An energy that is not positive and finite, or an end that is not
     finite, raises DomainError.
     """

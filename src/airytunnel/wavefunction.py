@@ -42,6 +42,9 @@ from .specfun import AI_ZERO, BI_ZERO, airy
 #: Below this action the anchor limit formula replaces the 0/0 prefactor.
 ANCHOR_GUARD_S = 1e-8
 
+#: |k| is evaluated this many quadrature nodes at a time (see _basis_arrays).
+NODE_CHUNK = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class WavefunctionGrid:
@@ -61,10 +64,20 @@ def _basis_arrays(pot, energy, anchor, xs, crossings):
     alpha = -pot.v_prime(anchor)
     if _degenerate(alpha, energy):
         raise DegenerateTurningPointError("anchor %g is a degenerate turning point" % anchor)
-    cuts = np.unique(np.concatenate((xs, [anchor], crossings)))
+    # np.unique's arithmetic (sort, keep each entry unequal to the one before,
+    # so -0.0 and 0.0 are one cut) without its lazy import of numpy.ma
+    cuts = np.sort(np.concatenate((xs, [anchor], crossings)))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
 
     def abs_k(x):
-        return np.sqrt(np.abs(pot.gap(energy, x)))
+        # In chunks, so the potential's temporaries stay at 32 KB whatever the
+        # grid. A 32-node pass over a 401-point grid at once takes ~0.5 MB of
+        # short-lived arrays, which glibc's malloc hands back to the system
+        # after each call and faults in again on the next.
+        k = np.empty_like(x)
+        for i in range(0, x.size, NODE_CHUNK):
+            k[i:i + NODE_CHUNK] = pot.gap(energy, x[i:i + NODE_CHUNK])
+        return np.sqrt(np.abs(k, out=k), out=k)
 
     # Grid segments are short, so 16 nodes usually settle them at once. A
     # spline knot inside a segment slows convergence enough that the 16-

@@ -88,7 +88,7 @@ def test_solve_bracketed_rejects_unbracketed_interval():
         solve(2.0, 3.0)
     root = solve(0.0, 3.0)
     assert root.shape == (1,)
-    assert root[0] == pytest.approx(math.sqrt(2.0), rel=4e-16)
+    assert root[0] == pytest.approx(math.sqrt(2.0), rel=4e-16, abs=0)
 
 
 def test_turning_points_far_from_origin():
@@ -103,7 +103,7 @@ def test_turning_points_far_from_origin():
     assert b - x0 == pytest.approx(offset, abs=1e-8)
     geom = analyze_barrier(pot, energy)
     assert geom.c - x0 == pytest.approx(0.0, abs=1e-8)
-    assert geom.theta == pytest.approx(truth.theta("sech2", energy, v0, w), rel=1e-8)
+    assert geom.theta == pytest.approx(truth.theta("sech2", energy, v0, w), rel=1e-8, abs=0)
 
 
 def test_energy_must_be_positive():
@@ -124,7 +124,7 @@ def test_action_empty_interval():
 def test_action_sech2_closed_form_and_quad_oracle():
     pot = Sech2Barrier(1.0, 1.0)
     theta = action_integral(pot, 0.5, -B_SECH2, B_SECH2)
-    assert theta == pytest.approx(truth.theta("sech2", 0.5, 1.0, 1.0), rel=1e-9)
+    assert theta == pytest.approx(truth.theta("sech2", 0.5, 1.0, 1.0), rel=1e-9, abs=0)
 
 
 def test_action_rejects_allowed_region_inside():
@@ -139,7 +139,7 @@ def test_action_names_the_segment_that_leaves_the_barrier():
         action_integral(pot, 0.5, -3.0, 3.0)
     with mpmath.workdps(15):
         ref = mpmath.quad(lambda x: mpmath.sqrt(mpmath.sech(x) ** 2 - 0.5), [-0.5, 0.8])
-    assert action_integral(pot, 0.5, -0.5, 0.8) == pytest.approx(float(ref), rel=1e-12)
+    assert action_integral(pot, 0.5, -0.5, 0.8) == pytest.approx(float(ref), rel=1e-12, abs=0)
 
 
 def test_action_doubling_quadrature_effort_is_converged():
@@ -232,20 +232,20 @@ def test_bracket_end_at_a_knot_is_the_turning_point(offset, tilted_barrier):
 
 def test_alpha_limits_parabolic():
     pot = ParabolicBarrier(1.0)
-    assert alpha_limit(pot, 0.5, -B_PARABOLIC, "left") == pytest.approx(-math.sqrt(2.0), rel=1e-9)
-    assert alpha_limit(pot, 0.5, +B_PARABOLIC, "right") == pytest.approx(+math.sqrt(2.0), rel=1e-9)
+    assert alpha_limit(pot, 0.5, -B_PARABOLIC, "left") == pytest.approx(-math.sqrt(2.0), rel=1e-9, abs=0)
+    assert alpha_limit(pot, 0.5, +B_PARABOLIC, "right") == pytest.approx(+math.sqrt(2.0), rel=1e-9, abs=0)
 
 
 def test_alpha_limit_sech2_closed_form():
     pot = Sech2Barrier(1.0, 1.0)
     _, b = find_turning_points(pot, 0.5)
     alpha = alpha_limit(pot, 0.5, b, "right")
-    assert alpha == pytest.approx(2.0 * 0.5 * math.tanh(b), rel=1e-10)
-    assert alpha == pytest.approx(math.sqrt(0.5), rel=1e-6)
+    assert alpha == pytest.approx(2.0 * 0.5 * math.tanh(b), rel=1e-10, abs=0)
+    assert alpha == pytest.approx(math.sqrt(0.5), rel=1e-6, abs=0)
     # finite-difference oracle for dk2/dx = -V'
     h = 1e-6
     fd = -(pot.v(b + h) - pot.v(b - h)) / (2 * h)
-    assert alpha == pytest.approx(fd, rel=1e-8)
+    assert alpha == pytest.approx(fd, rel=1e-8, abs=0)
 
 
 def test_alpha_limit_degenerate_at_barrier_top():
@@ -269,8 +269,8 @@ def test_analyze_parabolic_composite():
     assert geom.theta == pytest.approx(truth.theta("parabolic", 0.5, 1.0), abs=1e-10)
     u = (3 * truth.theta("parabolic", 0.5, 1.0) / 4) ** (mpmath.mpf(2) / 3)
     assert rate_report(ParabolicBarrier(1.0), 0.5).airy_argument == pytest.approx(u, abs=1e-10)
-    assert geom.alpha_plus == pytest.approx(-math.sqrt(2.0), rel=1e-9)
-    assert geom.alpha_minus == pytest.approx(+math.sqrt(2.0), rel=1e-9)
+    assert geom.alpha_plus == pytest.approx(-math.sqrt(2.0), rel=1e-9, abs=0)
+    assert geom.alpha_minus == pytest.approx(+math.sqrt(2.0), rel=1e-9, abs=0)
     assert geom.energy == 0.5
 
 
@@ -348,6 +348,28 @@ def test_broken_even_promise_is_a_domain_error(cls, message):
     for energy in (0.05, 0.5, 0.9, [0.2, 0.5, 0.8]):
         with pytest.raises(DomainError, match=message):
             rate_report(pot, energy)
+
+
+class SkewedClaimingEven(GaussianBarrier):
+    """A gaussian skewed by 0.01 z**3, with a gap of its own that keeps the
+    family's exactness next to the top: its halves differ by ~4e-9 theta at
+    1 - E/v0 = 1e-12."""
+
+    def _v(self, x):
+        z = x / self.w
+        return super()._v(x) * (1.0 + 0.01 * z ** 3)
+
+    def gap(self, energies, x):
+        z = x / self.w
+        return (self.v0 - energies) + self.v0 * (np.expm1(-z * z) + 0.01 * z ** 3 * np.exp(-z * z))
+
+
+def test_broken_even_promise_next_to_an_exact_top_is_a_domain_error():
+    # A family's own gap carries no rounding noise of V - E, so its balance
+    # check keeps 1e-10 theta next to the top, where a table's would allow
+    # 3.6e-4 theta here.
+    with pytest.raises(DomainError, match="failed to balance actions"):
+        rate_report(SkewedClaimingEven(1.0, 1.0), 1.0 - 1e-12)
 
 
 def test_theta_strictly_decreasing_in_energy():

@@ -102,7 +102,7 @@ THICK, THICK_HALF_WIDTH = Sech2Barrier(1.0, 400.0), 4800.0
 
 
 def test_square_closed_form_values():
-    assert truth.square_barrier(0.5, 1.0, 2.0) == pytest.approx(0.21077109396613054, rel=1e-12)
+    assert truth.square_barrier(0.5, 1.0, 2.0) == pytest.approx(0.21077109396613054, rel=1e-12, abs=0)
     assert truth.square_barrier(0.5, 1.0, 0.0) == 1.0
     assert truth.square_barrier(0.5, 1.0, 1e-9) == pytest.approx(1.0, abs=1e-9)
     assert truth.square_barrier(1e-6, 1.0, 2.0) < 1e-4
@@ -116,7 +116,7 @@ def test_calibration_against_square_closed_form():
     pot = SquareBarrier(1.0, 2.0)
     result = exact_transmission(pot, 0.5, (-5.0, 5.0), slices=10000)
     reference = truth.square_barrier(0.5, 1.0, 2.0)
-    assert result.t_exact == pytest.approx(reference, rel=1e-6)
+    assert result.t_exact == pytest.approx(reference, rel=1e-6, abs=0)
     assert result.flux_defect <= 1e-10
     assert 0.0 <= result.t_exact <= 1.0
 
@@ -126,8 +126,8 @@ def test_sech2_converged_run():
     assert result.flux_defect <= 1e-10
     assert result.slices == 20000
     reference = truth.poschl_teller(0.5, 1.0, 1.0)
-    assert result.t_exact == pytest.approx(reference, rel=1e-6)
-    assert result.richardson_estimate == pytest.approx(reference, rel=1e-8)
+    assert result.t_exact == pytest.approx(reference, rel=1e-6, abs=0)
+    assert result.richardson_estimate == pytest.approx(reference, rel=1e-8, abs=0)
     assert result.t_exact + result.r_exact == pytest.approx(1.0, abs=1e-10)
 
 
@@ -209,7 +209,7 @@ def test_slice_matrices_take_the_three_forms():
     for j, (c, s, k) in ((0, (math.cos(1.0), math.sin(1.0), -2.0)),
                          (2, (math.cosh(1.5), math.sinh(1.5), 3.0))):
         want = [[c, s / abs(k)], [k * s, c]]
-        assert m[..., j].ravel().tolist() == pytest.approx(np.ravel(want), rel=1e-15)
+        assert m[..., j].ravel().tolist() == pytest.approx(np.ravel(want), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("energy", [0.1, 0.5, 0.95])
@@ -243,7 +243,7 @@ def test_energy_at_barrier_height_is_finite():
     # E = V0 across the whole barrier: k = 0 on every interior slice, and
     # the wavefunction there is linear in x
     result = exact_transmission(SquareBarrier(1.0, 2.0), 1.0, (-5.0, 5.0), slices=4000)
-    assert result.t_exact == pytest.approx(truth.square_barrier(1.0, 1.0, 2.0), rel=1e-13)
+    assert result.t_exact == pytest.approx(truth.square_barrier(1.0, 1.0, 2.0), rel=1e-13, abs=0)
     assert result.flux_defect <= 1e-13
 
 

@@ -39,13 +39,13 @@ def test_family_peak_values():
 
 
 def test_derivatives_closed_forms():
-    assert ParabolicBarrier(1.0).v_prime(0.5) == pytest.approx(-1.0, rel=1e-14)
+    assert ParabolicBarrier(1.0).v_prime(0.5) == pytest.approx(-1.0, rel=1e-14, abs=0)
     assert Sech2Barrier(1.0, 1.0).v_prime(0.0) == pytest.approx(0.0, abs=1e-15)
     # -2 V0 sech(x)^2 tanh(x) at x = 0.8814 (close to the E = V0/2 turning point)
     x = 0.8814
     expected = -2.0 / math.cosh(x) ** 2 * math.tanh(x)
     assert expected == pytest.approx(-0.7071, abs=5e-5)
-    assert Sech2Barrier(1.0, 1.0).v_prime(x) == pytest.approx(expected, rel=1e-13)
+    assert Sech2Barrier(1.0, 1.0).v_prime(x) == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def test_wide_gaussian_slope_is_finite():
@@ -58,7 +58,7 @@ def test_wide_gaussian_slope_is_finite():
             mx, mw = mpmath.mpf(x), mpmath.mpf(w)
             expected = float(-2 * mx / mw ** 2 * mpmath.exp(-(mx / mw) ** 2))
         got = pot.v_prime(x)
-        assert math.isfinite(got) and got == pytest.approx(expected, rel=1e-14)
+        assert math.isfinite(got) and got == pytest.approx(expected, rel=1e-14, abs=0)
     assert np.all(np.isfinite(pot.v_prime(np.array([-w, 0.0, w]))))
 
 
@@ -353,7 +353,7 @@ def test_analytic_crossings_keep_to_the_window():
     pot = Sech2Barrier(1.0, 1.0)
     # none on a window end either: the window is open
     _, (a, b) = pot.crossings(np.array([0.5]), -1.0, 1.0)
-    assert a == -b == pytest.approx(-truth.turning_point("sech2", 0.5, 1.0, 1.0), rel=1e-15)
+    assert a == -b == pytest.approx(-truth.turning_point("sech2", 0.5, 1.0, 1.0), rel=1e-15, abs=0)
     which, x = pot.crossings(np.array([1.5, 0.5, 0.5]), a, 2.0)
     assert which.tolist() == [1, 2] and x.tolist() == [b, b]
 

@@ -29,22 +29,22 @@ from conftest import tilted_gaussian_samples
 
 
 def test_wkb_closed_forms():
-    assert t_wkb(math.pi / 4.0) == pytest.approx(math.exp(-math.pi / 2.0), rel=1e-15)
+    assert t_wkb(math.pi / 4.0) == pytest.approx(math.exp(-math.pi / 2.0), rel=1e-15, abs=0)
     assert t_wkb(math.pi / 4.0) == pytest.approx(0.207880, abs=1e-6)
     assert t_wkb(0.0) == 1.0
-    assert t_wkb(10.0) == pytest.approx(math.exp(-20.0), rel=1e-15)
-    assert t_wkb(10.0) == pytest.approx(2.061e-9, rel=1e-3)
+    assert t_wkb(10.0) == pytest.approx(math.exp(-20.0), rel=1e-15, abs=0)
+    assert t_wkb(10.0) == pytest.approx(2.061e-9, rel=1e-3, abs=0)
     with pytest.raises(ValueError):
         t_wkb(-1.0)
 
 
 def test_asymptotic_closed_forms():
     sym = t_asymptotic(math.pi / 4.0, -1.0, 1.0)
-    assert sym == pytest.approx(0.75 * math.exp(-math.pi / 2.0), rel=1e-14)
+    assert sym == pytest.approx(0.75 * math.exp(-math.pi / 2.0), rel=1e-14, abs=0)
     assert sym == pytest.approx(0.155910, abs=1e-6)
-    assert t_asymptotic(1.0, -8.0, 1.0) == pytest.approx(1.5 * math.exp(-2.0), rel=1e-14)
+    assert t_asymptotic(1.0, -8.0, 1.0) == pytest.approx(1.5 * math.exp(-2.0), rel=1e-14, abs=0)
     assert t_asymptotic(1.0, -8.0, 1.0) == pytest.approx(0.203003, abs=1e-6)
-    assert t_asymptotic(1.0, -1.0, 8.0) == pytest.approx(0.375 * math.exp(-2.0), rel=1e-14)
+    assert t_asymptotic(1.0, -1.0, 8.0) == pytest.approx(0.375 * math.exp(-2.0), rel=1e-14, abs=0)
     assert t_asymptotic(1.0, -1.0, 8.0) == pytest.approx(0.050751, abs=1e-6)
     with pytest.raises(DegenerateTurningPointError):
         t_asymptotic(1.0, 0.0, 1.0)
@@ -92,7 +92,7 @@ def test_asymptotic_consistency_chain():
     for theta_target in (4.0, 6.0, 8.0, 12.0):
         w = theta_target / float(truth.theta("sech2", 0.5, 1.0, 1.0))
         geom = analyze_barrier(Sech2Barrier(1.0, w), 0.5)
-        assert geom.theta == pytest.approx(theta_target, rel=1e-10)
+        assert geom.theta == pytest.approx(theta_target, rel=1e-10, abs=0)
         rates_at = (geom.theta, geom.alpha_plus, geom.alpha_minus)
         dev = abs(t_uniform(*rates_at) / t_asymptotic(*rates_at) - 1.0)
         assert dev <= 0.7 / theta_target
@@ -144,23 +144,23 @@ def test_width_scaling_covariance():
     # V(x/2) doubles theta and keeps the alpha ratio at 1 for even barriers
     g1 = analyze_barrier(Sech2Barrier(1.0, 1.0), 0.35)
     g2 = analyze_barrier(Sech2Barrier(1.0, 2.0), 0.35)
-    assert g2.theta == pytest.approx(2.0 * g1.theta, rel=1e-9)
-    assert abs(g1.alpha_plus / g1.alpha_minus) == pytest.approx(1.0, rel=1e-9)
-    assert abs(g2.alpha_plus / g2.alpha_minus) == pytest.approx(1.0, rel=1e-9)
+    assert g2.theta == pytest.approx(2.0 * g1.theta, rel=1e-9, abs=0)
+    assert abs(g1.alpha_plus / g1.alpha_minus) == pytest.approx(1.0, rel=1e-9, abs=0)
+    assert abs(g2.alpha_plus / g2.alpha_minus) == pytest.approx(1.0, rel=1e-9, abs=0)
 
 
 def test_report_parabolic_against_recomputed_values():
     rep = rate_report(ParabolicBarrier(1.0), 0.5)
     wkb = math.exp(-2.0 * truth.theta("parabolic", 0.5, 1.0))
-    assert rep.t_wkb == pytest.approx(wkb, rel=1e-3)
-    assert rep.t_asymptotic == pytest.approx(0.75 * wkb, rel=1e-3)
+    assert rep.t_wkb == pytest.approx(wkb, rel=1e-3, abs=0)
+    assert rep.t_asymptotic == pytest.approx(0.75 * wkb, rel=1e-3, abs=0)
     # independent recomputation of the uniform rate from high-precision Airy
     with mpmath.workdps(30):
         u = (3 * truth.theta("parabolic", 0.5, 1.0) / 4) ** (mpmath.mpf(2) / 3)
         t_ref = float(3.0 * (mpmath.airyai(u) / mpmath.airybi(u)) ** 2)
-    assert rep.t_uniform == pytest.approx(t_ref, rel=1e-3)
+    assert rep.t_uniform == pytest.approx(t_ref, rel=1e-3, abs=0)
     assert rep.t_uniform == pytest.approx(0.1123, abs=2e-4)
-    assert rep.airy_argument == pytest.approx(u, rel=1e-10)
+    assert rep.airy_argument == pytest.approx(u, rel=1e-10, abs=0)
     assert rep.t_exact is None and rep.oracle is None
 
 
@@ -187,7 +187,7 @@ def test_product_factorization_reproduces_uniform_rate(tilted_barrier):
     psi_minus_at_b = psi_basis(tilted_barrier, energy, geom.b, geom.b)[1]
     psi_minus_at_c = psi_basis(tilted_barrier, energy, geom.b, geom.c)[1]
     product = (psi_minus_at_b / psi_minus_at_c) ** 2 * (psi_plus_at_c / psi_plus_at_a) ** 2
-    assert product == pytest.approx(t_uniform(geom.theta, geom.alpha_plus, geom.alpha_minus), rel=1e-8)
+    assert product == pytest.approx(t_uniform(geom.theta, geom.alpha_plus, geom.alpha_minus), rel=1e-8, abs=0)
 
 
 with mpmath.workdps(30):
@@ -242,9 +242,9 @@ def test_uniform_rate_over_kemble_on_the_parabola_is_a_function_of_theta():
         thetas = np.array([th for th in KEMBLE_RATIO if th < math.pi * v0 / 2])
         energies = v0 - 2.0 * thetas / math.pi
         report = rate_report(ParabolicBarrier(v0), energies)
-        assert report.geometry.theta == pytest.approx(thetas, rel=1e-13)
+        assert report.geometry.theta == pytest.approx(thetas, rel=1e-13, abs=0)
         for theta, t, e in zip(thetas.tolist(), report.t_uniform.tolist(), energies.tolist()):
-            assert t / truth.kemble(e, v0) == pytest.approx(KEMBLE_RATIO[theta], rel=1e-12), (v0, theta)
+            assert t / truth.kemble(e, v0) == pytest.approx(KEMBLE_RATIO[theta], rel=1e-12, abs=0), (v0, theta)
     # At the top T -> 1/2 while t_uniform -> 1: the ratio's limit is 2.
     energy = 1.0 - 1e-12
     report = rate_report(ParabolicBarrier(1.0), energy)

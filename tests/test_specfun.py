@@ -64,12 +64,12 @@ def maclaurin_airy(u, terms=120):
 
 def test_zero_argument_matches_gamma_closed_forms():
     pair = airy(0.0)
-    assert pair.ai == pytest.approx(AI0, rel=1e-14)
-    assert pair.bi == pytest.approx(BI0, rel=1e-14)
-    assert pair.ai_prime == pytest.approx(AIP0, rel=1e-14)
-    assert pair.bi_prime == pytest.approx(BIP0, rel=1e-14)
+    assert pair.ai == pytest.approx(AI0, rel=1e-14, abs=0)
+    assert pair.bi == pytest.approx(BI0, rel=1e-14, abs=0)
+    assert pair.ai_prime == pytest.approx(AIP0, rel=1e-14, abs=0)
+    assert pair.bi_prime == pytest.approx(BIP0, rel=1e-14, abs=0)
     # Bi(0)/Ai(0) = sqrt(3)
-    assert pair.bi / pair.ai == pytest.approx(math.sqrt(3.0), rel=1e-14)
+    assert pair.bi / pair.ai == pytest.approx(math.sqrt(3.0), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("u", [-2.5, -1.0, -0.3, 0.0, 0.5, 1.0, 2.0, 3.0])
@@ -85,8 +85,8 @@ def test_small_arguments_match_maclaurin_oracle(u):
 def test_unit_argument_frozen_values():
     # frozen from the Maclaurin oracle summed to machine convergence
     pair = airy(1.0)
-    assert pair.ai == pytest.approx(0.13529241631288141552, rel=1e-12)
-    assert pair.bi == pytest.approx(1.2074235949528712594, rel=1e-12)
+    assert pair.ai == pytest.approx(0.13529241631288141552, rel=1e-12, abs=0)
+    assert pair.bi == pytest.approx(1.2074235949528712594, rel=1e-12, abs=0)
 
 
 def test_wronskian_identity_on_grid():
@@ -125,7 +125,7 @@ def test_regime_switch_overlap_agreement():
         grid = _airy_grid(float(u))
         asym = _airy_asymptotic(np.array([u]))
         for g, a in zip(grid, asym):
-            assert g == pytest.approx(a.item(), rel=1e-9)
+            assert g == pytest.approx(a.item(), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("u", [8.0, 10.0, 20.0, 50.0, 100.0])
@@ -135,8 +135,8 @@ def test_leading_order_asymptotic_forms(u):
     pair = airy(u)
     zeta = (2.0 / 3.0) * u ** 1.5
     q = u ** 0.25
-    assert pair.ai * 2.0 * math.sqrt(math.pi) * q * math.exp(zeta) == pytest.approx(1.0, rel=0.01)
-    assert pair.bi * math.sqrt(math.pi) * q * math.exp(-zeta) == pytest.approx(1.0, rel=0.01)
+    assert pair.ai * 2.0 * math.sqrt(math.pi) * q * math.exp(zeta) == pytest.approx(1.0, rel=0.01, abs=0)
+    assert pair.bi * math.sqrt(math.pi) * q * math.exp(-zeta) == pytest.approx(1.0, rel=0.01, abs=0)
 
 
 def test_mpmath_cross_check_in_range():
@@ -153,17 +153,17 @@ def test_mpmath_cross_check_in_range():
 def test_mpmath_cross_check_asymptotic_range(u):
     pair = airy(u)
     with mpmath.workdps(40):
-        assert pair.ai == pytest.approx(float(mpmath.airyai(u)), rel=1e-8)
-        assert pair.bi == pytest.approx(float(mpmath.airybi(u)), rel=1e-8)
-        assert pair.ai_prime == pytest.approx(float(mpmath.airyai(u, 1)), rel=1e-8)
-        assert pair.bi_prime == pytest.approx(float(mpmath.airybi(u, 1)), rel=1e-8)
+        assert pair.ai == pytest.approx(float(mpmath.airyai(u)), rel=1e-8, abs=0)
+        assert pair.bi == pytest.approx(float(mpmath.airybi(u)), rel=1e-8, abs=0)
+        assert pair.ai_prime == pytest.approx(float(mpmath.airyai(u, 1)), rel=1e-8, abs=0)
+        assert pair.bi_prime == pytest.approx(float(mpmath.airybi(u, 1)), rel=1e-8, abs=0)
 
 
 def test_overflow_raises_with_exponent():
     with pytest.raises(AiryOverflowError) as info:
         airy(120.0)
     assert isinstance(info.value, OverflowError)
-    assert info.value.exponent == pytest.approx((2.0 / 3.0) * 120.0 ** 1.5, rel=1e-12)
+    assert info.value.exponent == pytest.approx((2.0 / 3.0) * 120.0 ** 1.5, rel=1e-12, abs=0)
 
 
 #: Measured: over 3,000 arguments z in (10, 1e4] (log-uniform, and dense
@@ -196,7 +196,7 @@ def test_below_minus_ten_matches_mpmath():
 def test_below_the_oscillatory_limit_airy_raises_without_warning():
     # 2 eps zeta reaches 1 at the limit, so below it no digit is correct;
     # past u ~ -1e205 z ** 1.5 would overflow, so z is judged before it.
-    assert OSCILLATORY_LIMIT == pytest.approx(-2.2512e10, rel=1e-4)
+    assert OSCILLATORY_LIMIT == pytest.approx(-2.2512e10, rel=1e-4, abs=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for u in (-1e12, -1e210, np.nextafter(OSCILLATORY_LIMIT, -np.inf)):
@@ -275,13 +275,13 @@ def test_2d_arguments_raise_value_error(u):
 
 
 def test_log_ratio_at_zero():
-    assert log_bi_over_ai(0.0) == pytest.approx(math.log(math.sqrt(3.0)), rel=1e-13)
+    assert log_bi_over_ai(0.0) == pytest.approx(math.log(math.sqrt(3.0)), rel=1e-13, abs=0)
 
 
 def test_log_ratio_matches_direct_quotient():
     for u in (0.5, 2.0, 4.0, 8.9):
         pair = airy(u)
-        assert log_bi_over_ai(u) == pytest.approx(math.log(pair.bi / pair.ai), rel=1e-9)
+        assert log_bi_over_ai(u) == pytest.approx(math.log(pair.bi / pair.ai), rel=1e-9, abs=0)
 
 
 def test_log_ratio_large_argument_leading_term():

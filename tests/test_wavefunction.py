@@ -23,6 +23,7 @@ from airytunnel import (
     sample_grid,
     superpose,
 )
+from airytunnel import wavefunction
 from airytunnel.specfun import AI_ZERO, BI_ZERO
 from conftest import linear_potential
 
@@ -35,9 +36,9 @@ def test_anchor_limit_value_parabolic():
     pot = ParabolicBarrier(1.0)
     ai_part, bi_part = psi_basis(pot, 0.5, A_PARABOLIC, A_PARABOLIC)
     amp = math.sqrt(2.0) ** (-1.0 / 6.0)
-    assert ai_part == pytest.approx(0.33510186034608274, rel=1e-9)
-    assert ai_part == pytest.approx(amp * AI_ZERO, rel=1e-12)
-    assert bi_part == pytest.approx(amp * BI_ZERO, rel=1e-12)
+    assert ai_part == pytest.approx(0.33510186034608274, rel=1e-9, abs=0)
+    assert ai_part == pytest.approx(amp * AI_ZERO, rel=1e-12, abs=0)
+    assert bi_part == pytest.approx(amp * BI_ZERO, rel=1e-12, abs=0)
 
 
 def test_degenerate_anchor_is_rejected_wherever_the_points_lie():
@@ -146,7 +147,7 @@ def test_exact_on_linear_wavenumber():
     mine = np.array([psi_basis(pot, energy, energy, float(x))[0] for x in xs])
     ref = np.array([airy(float(x - energy)).ai for x in xs])
     const = float(np.dot(mine, ref) / np.dot(ref, ref))
-    assert const == pytest.approx(1.0, rel=1e-8)
+    assert const == pytest.approx(1.0, rel=1e-8, abs=0)
     assert np.max(np.abs(mine - const * ref) / np.abs(ref)) <= 1e-8
 
 
@@ -214,7 +215,7 @@ def test_airy_argument_zero_at_anchor_sample():
     a, b = find_turning_points(pot, 0.5, (-1.5, 1.5))
     grid = sample_grid(pot, 0.5, (a, b), 3, 1.0, 0.0, a)
     assert grid.airy_arg[0] == 0.0
-    assert grid.psi[0].real == pytest.approx(0.33510186034608274, rel=1e-9)
+    assert grid.psi[0].real == pytest.approx(0.33510186034608274, rel=1e-9, abs=0)
 
 
 def test_far_turning_point_is_infinite_not_nan():
@@ -238,7 +239,41 @@ def test_far_turning_point_keeps_its_action_in_the_airy_argument(anchor, far):
     # the barrier is theta: |airy_arg| is (3 theta/2)**(2/3), on the forbidden side
     grid = sample_grid(ParabolicBarrier(1.0), 0.75, (-1.0, 1.0), 9, 1.0, 0.0, anchor)
     assert grid.x[far] == -anchor and grid.ksq[far] == 0.0
-    assert grid.airy_arg[far] == pytest.approx((1.5 * truth.theta("parabolic", 0.75, 1.0)) ** (2 / 3), rel=1e-12)
+    assert grid.airy_arg[far] == pytest.approx((1.5 * truth.theta("parabolic", 0.75, 1.0)) ** (2 / 3), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("energy, anchor, x", [
+    (0.5, A_PARABOLIC, [0.3, -0.2, 0.3, A_PARABOLIC, -0.2, 0.3]),  # repeats, one on the anchor
+    (0.5, A_PARABOLIC, [0.0, -0.0, 0.4, -0.0]),
+    (0.75, -0.5, np.linspace(-1.0, 1.0, 9)),  # the anchor and both crossings on grid points
+])
+def test_cuts_are_np_unique_of_the_points_the_anchor_and_the_crossings(monkeypatch, energy, anchor, x):
+    # The quadrature's segments run between neighbouring cuts, which are
+    # np.unique's, bit for bit, signed zeros included.
+    pot = ParabolicBarrier(1.0)
+    segments = []
+    integrate = wavefunction.integrate_endpoint_singular
+    monkeypatch.setattr(wavefunction, "integrate_endpoint_singular",
+                        lambda f, lo, hi, **kw: segments.append((lo, hi)) or integrate(f, lo, hi, **kw))
+    psi_basis(pot, energy, anchor, x)
+    xs = np.asarray(x, dtype=float)
+    _, crossings = pot.crossings(np.array([energy]), min(xs.min(), anchor), max(xs.max(), anchor))
+    expected = np.unique(np.concatenate((xs, [anchor], crossings)))
+    [(lo, hi)] = segments
+    assert np.append(lo, hi[-1]).tobytes() == expected.tobytes()
+    assert lo[1:].tobytes() == hi[:-1].tobytes()
+
+
+def test_chunked_integrand_changes_no_bit(monkeypatch, tilted_barrier):
+    # |k| is elementwise, so the chunk size of its evaluation cannot show
+    grids = []
+    for chunk in (100, wavefunction.NODE_CHUNK, 10**9):
+        monkeypatch.setattr(wavefunction, "NODE_CHUNK", chunk)
+        grids.append([sample_grid(pot, 0.5, (-3.0, 3.0), 401, 1.0, 0.0, find_turning_points(pot, 0.5)[0])
+                      for pot in (Sech2Barrier(1.0, 1.0), tilted_barrier)])
+    for grid in grids[1:]:
+        for one, ref in zip(grid, grids[0]):
+            assert one.psi_ai.tobytes() == ref.psi_ai.tobytes() and one.psi_bi.tobytes() == ref.psi_bi.tobytes()
 
 
 def test_array_psi_basis_takes_crossings_once_and_matches_scalar_calls(monkeypatch, tilted_barrier):
@@ -280,7 +315,7 @@ def test_deep_window_matches_mpmath():
             assert abs(ai_part - amp * mpmath.airyai(u)) <= 1e-13 * envelope, x
             assert abs(bi_part - amp * mpmath.airybi(u)) <= 1e-13 * envelope, x
     ai_part, bi_part = psi_basis(pot, 0.5, a, -9.0)
-    assert (ai_part, bi_part) == (pytest.approx(grid.psi_ai[0], rel=1e-14), pytest.approx(grid.psi_bi[0], rel=1e-14))
+    assert (ai_part, bi_part) == (pytest.approx(grid.psi_ai[0], rel=1e-14, abs=0), pytest.approx(grid.psi_bi[0], rel=1e-14, abs=0))
 
 
 def test_action_on_tabulated_barrier_matches_mpmath(tilted_barrier):
